@@ -19,7 +19,7 @@ from math import factorial, lgamma
 import mpmath as mp
 
 from ar1lab.errors import DomainError, RootSearchError
-from ar1lab.families import scalar_families
+from ar1lab.families import scalar_families, scalar_j
 from ar1lab.persistence import PersistenceQuery, persistence_exact
 
 DEFAULT_ROOT_TOL = 1e-10
@@ -422,18 +422,17 @@ def ell_mp(theta, dps: int = 60):
     if th < 2:
         raise DomainError("high-precision limit implemented for drift >= 2")
     r = 1 / th
-    fam = scalar_families(r)
     lam = 2.0 * float(1 - r) * first_negative_root(float(r)).value
     need = int(dps * math.log(10) / math.log(lam)) + 20
     with mp.workdps(dps + 10):
+        # J_n(r) at working precision; r = 1/theta > 0, so no sum cancels
+        jv = scalar_j(mp.mpf(r.numerator) / r.denominator, 1, None, need + 1)
         acc = mp.mpf(0)
-        prev = Fraction(0)
         for n in range(need + 1):
-            p = fam.j(n + 1) / (2**n * factorial(n))
-            acc += mp.mpf(p.numerator) / mp.mpf(p.denominator)
-            prev = p
+            p = jv[n + 1] / (2**n * factorial(n))
+            acc += p
         ratio = mp.mpf(1) / lam
-        tail = mp.mpf(prev.numerator) / mp.mpf(prev.denominator) * ratio / (1 - ratio)
+        tail = p * ratio / (1 - ratio)
         return 1 / (acc + tail)
 
 
@@ -621,22 +620,6 @@ def biexp_persistence_nonpositive(theta, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _j_values_float(x: float, nmax: int) -> list[float]:
-    # J_n(x) for x in [-1, 0): all recurrence terms are nonnegative there,
-    # so plain float accumulation is stable.
-    j = [0.0, 1.0, 1.0]
-    g = [1.0]
-    for i in range(1, nmax + 1):
-        g.append(g[-1] * x + 1.0)
-    while len(j) <= nmax:
-        n = len(j) - 2
-        acc = 0.0
-        for i in range(n + 1):
-            acc += math.comb(n, i) * g[i] * j[i + 1] * j[n + 1 - i]
-        j.append(acc)
-    return j
-
-
 def tutte_poisson_pmf(t: float, theta: float, n: int, tol: float = 1e-12) -> float:
     """P[X(t) = n] = e^(-t mbar) T_n(t, theta)/n! for the jump process on N.
 
@@ -654,7 +637,7 @@ def tutte_poisson_pmf(t: float, theta: float, n: int, tol: float = 1e-12) -> flo
     mbar = theta * math.log(deformed_exp(x, 1.0 / theta, tol))
     if n == 0:
         return math.exp(-t * mbar)
-    jv = _j_values_float(x, n)
+    jv = scalar_j(x, 1, None, n)  # x in [-1, 0): stable in floats
     s = [0.0] + [t * jv[k] / factorial(k) for k in range(1, n + 1)]
     e = [1.0]
     for m in range(1, n + 1):

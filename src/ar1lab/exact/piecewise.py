@@ -78,8 +78,6 @@ class PiecewisePoly:
         if x == bps[0]:
             return self.pieces[0](x)
         i = bisect_left(bps, x) - 1
-        if bps[i + 1] == x:
-            return self.pieces[i](x)
         return self.pieces[i](x)
 
     def mass(self) -> Fraction:

@@ -8,6 +8,7 @@ denominator omitted when it equals 1.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 Rational = Fraction
@@ -26,6 +27,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    # str() refuses integers past sys.get_int_max_str_digits() digits;
+    # Decimal prints the same text at any size
+    num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
+    return num if den == "1" else f"{num}/{den}"

@@ -16,7 +16,9 @@ data of the persistence probability at drift -1.
 
 Scalar tables evaluate the same recurrences at a fixed rational drift using
 pure integer arithmetic, which stays fast at depths (n in the hundreds)
-where building the full polynomials would be wasteful.
+where building the full polynomials would be wasteful.  Their J recurrence,
+``scalar_j``, is generic over the number type and also serves the float and
+mpmath consumers in the asymptotics layer.
 """
 
 from __future__ import annotations
@@ -461,6 +463,31 @@ def _dexp(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
+def scalar_j(p, q, lists: tuple[list, list] | None, nmax: int) -> list:
+    """J_n(p/q) q^((n-1)(n-2)/2) for n <= nmax, by the J convolution recurrence.
+
+    ``lists`` is a pair (g, j) extended in place, where g[i] is the
+    homogeneous sum G_i = sum_{k<=i} p^k q^(i-k) and j[n] the scaled J_n;
+    None starts from g = [1], j = [0, 1, 1].  Returns j.
+
+    The ring is that of p and q.  Integers give the exact scaled values of
+    ``ScalarFamilies``; q = 1 with a float or an mpmath p gives J_n(p) in
+    that arithmetic.  Those are stable where the consumers use them: for p
+    in [-1, 0) every G_i is nonnegative, and for p > 0 every G_i is
+    positive, so every recurrence term is nonnegative and no sum cancels.
+    """
+    g, j = lists if lists is not None else ([1], [0, 1, 1])
+    while len(g) <= nmax:
+        g.append(g[-1] * p + q ** len(g))
+    while len(j) <= nmax:
+        n = len(j) - 2
+        acc = 0
+        for i in range(n + 1):
+            acc += comb(n, i) * g[i] * j[i + 1] * j[n + 1 - i] * q ** ((n - i) * (i + 1))
+        j.append(acc)
+    return j
+
+
 class ScalarFamilies:
     """Values J_n(th), J~_n(th), J^_n(th) at one rational drift.
 
@@ -481,21 +508,8 @@ class ScalarFamilies:
         self._jh = [0, 1]  # J^_n * q^dexp(n)
         self._lock = threading.RLock()
 
-    def _grow_g(self, imax: int) -> None:
-        while len(self._g) <= imax:
-            i = len(self._g)
-            self._g.append(self._g[-1] * self._p + self._q**i)
-
     def _grow_j(self, nmax: int) -> None:
-        p, q = self._p, self._q
-        self._grow_g(nmax)
-        jj = self._j
-        while len(jj) <= nmax:
-            n = len(jj) - 2
-            acc = 0
-            for i in range(n + 1):
-                acc += comb(n, i) * self._g[i] * jj[i + 1] * jj[n + 1 - i] * q ** ((n - i) * (i + 1))
-            jj.append(acc)
+        scalar_j(self._p, self._q, (self._g, self._j), nmax)
 
     def _grow_jt(self, nmax: int) -> None:
         q = self._q

@@ -147,16 +147,14 @@ def _block_rng(seed: int, stream: int, block: int) -> Generator:
     return Generator(Philox(key=seed, counter=[0, 0, stream, block]))
 
 
-def _survival_count_block(
-    theta: float, law: InnovationLaw, n: int, rows: int, rng: Generator
-) -> int:
-    x = law.sample(rng, (rows, n))
-    y = np.zeros(rows)
-    alive = np.ones(rows, dtype=bool)
-    for k in range(n):
+def _alive(theta: float, x: np.ndarray) -> np.ndarray:
+    """Survival mask of the paths from Y_0 = 0 whose innovations are the rows of x."""
+    y = np.zeros(len(x))
+    alive = np.ones(len(x), dtype=bool)
+    for k in range(x.shape[1]):
         y = theta * y + x[:, k]
         alive &= y >= 0.0
-    return int(alive.sum())
+    return alive
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
@@ -199,12 +197,7 @@ def estimate_persistence(
         # draw the full block then truncate, so partial blocks see the same
         # per-path innovations as full ones
         x = law.sample(rng, (BLOCK_SIZE, n))[:rows]
-        y = np.zeros(rows)
-        alive = np.ones(rows, dtype=bool)
-        for k in range(n):
-            y = theta * y + x[:, k]
-            alive &= y >= 0.0
-        return int(alive.sum())
+        return int(_alive(theta, x).sum())
 
     items = _blocks(trials)
     if workers > 1:
@@ -228,12 +221,7 @@ def survival_indicators(
         rng = _block_rng(seed, stream, block)
         x = law.sample(rng, (BLOCK_SIZE, n))[:rows]
         for th in thetas:
-            y = np.zeros(rows)
-            alive = np.ones(rows, dtype=bool)
-            for k in range(n):
-                y = th * y + x[:, k]
-                alive &= y >= 0.0
-            out[th].append(alive)
+            out[th].append(_alive(th, x))
     return {th: np.concatenate(parts) for th, parts in out.items()}
 
 

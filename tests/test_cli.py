@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import os
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from ar1lab.cli import main
+from ar1lab.exact.rational import parse_rational
+from ar1lab.persistence import persistence_exact
 
 
 def run_cli(capsys, argv):
@@ -76,6 +80,21 @@ def test_persist_table(capsys):
     assert rows[0]["p_exact"] == "1"
     assert rows[3]["region_tag"] == "fibonacci-window"
     assert rows[3]["p_exact"] == "4181/15360"
+
+
+@pytest.mark.parametrize("theta", ["1/3", "3"])
+def test_persist_prints_rationals_past_the_int_str_limit(capsys, theta):
+    # row 150 has a denominator of more than 5000 digits, past the default
+    # int -> str limit of 4300 digits
+    rc, out = run_cli(capsys, ["persist", "--nmax", "150", "--theta", theta])
+    assert rc == 0
+    row = list(csv.DictReader(io.StringIO(out)))[150]
+    num, den = row["p_exact"].split("/")
+    assert len(den) > 4300
+    # Decimal parses digit strings of any length, so this is independent of
+    # parse_rational, which keeps the int() limit on its input
+    got = Fraction(int(Decimal(num)), int(Decimal(den)))
+    assert got == persistence_exact(150, parse_rational(theta))
 
 
 def test_verify_passes(capsys):

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction as F
 from math import comb, factorial
 
+import mpmath as mp
 import pytest
 
 from ar1lab import families as fam
@@ -308,6 +309,26 @@ class TestScalarFamilies:
     def test_deep_growth_is_usable(self):
         table = fam.scalar_families(F(1, 4))
         assert table.j(60) > 0
+
+    def test_scalar_j_mpmath_matches_exact(self):
+        # r = 1/4 > 0: every recurrence term is positive, so 80 digits hold
+        r = F(1, 4)
+        table = fam.scalar_families(r)
+        with mp.workdps(80):
+            jv = fam.scalar_j(mp.mpf(r.numerator) / r.denominator, 1, None, 40)
+            for n in range(1, 41):
+                exact = table.j(n)
+                want = mp.mpf(exact.numerator) / exact.denominator
+                assert abs(jv[n] - want) <= mp.mpf(10) ** -75 * want
+
+    def test_scalar_j_float_matches_exact(self):
+        # x in [-1, 0): every recurrence term is nonnegative, so floats hold
+        x = F(-1, 2)
+        table = fam.scalar_families(x)
+        jv = fam.scalar_j(float(x), 1, None, 60)
+        for n in range(1, 61):
+            want = float(table.j(n))
+            assert jv[n] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_recurrence_convolution_identity(self):
         # J_{n+2} = sum_i C(n,i)(1+...+th^i) J_{i+1} J_{n+1-i} at a scalar
