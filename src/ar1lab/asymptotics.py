@@ -18,9 +18,9 @@ from math import factorial, lgamma
 
 import mpmath as mp
 
-from ar1lab.errors import DomainError, RootSearchError
-from ar1lab.families import scalar_families, scalar_j
-from ar1lab.persistence import PersistenceQuery, persistence_exact
+from ar1lab.errors import DomainError, InvariantError, RootSearchError
+from ar1lab.families import j_tilde, scalar_families, scalar_j
+from ar1lab.persistence import PersistenceQuery, oracle_masses, persistence_exact
 
 DEFAULT_ROOT_TOL = 1e-10
 DEFAULT_CHECK_TOL = 1e-8
@@ -277,13 +277,13 @@ def decay_rate(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RateBundle:
         root = first_negative_root(theta, tol)
         lam = 2.0 * (1.0 - theta) * root.value
         if lam <= 1.0:
-            raise AssertionError(f"rate bound violated: lambda={lam} at theta={theta}")
+            raise InvariantError(f"rate bound violated: lambda={lam} at theta={theta}")
         return RateBundle(theta=theta, z_root=root.value, lam=lam)
     if theta < -1.0:
         root = first_negative_root(1.0 / theta, tol)
         mu = 2.0 * (1.0 - theta) * root.value
         if mu <= -2.0 * theta:
-            raise AssertionError(f"rate bound violated: mu={mu} at theta={theta}")
+            raise InvariantError(f"rate bound violated: mu={mu} at theta={theta}")
         th_exact = Fraction(theta)
         values = []
         for n in range(25, 31):
@@ -324,8 +324,6 @@ def ell_expansion_coefficients(kmax: int) -> list[Fraction]:
 
     a_k is the coefficient of th^k in sum_{j<=k+1} (-1)^j J~_{j+1}(th)/(2^j j!).
     """
-    from ar1lab.families import j_tilde
-
     out = []
     for k in range(kmax + 1):
         a_k = Fraction(0)
@@ -377,8 +375,6 @@ def ell_with_tail(theta: float, tol: float = 1e-10, nmax: int = 400) -> tuple[fl
 
     else:
         cap = min(nmax, 16)
-        from ar1lab.persistence import oracle_masses
-
         chain = oracle_masses(PersistenceQuery(cap, r))
 
         def term_at(n: int) -> Fraction:
@@ -402,7 +398,7 @@ def ell_with_tail(theta: float, tol: float = 1e-10, nmax: int = 400) -> tuple[fl
                 if tail / float(acc) ** 2 < tol:
                     ell = 1.0 / (float(acc) + tail)
                     if not 0.0 < ell <= 0.5 + 1e-12:
-                        raise AssertionError(f"limit {ell} escapes (0, 1/2] at drift {theta}")
+                        raise InvariantError(f"limit {ell} escapes (0, 1/2] at drift {theta}")
                     return ell, acc, tail, n
         n += 1
 
@@ -497,7 +493,7 @@ def volterra_top_eigenvalue(theta: float, a: float = 1.0, b: float = 1.0) -> flo
         raise DomainError("no closed eigenvalue for drift above a/(a+b)")
     value = b / ((a + b) * (1.0 - theta) * z)
     if not 0.0 < value < 1.0:
-        raise AssertionError(f"eigenvalue {value} escapes (0, 1)")
+        raise InvariantError(f"eigenvalue {value} escapes (0, 1)")
     return value
 
 
@@ -514,8 +510,8 @@ def rate_bundle(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RateBundle:
         res = nu_root(theta, tol=tol)
         nu = res.value
         zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / theta))  # recover a_1(1/theta)
-        lm = ell_mp(Fraction(theta).limit_denominator(10**6), dps=50)
         th_exact = Fraction(theta).limit_denominator(10**6)
+        lm = ell_mp(th_exact, dps=50)
         with mp.workdps(60):
             r20 = _r_n_mp(th_exact, 20, lm)
             r30 = _r_n_mp(th_exact, 30, lm)

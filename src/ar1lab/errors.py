@@ -23,6 +23,11 @@ class NoClosedFormError(DomainError):
         self.window = window
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: two exact routes disagree, or a value
+    escapes the range its derivation guarantees.  A bug, never bad input."""
+
+
 class RootSearchError(RuntimeError):
     """A root scan exhausted its budget.  ``found`` holds any partial results."""
 

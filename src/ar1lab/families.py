@@ -14,11 +14,13 @@ Also here: Euler zigzag numbers, dichromatic polynomials of complete graphs,
 the nested-integral volume polynomial, and the exact one-sided derivative
 data of the persistence probability at drift -1.
 
-Scalar tables evaluate the same recurrences at a fixed rational drift using
-pure integer arithmetic, which stays fast at depths (n in the hundreds)
-where building the full polynomials would be wasteful.  Their J recurrence,
-``scalar_j``, is generic over the number type and also serves the float and
-mpmath consumers in the asymptotics layer.
+Each family recurrence is written once, generic over the ring:
+``scalar_j``, ``scalar_jt`` and ``scalar_jh``.  The polynomial tables run
+them over polynomials in th; the scalar tables run them at a fixed rational
+drift in pure integer arithmetic, which stays fast at depths (n in the
+hundreds) where building the full polynomials would be wasteful; and
+``scalar_j`` also serves the float and mpmath consumers in the asymptotics
+layer.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from ar1lab.errors import InvariantError
 from ar1lab.exact.polynomial import LaurentPoly, Polynomial
 from ar1lab.exact.series import TruncatedSeries, cos_series, sin_series
 
@@ -38,18 +41,13 @@ _LOCK = threading.RLock()
 # J_n: tree-inversion enumerators
 # ---------------------------------------------------------------------------
 
+_G_POLY: list = [1]  # G_i = 1 + th + ... + th^i
 _J_POLY: list[Polynomial | None] = [None, Polynomial.one(), Polynomial.one()]
 
 
 def _grow_j(nmax: int) -> None:
     with _LOCK:
-        while len(_J_POLY) <= nmax:
-            m = len(_J_POLY)  # computing J_m, m = n+2 with n = m-2
-            n = m - 2
-            acc = Polynomial.zero()
-            for i in range(n + 1):
-                acc = acc + comb(n, i) * Polynomial.geometric(i + 1) * _J_POLY[i + 1] * _J_POLY[n + 1 - i]
-            _J_POLY.append(acc)
+        scalar_j(Polynomial.x(), 1, (_G_POLY, _J_POLY), nmax)
 
 
 def mallows_riordan(n: int, verify_routes: bool = False) -> Polynomial:
@@ -67,7 +65,7 @@ def mallows_riordan(n: int, verify_routes: bool = False) -> Polynomial:
         via_log = _j_via_log(n)[n]
         via_ratio = _j_via_ratio(n)[n]
         if value != via_log or value != via_ratio:
-            raise AssertionError(f"route disagreement for J_{n}")
+            raise InvariantError(f"route disagreement for J_{n}")
     return value
 
 
@@ -121,25 +119,26 @@ def _j_via_ratio(nmax: int) -> list[Polynomial | None]:
     return out
 
 
+def _j_egf(order: int) -> TruncatedSeries:
+    """sum J_{n+1} z^n/n! through z^order, over the Laurent ring."""
+    _grow_j(order + 1)
+    return TruncatedSeries(
+        [LaurentPoly.from_polynomial(_J_POLY[n + 1]) * Fraction(1, factorial(n)) for n in range(order + 1)],
+        order,
+    )
+
+
 def kreweras_recurrence_holds(nmax: int) -> bool:
     """Linear recurrence of the ratio form, in which J_{n-1} never appears:
 
     J_{n+1} = (th+...+th^(n-1))^n/th^(n(n-1)/2) + n J_n
               - sum_{k=3}^{n} C(n,k) (th+...+th^(k-2))^k/th^(k(k-1)/2) J_{n-k+1}
+
+    This is n! times coefficient n of J * denominator = numerator for the
+    pair of ``_ratio_series_pair``, which is how it is checked.
     """
-    _grow_j(nmax + 1)
-
-    def head(m: int, top: int) -> LaurentPoly:
-        # (th + ... + th^top)^m / th^(m(m-1)/2), as a Laurent polynomial
-        return LaurentPoly(Polynomial.geometric(top) ** m, m - m * (m - 1) // 2)
-
-    for n in range(2, nmax + 1):
-        rhs = head(n, n - 1) + n * LaurentPoly.from_polynomial(_J_POLY[n])
-        for k in range(3, n + 1):
-            rhs = rhs - comb(n, k) * head(k, k - 2) * LaurentPoly.from_polynomial(_J_POLY[n - k + 1])
-        if rhs != LaurentPoly.from_polynomial(_J_POLY[n + 1]):
-            return False
-    return True
+    num, den = _ratio_series_pair(nmax)
+    return (_j_egf(nmax) * den).agrees_with(num, nmax)
 
 
 def gessel_identity_holds(order: int) -> bool:
@@ -149,7 +148,6 @@ def gessel_identity_holds(order: int) -> bool:
                        / [sum (1+...+th^(n-1))^n/th^(n(n+1)/2) z^n/n!]
     checked as J * denominator = numerator, coefficientwise.
     """
-    _grow_j(order + 1)
     u = [LaurentPoly(Polynomial.one())]
     v = [LaurentPoly(Polynomial.one())]
     for n in range(1, order + 1):
@@ -158,11 +156,7 @@ def gessel_identity_holds(order: int) -> bool:
         v.append(LaurentPoly(Polynomial.geometric(n) ** n, off) * Fraction(1, factorial(n)))
     num = TruncatedSeries(u, order)
     den = TruncatedSeries(v, order)
-    jser = TruncatedSeries(
-        [LaurentPoly.from_polynomial(_J_POLY[n + 1]) * Fraction(1, factorial(n)) for n in range(order + 1)],
-        order,
-    )
-    return (jser * den).agrees_with(num, order)
+    return (_j_egf(order) * den).agrees_with(num, order)
 
 
 # ---------------------------------------------------------------------------
@@ -173,26 +167,18 @@ _JT_POLY: list[Polynomial | None] = [None, Polynomial.one()]
 
 
 def _grow_jt(nmax: int) -> None:
-    # incremental form of the defining inversion: with s_k = (-1)^k J_{k+1}/k!
-    # and t_m = J~_{m+1}/m!, the product (sum s_k z^k)(sum t_m z^m) = 1 gives
-    # t_m = -sum_{k=1}^{m} s_k t_{m-k}.
     with _LOCK:
-        _grow_j(nmax + 1)
-        while len(_JT_POLY) <= nmax:
-            m = len(_JT_POLY) - 1  # producing J~_{m+1}
-            acc = Polynomial.zero()
-            for k in range(1, m + 1):
-                sk = _J_POLY[k + 1] * Fraction((-1) ** k, factorial(k))
-                acc = acc + sk * _JT_POLY[m - k + 1] * Fraction(1, factorial(m - k))
-            _JT_POLY.append(-acc * factorial(m))
+        _grow_j(nmax)
+        scalar_jt(1, _J_POLY, _JT_POLY, nmax)
 
 
 def j_tilde(n: int, verify_routes: bool = False) -> Polynomial:
     """J~_n, defined by sum J~_{n+1} z^n/n! = (sum (-1)^n J_{n+1} z^n/n!)^(-1).
 
-    ``verify_routes`` recomputes the value by direct series inversion, by the
-    binomial convolution recurrence, and by the signed variant of the
-    J-convolution; all must agree exactly.
+    Built by the binomial form of that inversion,
+    J~_{n+1} = sum_{k=1}^{n} (-1)^(k-1) C(n,k) J_{k+1} J~_{n+1-k}.
+    ``verify_routes`` recomputes the value by direct series inversion and by
+    the signed variant of the J-convolution; all three must agree exactly.
     """
     if n < 1:
         raise IndexError("family index must be >= 1")
@@ -200,10 +186,9 @@ def j_tilde(n: int, verify_routes: bool = False) -> Polynomial:
     value = _JT_POLY[n]
     if verify_routes:
         a = _jt_via_inversion(n)[n]
-        b = _jt_via_binomial_recurrence(n)[n]
-        c = _jt_via_signed_convolution(n)[n]
-        if value != a or value != b or value != c:
-            raise AssertionError(f"route disagreement for J~_{n}")
+        b = _jt_via_signed_convolution(n)[n]
+        if value != a or value != b:
+            raise InvariantError(f"route disagreement for J~_{n}")
     return value
 
 
@@ -218,19 +203,6 @@ def _jt_via_inversion(nmax: int) -> list[Polynomial | None]:
     out: list[Polynomial | None] = [None] * (nmax + 1)
     for m in range(order + 1):
         out[m + 1] = inv.coefficient(m) * factorial(m)
-    return out
-
-
-def _jt_via_binomial_recurrence(nmax: int) -> list[Polynomial | None]:
-    """J~_{n+1} = sum_{k=1}^{n} (-1)^(k-1) C(n,k) J_{k+1} J~_{n+1-k}."""
-    _grow_j(nmax + 1)
-    out: list[Polynomial | None] = [None, Polynomial.one()]
-    for m in range(2, nmax + 1):
-        n = m - 1
-        acc = Polynomial.zero()
-        for k in range(1, n + 1):
-            acc = acc + Fraction((-1) ** (k - 1)) * comb(n, k) * _J_POLY[k + 1] * out[n + 1 - k]
-        out.append(acc)
     return out
 
 
@@ -272,10 +244,7 @@ _JH_POLY: list[Polynomial | None] = [None, Polynomial.one()]
 def _grow_jh(nmax: int) -> None:
     with _LOCK:
         _grow_jt(nmax)
-        while len(_JH_POLY) <= nmax:
-            m = len(_JH_POLY)  # producing J^_m with m = n+1
-            n = m - 1
-            _JH_POLY.append(2 * n * _JH_POLY[n] + Fraction((-1) ** n) * _JT_POLY[m])
+        scalar_jh(1, _JT_POLY, _JH_POLY, nmax)
 
 
 def j_hat(n: int, verify_routes: bool = False) -> Polynomial:
@@ -291,7 +260,7 @@ def j_hat(n: int, verify_routes: bool = False) -> Polynomial:
     if verify_routes:
         alt = _jh_via_partial_sums(n)[n]
         if value != alt:
-            raise AssertionError(f"route disagreement for J^_{n}")
+            raise InvariantError(f"route disagreement for J^_{n}")
     return value
 
 
@@ -325,7 +294,7 @@ def zigzag(n: int) -> int:
             for k in range(order + 1):
                 a = ser.egf_coefficient(k)
                 if a.denominator != 1:
-                    raise AssertionError("zigzag expansion produced a non-integer")
+                    raise InvariantError("zigzag expansion produced a non-integer")
                 vals.append(int(a))
             _ZIGZAG[:] = vals
     return _ZIGZAG[n]
@@ -454,7 +423,7 @@ def boundary_derivatives(n: int) -> BoundaryDerivatives:
 
 
 # ---------------------------------------------------------------------------
-# Scalar tables at a fixed rational drift (pure integer recurrences)
+# The family recurrences over any ring, and scalar tables at a fixed drift
 # ---------------------------------------------------------------------------
 
 
@@ -470,7 +439,8 @@ def scalar_j(p, q, lists: tuple[list, list] | None, nmax: int) -> list:
     homogeneous sum G_i = sum_{k<=i} p^k q^(i-k) and j[n] the scaled J_n;
     None starts from g = [1], j = [0, 1, 1].  Returns j.
 
-    The ring is that of p and q.  Integers give the exact scaled values of
+    The ring is that of p and q.  p = th and q = 1 give the polynomials
+    J_n themselves; integers give the exact scaled values of
     ``ScalarFamilies``; q = 1 with a float or an mpmath p gives J_n(p) in
     that arithmetic.  Those are stable where the consumers use them: for p
     in [-1, 0) every G_i is nonnegative, and for p > 0 every G_i is
@@ -486,6 +456,36 @@ def scalar_j(p, q, lists: tuple[list, list] | None, nmax: int) -> list:
             acc += comb(n, i) * g[i] * j[i + 1] * j[n + 1 - i] * q ** ((n - i) * (i + 1))
         j.append(acc)
     return j
+
+
+def scalar_jt(q, j, jt: list, nmax: int) -> list:
+    """J~_n(p/q) q^((n-1)(n-2)/2) for n <= nmax, by the binomial recurrence
+
+    J~_{n+1} = sum_{k=1}^{n} (-1)^(k-1) C(n,k) J_{k+1} J~_{n+1-k}.
+
+    ``j`` holds the scaled J_n(p/q) of ``scalar_j`` through index nmax; ``jt``
+    (from [0, 1]) is extended in place and returned.  The power of q brings
+    each product to the common scale of J~_{n+1}.
+    """
+    while len(jt) <= nmax:
+        n = len(jt) - 1
+        acc = 0
+        for k in range(1, n + 1):
+            acc += (-1) ** (k - 1) * comb(n, k) * j[k + 1] * jt[n + 1 - k] * q ** (k * (n - k))
+        jt.append(acc)
+    return jt
+
+
+def scalar_jh(q, jt, jh: list, nmax: int) -> list:
+    """J^_n(p/q) q^((n-1)(n-2)/2) for n <= nmax, by J^_{n+1} = 2n J^_n + (-1)^n J~_{n+1}.
+
+    ``jt`` holds the scaled J~_n of ``scalar_jt`` through index nmax; ``jh``
+    (from [0, 1]) is extended in place and returned.
+    """
+    while len(jh) <= nmax:
+        n = len(jh) - 1
+        jh.append(2 * n * jh[n] * q ** (n - 1) + (-1) ** n * jt[n + 1])
+    return jh
 
 
 class ScalarFamilies:
@@ -512,23 +512,12 @@ class ScalarFamilies:
         scalar_j(self._p, self._q, (self._g, self._j), nmax)
 
     def _grow_jt(self, nmax: int) -> None:
-        q = self._q
-        self._grow_j(nmax + 1)
-        jt = self._jt
-        while len(jt) <= nmax:
-            n = len(jt) - 1
-            acc = 0
-            for k in range(1, n + 1):
-                acc += (-1) ** (k - 1) * comb(n, k) * self._j[k + 1] * jt[n + 1 - k] * q ** (k * (n - k))
-            jt.append(acc)
+        self._grow_j(nmax)
+        scalar_jt(self._q, self._j, self._jt, nmax)
 
     def _grow_jh(self, nmax: int) -> None:
-        q = self._q
         self._grow_jt(nmax)
-        jh = self._jh
-        while len(jh) <= nmax:
-            n = len(jh) - 1
-            jh.append(2 * n * jh[n] * q ** (n - 1) + (-1) ** n * self._jt[n + 1])
+        scalar_jh(self._q, self._jt, self._jh, nmax)
 
     def j(self, n: int) -> Fraction:
         if n < 1:

@@ -15,7 +15,7 @@ from typing import Callable
 from ar1lab import families as fam
 from ar1lab import persistence as pers
 from ar1lab.asymptotics import ELL_EXPANSION_COEFFS, ell_expansion_coefficients, log_convexity_check
-from ar1lab.exact.piecewise import piecewise_pushforward
+from ar1lab.errors import InvariantError
 from ar1lab.exact.polynomial import Polynomial
 
 
@@ -98,7 +98,7 @@ def check_route_agreement(nmax: int = 10) -> CheckResult:
             fam.mallows_riordan(n, verify_routes=True)
             fam.j_tilde(n, verify_routes=True)
             fam.j_hat(n, verify_routes=True)
-    except AssertionError as exc:
+    except InvariantError as exc:
         return _result("route-agreement", False, str(exc))
     return _result("route-agreement", True, f"3 families x independent routes, n<={nmax}")
 
@@ -273,8 +273,9 @@ def check_coefficient_stability(kmax: int = 4, nmax: int = 10) -> CheckResult:
 
 def check_monotonicity(nmax: int = 8) -> CheckResult:
     grid = [Fraction(k, 4) for k in range(-12, 13)]
+    prefixes = [pers.persistence_prefix(nmax, th) for th in grid]
     for n in range(nmax + 1):
-        values = [pers.persistence_exact(n, th) for th in grid]
+        values = [p[n] for p in prefixes]
         if any(x > y for x, y in zip(values, values[1:])):
             return _result("monotonicity", False, f"drift monotonicity at n={n}")
     for th in (Fraction(-2), Fraction(0), Fraction(4, 5), Fraction(3)):
@@ -320,15 +321,9 @@ def check_log_convexity(nmax: int = 20) -> CheckResult:
 
 def check_bounded_mass(nmax: int = 8) -> CheckResult:
     for th in (Fraction(-2), Fraction(4, 5), Fraction(3)):
-        q = pers.PersistenceQuery(nmax, th)
-        f = pers.start_density(q)
-        prev = Fraction(1)
-        for _ in range(nmax - 1):
-            m = f.mass()
-            if not 0 <= m <= 1 or m > prev:
-                return _result("bounded-mass", False, f"theta={th}")
-            prev = m
-            f = piecewise_pushforward(f, th, q.a, q.b)
+        masses = pers.oracle_masses(pers.PersistenceQuery(nmax, th))
+        if any(not 0 <= m <= 1 for m in masses) or any(x < y for x, y in zip(masses, masses[1:])):
+            return _result("bounded-mass", False, f"theta={th}")
     return _result("bounded-mass", True, "oracle masses stay in [0,1] and shrink")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from ar1lab.errors import DomainError, NoClosedFormError
+from ar1lab.errors import DomainError, InvariantError, NoClosedFormError
 from ar1lab.exact.piecewise import PiecewisePoly, piecewise_pushforward
 from ar1lab.families import scalar_families
 
@@ -134,13 +134,6 @@ def oracle_masses(query: PersistenceQuery) -> list[Fraction]:
     out = [Fraction(1)]
     if n == 0:
         return out
-    if th == 0:
-        step = b / (a + b)
-        p = Fraction(1)
-        for _ in range(n):
-            p *= step
-            out.append(p)
-        return out
     f = start_density(query)
     out.append(f.mass())
     for _ in range(n - 1):
@@ -158,9 +151,6 @@ def oracle_density(query: PersistenceQuery) -> PiecewisePoly:
     """The exact sub-density of Y_n on the survival event (n >= 1)."""
     if query.n < 1:
         raise DomainError("density defined for n >= 1")
-    if query.theta == 0:
-        mass = (query.b / (query.a + query.b)) ** (query.n - 1)
-        return PiecewisePoly.constant(0, query.b, mass / (query.a + query.b))
     f = start_density(query)
     for _ in range(query.n - 1):
         f = piecewise_pushforward(f, query.theta, query.a, query.b)
@@ -194,9 +184,8 @@ def hitting_pmf(query: PersistenceQuery) -> Fraction:
     if query.n < 1:
         raise IndexError("hitting time starts at n = 1")
     n, th = query.n, query.theta
-    p_prev = persistence_exact(n - 1, th, query.a, query.b)
-    p_curr = persistence_exact(n, th, query.a, query.b)
-    value = p_prev - p_curr
+    p = persistence_prefix(n, th, query.a, query.b)
+    value = p[n - 1] - p[n]
     if th >= 2 and query.symmetric:
         direct = (
             Fraction((-1) ** (n - 1))
@@ -204,7 +193,7 @@ def hitting_pmf(query: PersistenceQuery) -> Fraction:
             / (2**n * factorial(n))
         )
         if direct != value:
-            raise AssertionError(f"hitting-law closed form mismatch at n={n}, theta={th}")
+            raise InvariantError(f"hitting-law closed form mismatch at n={n}, theta={th}")
     return value
 
 

@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 from ar1lab import families as fam
+from ar1lab import identities
 from ar1lab.exact.polynomial import Polynomial
 
 PRINTED_J = {
@@ -145,9 +146,27 @@ class TestRoutes:
         fam.j_hat(n, verify_routes=True)
 
     def test_binomial_recurrence_route_matches(self):
-        table = fam._jt_via_binomial_recurrence(10)
-        for n in range(1, 11):
-            assert table[n] == fam.j_tilde(n)
+        # the polynomial and the integer tables run the same J~ and J^
+        # recurrences over different rings; their values must agree
+        for theta in (F(1, 3), F(-3, 2)):
+            table = fam.scalar_families(theta)
+            for n in range(1, 17):
+                assert table.j_tilde(n) == fam.j_tilde(n)(theta)
+                assert table.j_hat(n) == fam.j_hat(n)(theta)
+
+    def test_route_disagreement_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(fam, "_j_via_log", lambda nmax: [Polynomial.zero()] * (nmax + 1))
+        result = identities.check_route_agreement(3)
+        assert not result.passed
+        assert result.detail == "route disagreement for J_1"
+
+    def test_unrelated_assertion_propagates(self, monkeypatch):
+        def broken(nmax):
+            raise AssertionError("not a route disagreement")
+
+        monkeypatch.setattr(fam, "_j_via_log", broken)
+        with pytest.raises(AssertionError, match="not a route disagreement"):
+            identities.check_route_agreement(3)
 
     def test_gessel_ratio(self):
         assert fam.gessel_identity_holds(10)

@@ -7,6 +7,7 @@ import pytest
 
 from ar1lab.errors import DomainError, NoClosedFormError
 from ar1lab import persistence as pers
+from ar1lab.exact.piecewise import PiecewisePoly
 from ar1lab.persistence import (
     PersistenceQuery,
     Region,
@@ -14,6 +15,7 @@ from ar1lab.persistence import (
     duality_residual,
     geometric_sum,
     hitting_pmf,
+    oracle_density,
     oracle_masses,
     persistence_closed_form,
     persistence_exact,
@@ -103,6 +105,12 @@ class TestOracle:
         masses = oracle_masses(PersistenceQuery(6, theta))
         for n in range(7):
             assert masses[n] == persistence_closed_form(PersistenceQuery(n, theta))
+
+    def test_zero_drift_asymmetric(self):
+        # at drift 0 each step keeps the mass b/(a+b) on [0, b]
+        q = PersistenceQuery(5, F(0), F(2), F(1))
+        assert oracle_masses(q) == [F(1, 3**n) for n in range(6)]
+        assert oracle_density(q) == PiecewisePoly.constant(0, 1, F(1, 3**5))
 
     def test_masses_decrease(self):
         masses = oracle_masses(PersistenceQuery(8, F(4, 5)))
