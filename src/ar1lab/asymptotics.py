@@ -23,7 +23,6 @@ from ar1lab.families import j_tilde, scalar_families, scalar_j
 from ar1lab.persistence import PersistenceQuery, oracle_masses, persistence_exact
 
 DEFAULT_ROOT_TOL = 1e-10
-DEFAULT_CHECK_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +262,7 @@ class RateBundle:
     kappa_estimate: float | None = None  # empirical decay exponent, drift > 1
     c_estimate: float | None = None  # fitted constant for drift < -1
     c_rel_drift: float | None = None  # stabilization diagnostic of the fit
+    root_residual: float | None = None  # residual of the root behind lam or mu
 
 
 def decay_rate(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RateBundle:
@@ -278,7 +278,7 @@ def decay_rate(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RateBundle:
         lam = 2.0 * (1.0 - theta) * root.value
         if lam <= 1.0:
             raise InvariantError(f"rate bound violated: lambda={lam} at theta={theta}")
-        return RateBundle(theta=theta, z_root=root.value, lam=lam)
+        return RateBundle(theta=theta, z_root=root.value, lam=lam, root_residual=root.residual)
     if theta < -1.0:
         root = first_negative_root(1.0 / theta, tol)
         mu = 2.0 * (1.0 - theta) * root.value
@@ -296,6 +296,7 @@ def decay_rate(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RateBundle:
             mu=mu,
             c_estimate=values[-1],
             c_rel_drift=drift,
+            root_residual=root.residual,
         )
     raise DomainError("no decay-rate formula for drift in (1/2, 1]; use the limit routines for drift > 1")
 

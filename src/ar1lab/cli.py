@@ -24,7 +24,7 @@ from ar1lab import families as fam
 from ar1lab import identities
 from ar1lab import montecarlo as mc
 from ar1lab import persistence as pers
-from ar1lab.errors import DomainError, NoClosedFormError
+from ar1lab.errors import DomainError, InvariantError, NoClosedFormError
 from ar1lab.exact.rational import format_rational, parse_rational
 
 
@@ -74,15 +74,19 @@ def _format_table(fieldnames: list[str], rows: list[dict], fmt: str) -> str:
 
 
 def _cmd_poly(args) -> int:
+    if args.check_routes:
+        disagreement = fam.route_disagreement(args.nmax)
+        if disagreement is not None:
+            raise InvariantError(disagreement)
     records = []
     family = args.family
     for n in range(1, args.nmax + 1):
         if family == "J":
-            coeffs = fam.mallows_riordan(n, verify_routes=args.check_routes).to_strings()
+            coeffs = fam.mallows_riordan(n).to_strings()
         elif family == "Jt":
-            coeffs = fam.j_tilde(n, verify_routes=args.check_routes).to_strings()
+            coeffs = fam.j_tilde(n).to_strings()
         elif family == "Jh":
-            coeffs = fam.j_hat(n, verify_routes=args.check_routes).to_strings()
+            coeffs = fam.j_hat(n).to_strings()
         elif family == "C":
             coeffs = fam.c_polynomial(n).to_strings()
         elif family == "zigzag":
@@ -215,10 +219,7 @@ def _cmd_rates(args) -> int:
     for tstr in args.theta or ["-1", "0", "1/4"]:
         theta = float(parse_rational(tstr))
         bundle = asym.rate_bundle(theta, args.tol)
-        resid = {}
-        if bundle.lam is not None or bundle.mu is not None:
-            root = asym.first_negative_root(theta if bundle.lam is not None else 1.0 / theta, args.tol)
-            resid["root"] = root.residual
+        resid = {} if bundle.root_residual is None else {"root": bundle.root_residual}
         rows.append(
             {
                 "theta": theta,

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ar1lab.exact.rational import format_rational, parse_rational
+
 _Scalar = (int, Fraction)
 
 
@@ -231,14 +233,10 @@ class Polynomial:
 
     # -- serialization ------------------------------------------------
     def to_strings(self) -> list[str]:
-        from ar1lab.exact.rational import format_rational
-
         return [format_rational(c) for c in self.coeffs]
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        from ar1lab.exact.rational import parse_rational
-
         return cls(tuple(parse_rational(s) for s in items))
 
 

@@ -50,23 +50,12 @@ def _grow_j(nmax: int) -> None:
         scalar_j(Polynomial.x(), 1, (_G_POLY, _J_POLY), nmax)
 
 
-def mallows_riordan(n: int, verify_routes: bool = False) -> Polynomial:
-    """J_n, via J_{m+2} = sum_i C(m,i)(1+th+...+th^i) J_{i+1} J_{m+1-i}.
-
-    With ``verify_routes`` the value is recomputed from the logarithm of the
-    deformed exponential and from the ratio form, and all three must agree
-    exactly.
-    """
+def mallows_riordan(n: int) -> Polynomial:
+    """J_n, via J_{m+2} = sum_i C(m,i)(1+th+...+th^i) J_{i+1} J_{m+1-i}."""
     if n < 1:
         raise IndexError("family index must be >= 1")
     _grow_j(n)
-    value = _J_POLY[n]
-    if verify_routes:
-        via_log = _j_via_log(n)[n]
-        via_ratio = _j_via_ratio(n)[n]
-        if value != via_log or value != via_ratio:
-            raise InvariantError(f"route disagreement for J_{n}")
-    return value
+    return _J_POLY[n]
 
 
 def _deformed_exp_series(order: int) -> TruncatedSeries:
@@ -172,24 +161,16 @@ def _grow_jt(nmax: int) -> None:
         scalar_jt(1, _J_POLY, _JT_POLY, nmax)
 
 
-def j_tilde(n: int, verify_routes: bool = False) -> Polynomial:
+def j_tilde(n: int) -> Polynomial:
     """J~_n, defined by sum J~_{n+1} z^n/n! = (sum (-1)^n J_{n+1} z^n/n!)^(-1).
 
     Built by the binomial form of that inversion,
     J~_{n+1} = sum_{k=1}^{n} (-1)^(k-1) C(n,k) J_{k+1} J~_{n+1-k}.
-    ``verify_routes`` recomputes the value by direct series inversion and by
-    the signed variant of the J-convolution; all three must agree exactly.
     """
     if n < 1:
         raise IndexError("family index must be >= 1")
     _grow_jt(n)
-    value = _JT_POLY[n]
-    if verify_routes:
-        a = _jt_via_inversion(n)[n]
-        b = _jt_via_signed_convolution(n)[n]
-        if value != a or value != b:
-            raise InvariantError(f"route disagreement for J~_{n}")
-    return value
+    return _JT_POLY[n]
 
 
 def _jt_via_inversion(nmax: int) -> list[Polynomial | None]:
@@ -247,24 +228,16 @@ def _grow_jh(nmax: int) -> None:
         scalar_jh(1, _JT_POLY, _JH_POLY, nmax)
 
 
-def j_hat(n: int, verify_routes: bool = False) -> Polynomial:
-    """J^_n, via J^_{n+1} = 2n J^_n + (-1)^n J~_{n+1}.
-
-    ``verify_routes`` recomputes through the partial-sum identity
-    J^_{n+1}/(2^n n!) = sum_{k<=n} (-1)^k J~_{k+1}/(2^k k!).
-    """
+def j_hat(n: int) -> Polynomial:
+    """J^_n, via J^_{n+1} = 2n J^_n + (-1)^n J~_{n+1}."""
     if n < 1:
         raise IndexError("family index must be >= 1")
     _grow_jh(n)
-    value = _JH_POLY[n]
-    if verify_routes:
-        alt = _jh_via_partial_sums(n)[n]
-        if value != alt:
-            raise InvariantError(f"route disagreement for J^_{n}")
-    return value
+    return _JH_POLY[n]
 
 
 def _jh_via_partial_sums(nmax: int) -> list[Polynomial | None]:
+    """J^_{n+1}/(2^n n!) = sum_{k<=n} (-1)^k J~_{k+1}/(2^k k!)."""
     _grow_jt(nmax)
     out: list[Polynomial | None] = [None] * (nmax + 1)
     acc = Polynomial.zero()
@@ -272,6 +245,31 @@ def _jh_via_partial_sums(nmax: int) -> list[Polynomial | None]:
         acc = acc + _JT_POLY[k + 1] * Fraction((-1) ** k, 2**k * factorial(k))
         out[k + 1] = acc * (2**k * factorial(k))
     return out
+
+
+def route_disagreement(nmax: int) -> str | None:
+    """The first J_n, J~_n or J^_n (n <= nmax) on which the routes disagree.
+
+    The main tables are compared coefficientwise with J from the logarithm
+    of the deformed exponential and from the ratio form, J~ from direct
+    series inversion and from the signed J-convolution, and J^ from the
+    partial-sum identity.  Each route table is built once, at depth nmax;
+    index n of a deeper table is the same polynomial.  Indices are scanned
+    in order, J before J~ before J^; None means every route agrees.
+    """
+    if nmax < 1:
+        return None
+    _grow_jh(nmax)
+    families = (
+        ("J", _J_POLY, (_j_via_log(nmax), _j_via_ratio(nmax))),
+        ("J~", _JT_POLY, (_jt_via_inversion(nmax), _jt_via_signed_convolution(nmax))),
+        ("J^", _JH_POLY, (_jh_via_partial_sums(nmax),)),
+    )
+    for n in range(1, nmax + 1):
+        for name, main, routes in families:
+            if any(route[n] != main[n] for route in routes):
+                return f"route disagreement for {name}_{n}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Named exact-identity checks, the backbone of the `verify` CLI command.
 
-Every check is exact rational arithmetic (no tolerances) and returns a
-CheckResult; the CLI prints one line per family and exits nonzero if any
-family fails.
+Every check is exact rational arithmetic (no tolerances) and returns
+(passed, detail).  ``ALL_CHECKS`` names each check and sets its depth from
+the requested one; ``run_all`` turns each answer into a CheckResult, and the
+CLI prints one line per family and exits nonzero if any family fails.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Callable
 from ar1lab import families as fam
 from ar1lab import persistence as pers
 from ar1lab.asymptotics import ELL_EXPANSION_COEFFS, ell_expansion_coefficients, log_convexity_check
-from ar1lab.errors import InvariantError
 from ar1lab.exact.polynomial import Polynomial
 
 
@@ -24,10 +24,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, passed, detail)
 
 
 # printed reference tables
@@ -55,7 +51,7 @@ _JH_TABLE = {
 }
 
 
-def check_printed_tables(nmax: int = 6) -> CheckResult:
+def check_printed_tables() -> tuple[bool, str]:
     bad = []
     for n, coeffs in _J_TABLE.items():
         if fam.mallows_riordan(n) != Polynomial(coeffs):
@@ -66,10 +62,10 @@ def check_printed_tables(nmax: int = 6) -> CheckResult:
     for n, coeffs in _JH_TABLE.items():
         if fam.j_hat(n) != Polynomial(coeffs):
             bad.append(f"J^_{n}")
-    return _result("printed-tables", not bad, ",".join(bad) or "J_1..J_6, J~_2..J~_6, J^_2..J^_6")
+    return not bad, ",".join(bad) or "J_1..J_6, J~_2..J~_6, J^_2..J^_6"
 
 
-def check_specializations(nmax: int = 15) -> CheckResult:
+def check_specializations(nmax: int) -> tuple[bool, str]:
     issues = []
     for n in range(nmax + 1):
         if fam.mallows_riordan(n + 1)(Fraction(0)) != factorial(n):
@@ -89,34 +85,28 @@ def check_specializations(nmax: int = 15) -> CheckResult:
     for n in range(1, min(nmax, 12) + 1):
         if fam.j_hat(n + 1)(Fraction(0)) != 2 ** (n - 1) * factorial(n):
             issues.append(f"J^_{n+1}(0)")
-    return _result("specializations", not issues, ",".join(issues) or f"exact through n={nmax}")
+    return not issues, ",".join(issues) or f"exact through n={nmax}"
 
 
-def check_route_agreement(nmax: int = 10) -> CheckResult:
-    try:
-        for n in range(1, nmax + 1):
-            fam.mallows_riordan(n, verify_routes=True)
-            fam.j_tilde(n, verify_routes=True)
-            fam.j_hat(n, verify_routes=True)
-    except InvariantError as exc:
-        return _result("route-agreement", False, str(exc))
-    return _result("route-agreement", True, f"3 families x independent routes, n<={nmax}")
+def check_route_agreement(nmax: int) -> tuple[bool, str]:
+    disagreement = fam.route_disagreement(nmax)
+    return disagreement is None, disagreement or f"3 families x independent routes, n<={nmax}"
 
 
-def check_gessel(order: int = 10) -> CheckResult:
-    return _result("gessel-ratio", fam.gessel_identity_holds(order), f"order {order}")
+def check_gessel(order: int) -> tuple[bool, str]:
+    return fam.gessel_identity_holds(order), f"order {order}"
 
 
-def check_kreweras(nmax: int = 10) -> CheckResult:
-    return _result("kreweras-recurrence", fam.kreweras_recurrence_holds(nmax), f"n<={nmax}")
+def check_kreweras(nmax: int) -> tuple[bool, str]:
+    return fam.kreweras_recurrence_holds(nmax), f"n<={nmax}"
 
 
-def check_zigzag_alternation(nmax: int = 12) -> CheckResult:
+def check_zigzag_alternation(nmax: int) -> tuple[bool, str]:
     bad = [n for n in range(1, nmax + 1) if fam.zigzag_alternating_convolution(n) != 0]
-    return _result("zigzag-alternation", not bad, str(bad) if bad else f"n<={nmax}")
+    return not bad, str(bad) if bad else f"n<={nmax}"
 
 
-def check_structure(nmax: int = 12) -> CheckResult:
+def check_structure(nmax: int) -> tuple[bool, str]:
     issues = []
     for n in range(1, nmax + 1):
         if not fam.check_structure_j(n):
@@ -131,30 +121,30 @@ def check_structure(nmax: int = 12) -> CheckResult:
             issues.append(f"C_{n}")
         if any(x <= 0 for x in c.coeffs):
             issues.append(f"C_{n} sign")
-    return _result("family-structure", not issues, ",".join(issues) or f"degrees/valuations/signs n<={nmax}")
+    return not issues, ",".join(issues) or f"degrees/valuations/signs n<={nmax}"
 
 
-def check_nested_volume(nmax: int = 10) -> CheckResult:
+def check_nested_volume(nmax: int) -> tuple[bool, str]:
     for n in range(1, nmax + 1):
         target = Polynomial((-1, 1)) ** n * fam.mallows_riordan(n + 1) * Fraction(1, factorial(n))
         if fam.nested_volume(n) != target:
-            return _result("nested-volume", False, f"n={n}")
-    return _result("nested-volume", True, f"coefficientwise n<={nmax}")
+            return False, f"n={n}"
+    return True, f"coefficientwise n<={nmax}"
 
 
-def check_tutte_diagonal(nmax: int = 8) -> CheckResult:
+def check_tutte_diagonal(nmax: int) -> tuple[bool, str]:
     if fam.tutte_complete(1) != [Polynomial.zero(), Polynomial.one()]:
-        return _result("tutte-diagonal", False, "T_1 != x")
+        return False, "T_1 != x"
     for n in range(1, nmax + 1):
         for th in (Fraction(2), Fraction(-1), Fraction(3, 2)):
             if fam.tutte_modified_eval(n, Fraction(1), th) != fam.mallows_riordan(n)(th):
-                return _result("tutte-diagonal", False, f"n={n}, theta={th}")
+                return False, f"n={n}, theta={th}"
     if fam.tutte_modified_eval(4, Fraction(1), Fraction(2)) != 38:
-        return _result("tutte-diagonal", False, "connected 4-vertex graph count")
-    return _result("tutte-diagonal", True, f"T_K(1,theta)=J, n<={nmax}")
+        return False, "connected 4-vertex graph count"
+    return True, f"T_K(1,theta)=J, n<={nmax}"
 
 
-def check_oracle_vs_closed_form(nmax: int = 8) -> CheckResult:
+def check_oracle_vs_closed_form(nmax: int) -> tuple[bool, str]:
     thetas = [Fraction(-3), Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
               Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
     for th in thetas:
@@ -162,98 +152,99 @@ def check_oracle_vs_closed_form(nmax: int = 8) -> CheckResult:
         for n in range(nmax + 1):
             cf = pers.persistence_closed_form(pers.PersistenceQuery(n, th))
             if cf != masses[n]:
-                return _result("oracle-vs-closed-form", False, f"theta={th}, n={n}")
-    return _result("oracle-vs-closed-form", True, f"{len(thetas)} drifts, n<={nmax}")
+                return False, f"theta={th}, n={n}"
+    return True, f"{len(thetas)} drifts, n<={nmax}"
 
 
-def check_fibonacci_window(nmax: int = 3) -> CheckResult:
+def check_fibonacci_window() -> tuple[bool, str]:
     th = Fraction(4, 5)
     lhs = pers.persistence_oracle(pers.PersistenceQuery(3, th))
     rhs = (th + Fraction(11, 6) - 1 / (2 * th**2) + 1 / (6 * th**3)) / 8
     if lhs != rhs:
-        return _result("fibonacci-window", False, "lower window formula at 4/5")
+        return False, "lower window formula at 4/5"
     th = Fraction(6, 5)
     lhs = pers.persistence_oracle(pers.PersistenceQuery(3, th))
     rhs = (-1 / th + Fraction(19, 6) + th**2 / 2 - th**3 / 6) / 8
     if lhs != rhs:
-        return _result("fibonacci-window", False, "upper window formula at 6/5")
+        return False, "upper window formula at 6/5"
     one = Fraction(1)
     val_lo = (one + Fraction(11, 6) - Fraction(1, 2) + Fraction(1, 6))
     val_hi = (-one + Fraction(19, 6) + Fraction(1, 2) - Fraction(1, 6))
     sparre = 8 * pers.persistence_oracle(pers.PersistenceQuery(3, one))
     ok = val_lo == val_hi == Fraction(5, 2) == sparre
-    return _result("fibonacci-window", ok, "printed n=3 formulas, continuity at drift 1")
+    return ok, "printed n=3 formulas, continuity at drift 1"
 
 
-def check_sparre_andersen(nmax: int = 8) -> CheckResult:
+def check_sparre_andersen(nmax: int) -> tuple[bool, str]:
     for n in range(nmax + 1):
         if pers.persistence_oracle(pers.PersistenceQuery(n, Fraction(1))) != Fraction(comb(2 * n, n), 4**n):
-            return _result("sparre-andersen", False, f"n={n}")
-    return _result("sparre-andersen", True, f"central binomials n<={nmax}")
+            return False, f"n={n}"
+    return True, f"central binomials n<={nmax}"
 
 
-def check_duality_alternating(nmax: int = 8) -> CheckResult:
+def check_duality_alternating(nmax: int) -> tuple[bool, str]:
     for th in (Fraction(-3), Fraction(-3, 2), Fraction(-1)):
         for n in range(1, nmax + 1):
             if pers.duality_residual(n, th, alternating=True) != 0:
-                return _result("duality-alternating", False, f"theta={th}, n={n}")
-    return _result("duality-alternating", True, f"3 drifts, n<={nmax}")
+                return False, f"theta={th}, n={n}"
+    return True, f"3 drifts, n<={nmax}"
 
 
-def check_duality_positive(nmax: int = 8) -> CheckResult:
+def check_duality_positive(nmax: int) -> tuple[bool, str]:
     for th in (Fraction(3, 2), Fraction(2), Fraction(3)):
         for n in range(nmax + 1):
             if pers.duality_residual(n, th, alternating=False) != 0:
-                return _result("duality-positive", False, f"theta={th}, n={n}")
-    return _result("duality-positive", True, f"3 drifts, n<={nmax}")
+                return False, f"theta={th}, n={n}"
+    return True, f"3 drifts, n<={nmax}"
 
 
-def check_phase_transition(nmax: int = 12) -> CheckResult:
+def check_phase_transition(nmax: int) -> tuple[bool, str]:
     for n in range(2, nmax + 1):
         bd = fam.boundary_derivatives(n)
         if bd.left_p1 != bd.right_p1:
-            return _result("phase-transition", False, f"first derivative splits at n={n}")
+            return False, f"first derivative splits at n={n}"
         jump = Fraction(fam.zigzag(n - 2), 2**n * factorial(n - 2))
         if bd.left_p2 - bd.right_p2 != jump:
-            return _result("phase-transition", False, f"second-derivative jump at n={n}")
+            return False, f"second-derivative jump at n={n}"
     for n in range(0, nmax + 1):
         d = fam.mallows_riordan(n + 1).derivative()(Fraction(-1))
         expected = Fraction(0) if n < 2 else Fraction(n, 2) * fam.zigzag(n)
         if d != expected:
-            return _result("phase-transition", False, f"derivative identity at n={n}")
+            return False, f"derivative identity at n={n}"
         dt = fam.j_tilde(n + 1).derivative()(Fraction(-1))
         if dt != -d:
-            return _result("phase-transition", False, f"mirror derivative at n={n}")
-    return _result("phase-transition", True, f"C1 matching + jump law, n<={nmax}")
+            return False, f"mirror derivative at n={n}"
+    return True, f"C1 matching + jump law, n<={nmax}"
 
 
-def check_hitting_law(nmax: int = 10) -> CheckResult:
+def check_hitting_law(nmax: int) -> tuple[bool, str]:
     for th in (Fraction(2), Fraction(3)):
         for n in range(1, nmax + 1):
             pers.hitting_pmf(pers.PersistenceQuery(n, th))  # internal cross-check raises
     if pers.hitting_pmf(pers.PersistenceQuery(3, Fraction(3))) != Fraction(5, 648):
-        return _result("hitting-law", False, "reference value at drift 3")
+        return False, "reference value at drift 3"
     for th in (Fraction(0), Fraction(-2), Fraction(3)):
         total = sum(pers.hitting_pmf(pers.PersistenceQuery(n, th)) for n in range(1, nmax + 1))
         if total + pers.persistence_exact(nmax, th) != 1:
-            return _result("hitting-law", False, f"telescoping at theta={th}")
-    return _result("hitting-law", True, f"closed form + telescoping, n<={nmax}")
+            return False, f"telescoping at theta={th}"
+    return True, f"closed form + telescoping, n<={nmax}"
 
 
-def check_asymmetric_uniform(nmax: int = 8) -> CheckResult:
+def check_asymmetric_uniform(nmax: int) -> tuple[bool, str]:
     for a, b in ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3))):
         for th in (Fraction(-2), Fraction(-1), Fraction(1, 4)):
             masses = pers.oracle_masses(pers.PersistenceQuery(nmax, th, a, b))
             for n in range(nmax + 1):
                 cf = pers.persistence_closed_form(pers.PersistenceQuery(n, th, a, b))
                 if cf != masses[n]:
-                    return _result("asymmetric-uniform", False, f"(a,b)=({a},{b}), theta={th}, n={n}")
-    return _result("asymmetric-uniform", True, f"two supports, three drifts, n<={nmax}")
+                    return False, f"(a,b)=({a},{b}), theta={th}, n={n}"
+    return True, f"two supports, three drifts, n<={nmax}"
 
 
-def check_coefficient_stability(kmax: int = 4, nmax: int = 10) -> CheckResult:
+def check_coefficient_stability(nmax: int) -> tuple[bool, str]:
     # leading coefficients of p_n as a polynomial in the inverse drift do not
     # depend on n once n >= k+1
+    kmax = 4
     for k in range(kmax + 1):
         ref = None
         for n in range(k + 1, nmax + 1):
@@ -264,70 +255,70 @@ def check_coefficient_stability(kmax: int = 4, nmax: int = 10) -> CheckResult:
             if ref is None:
                 ref = coeffs
             elif coeffs != ref:
-                return _result("coefficient-stability", False, f"k={k}, n={n}")
+                return False, f"k={k}, n={n}"
     derived = ell_expansion_coefficients(9)
     if derived != list(ELL_EXPANSION_COEFFS):
-        return _result("coefficient-stability", False, "limit expansion coefficients")
-    return _result("coefficient-stability", True, f"k<={kmax}, n<={nmax}, + limit expansion")
+        return False, "limit expansion coefficients"
+    return True, f"k<={kmax}, n<={nmax}, + limit expansion"
 
 
-def check_monotonicity(nmax: int = 8) -> CheckResult:
+def check_monotonicity(nmax: int) -> tuple[bool, str]:
     grid = [Fraction(k, 4) for k in range(-12, 13)]
     prefixes = [pers.persistence_prefix(nmax, th) for th in grid]
     for n in range(nmax + 1):
         values = [p[n] for p in prefixes]
         if any(x > y for x, y in zip(values, values[1:])):
-            return _result("monotonicity", False, f"drift monotonicity at n={n}")
+            return False, f"drift monotonicity at n={n}"
     for th in (Fraction(-2), Fraction(0), Fraction(4, 5), Fraction(3)):
         values = pers.persistence_prefix(nmax, th)
         if any(x < y for x, y in zip(values, values[1:])):
-            return _result("monotonicity", False, f"horizon monotonicity at theta={th}")
+            return False, f"horizon monotonicity at theta={th}"
     jgrid = [Fraction(k, 4) for k in range(-4, 13)]
     for n in range(1, min(nmax, 12) + 1):
         vals = [fam.mallows_riordan(n)(t) for t in jgrid]
         if any(v <= 0 for v in vals) or any(x > y for x, y in zip(vals, vals[1:])):
-            return _result("monotonicity", False, f"J_{n} positivity/growth")
-    return _result("monotonicity", True, "drift and horizon monotonicity on rational grids")
+            return False, f"J_{n} positivity/growth"
+    return True, "drift and horizon monotonicity on rational grids"
 
 
-def check_super_sub_additivity(nmax: int = 8) -> CheckResult:
+def check_super_sub_additivity(nmax: int) -> tuple[bool, str]:
     for th in (Fraction(1, 3), Fraction(4, 5), Fraction(2)):
         p = pers.persistence_prefix(nmax, th)
         for n in range(1, nmax):
             for m in range(1, nmax - n + 1):
                 if p[n + m] < p[n] * p[m]:
-                    return _result("super-sub-additivity", False, f"super at theta={th}")
+                    return False, f"super at theta={th}"
     for th in (Fraction(-1, 2), Fraction(-2)):
         p = pers.persistence_prefix(nmax, th)
         for n in range(1, nmax):
             for m in range(1, nmax - n + 1):
                 if p[n + m] > p[n] * p[m]:
-                    return _result("super-sub-additivity", False, f"sub at theta={th}")
-    return _result("super-sub-additivity", True, "positive/negative drift grids")
+                    return False, f"sub at theta={th}"
+    return True, "positive/negative drift grids"
 
 
-def check_log_convexity(nmax: int = 20) -> CheckResult:
+def check_log_convexity(nmax: int) -> tuple[bool, str]:
     for th in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
         p = pers.persistence_prefix(nmax + 1, th)
         pmf = [p[n] - p[n + 1] for n in range(nmax + 1)]
         if not log_convexity_check(pmf).holds:
-            return _result("log-convexity", False, f"holds-case failed at theta={th}")
+            return False, f"holds-case failed at theta={th}"
     p = pers.persistence_prefix(nmax, Fraction(-2))
     verdict = log_convexity_check(p)
     if verdict.holds:
-        return _result("log-convexity", False, "no violation found at drift -2")
-    return _result("log-convexity", True, f"holds on [0,1], witness at index {verdict.first_violation} for drift -2")
+        return False, "no violation found at drift -2"
+    return True, f"holds on [0,1], witness at index {verdict.first_violation} for drift -2"
 
 
-def check_bounded_mass(nmax: int = 8) -> CheckResult:
+def check_bounded_mass(nmax: int) -> tuple[bool, str]:
     for th in (Fraction(-2), Fraction(4, 5), Fraction(3)):
         masses = pers.oracle_masses(pers.PersistenceQuery(nmax, th))
         if any(not 0 <= m <= 1 for m in masses) or any(x < y for x, y in zip(masses, masses[1:])):
-            return _result("bounded-mass", False, f"theta={th}")
-    return _result("bounded-mass", True, "oracle masses stay in [0,1] and shrink")
+            return False, f"theta={th}"
+    return True, "oracle masses stay in [0,1] and shrink"
 
 
-ALL_CHECKS: list[tuple[str, Callable[[int], CheckResult]]] = [
+ALL_CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
     ("printed-tables", lambda nmax: check_printed_tables()),
     ("specializations", lambda nmax: check_specializations(max(nmax, 15))),
     ("route-agreement", lambda nmax: check_route_agreement(max(nmax, 10))),
@@ -345,7 +336,7 @@ ALL_CHECKS: list[tuple[str, Callable[[int], CheckResult]]] = [
     ("phase-transition", lambda nmax: check_phase_transition(12)),
     ("hitting-law", lambda nmax: check_hitting_law(max(nmax, 10))),
     ("asymmetric-uniform", check_asymmetric_uniform),
-    ("coefficient-stability", lambda nmax: check_coefficient_stability(4, max(nmax, 10))),
+    ("coefficient-stability", lambda nmax: check_coefficient_stability(max(nmax, 10))),
     ("monotonicity", check_monotonicity),
     ("super-sub-additivity", check_super_sub_additivity),
     ("log-convexity", lambda nmax: check_log_convexity(20)),
@@ -353,5 +344,6 @@ ALL_CHECKS: list[tuple[str, Callable[[int], CheckResult]]] = [
 ]
 
 
-def run_all(nmax: int = 8) -> list[CheckResult]:
-    return [run(nmax) for _, run in ALL_CHECKS]
+def run_all(nmax: int) -> list[CheckResult]:
+    """Every check in ``ALL_CHECKS`` order, each at its depth for ``nmax``."""
+    return [CheckResult(name, *run(nmax)) for name, run in ALL_CHECKS]

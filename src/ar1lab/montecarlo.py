@@ -17,8 +17,10 @@ from math import factorial
 import numpy as np
 from numpy.random import Generator, Philox
 
+from ar1lab.asymptotics import biexp_persistence_nonpositive, qseries_biexp_coeffs
 from ar1lab.errors import DomainError
 from ar1lab.families import mallows_riordan, tutte_modified_eval, zigzag
+from ar1lab.persistence import persistence_exact
 
 BLOCK_SIZE = 1 << 15
 
@@ -443,9 +445,6 @@ def polytope_volume_mc(
 
 def exact_persistence_target(theta: float, law: InnovationLaw, n: int) -> float | None:
     """The exact p_n when a closed route exists for this law, else None."""
-    from ar1lab.asymptotics import biexp_persistence_nonpositive, qseries_biexp_coeffs
-    from ar1lab.persistence import persistence_exact
-
     if n == 0:
         return 1.0
     if law.kind == "uniform":

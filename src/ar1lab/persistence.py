@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
 from ar1lab.errors import DomainError, InvariantError, NoClosedFormError
 from ar1lab.exact.piecewise import PiecewisePoly, piecewise_pushforward
@@ -128,18 +129,18 @@ def start_density(query: PersistenceQuery) -> PiecewisePoly:
     return PiecewisePoly.constant(0, query.b, 1 / (query.a + query.b))
 
 
+def _oracle_chain(query: PersistenceQuery) -> Iterator[PiecewisePoly]:
+    """The survival sub-densities of Y_1, ..., Y_n, one pushforward apart."""
+    f = start_density(query)
+    for k in range(query.n):
+        if k:
+            f = piecewise_pushforward(f, query.theta, query.a, query.b)
+        yield f
+
+
 def oracle_masses(query: PersistenceQuery) -> list[Fraction]:
     """[p_0, p_1, ..., p_n] by exact density propagation (any rational theta)."""
-    n, th, a, b = query.n, query.theta, query.a, query.b
-    out = [Fraction(1)]
-    if n == 0:
-        return out
-    f = start_density(query)
-    out.append(f.mass())
-    for _ in range(n - 1):
-        f = piecewise_pushforward(f, th, a, b)
-        out.append(f.mass())
-    return out
+    return [Fraction(1)] + [f.mass() for f in _oracle_chain(query)]
 
 
 def persistence_oracle(query: PersistenceQuery) -> Fraction:
@@ -151,9 +152,8 @@ def oracle_density(query: PersistenceQuery) -> PiecewisePoly:
     """The exact sub-density of Y_n on the survival event (n >= 1)."""
     if query.n < 1:
         raise DomainError("density defined for n >= 1")
-    f = start_density(query)
-    for _ in range(query.n - 1):
-        f = piecewise_pushforward(f, query.theta, query.a, query.b)
+    for f in _oracle_chain(query):
+        pass
     return f
 
 
@@ -167,10 +167,18 @@ def persistence_exact(n: int, theta, a=1, b=1) -> Fraction:
 
 
 def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
-    """[p_0..p_n], closed forms where possible, one oracle chain otherwise."""
+    """[p_0..p_n], closed forms where possible, one oracle chain otherwise.
+
+    Only horizon n is classified: a horizon outside the window has every
+    shorter horizon outside it too.  For drift <= -1 the region is always
+    INVERSE_NEG, and for drift in (-1, 0] every geometric sum lies in
+    (-1, 0], so the region is always DIRECT.  For drift > 0 both geometric
+    sums, in theta and in 1/theta, grow with the horizon, so a condition
+    that admits a closed form at n admits one at every shorter horizon.
+    """
     theta, a, b = Fraction(theta), Fraction(a), Fraction(b)
     queries = [PersistenceQuery(k, theta, a, b) for k in range(n + 1)]
-    if all(classify(q) is not Region.WINDOW for q in queries):
+    if classify(queries[-1]) is not Region.WINDOW:
         return [persistence_closed_form(q) for q in queries]
     return oracle_masses(queries[-1])
 

@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+from ar1lab import families as fam
 from ar1lab.cli import main
+from ar1lab.errors import InvariantError
+from ar1lab.exact.polynomial import Polynomial
 from ar1lab.exact.rational import parse_rational
 from ar1lab.persistence import persistence_exact
 
@@ -102,6 +105,16 @@ def test_verify_passes(capsys):
     assert rc == 0
     assert out.count("EXACT PASS") >= 20
     assert "FAIL" not in out.replace("EXACT PASS", "")
+
+
+def test_route_disagreement_fails_verify_and_poly(capsys, monkeypatch):
+    monkeypatch.setattr(fam, "_j_via_log", lambda nmax: [Polynomial.zero()] * (nmax + 1))
+    rc, out = run_cli(capsys, ["verify", "--nmax", "3"])
+    assert rc == 1
+    assert "route-agreement            FAIL       route disagreement for J_1" in out.splitlines()
+    assert out.endswith("21/22 identity families verified\nFAILED: route-agreement\n")
+    with pytest.raises(InvariantError, match="route disagreement for J_1"):
+        main(["poly", "--family", "Jh", "--nmax", "3", "--check-routes"])
 
 
 def test_simulate_json(capsys):

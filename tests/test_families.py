@@ -141,9 +141,7 @@ class TestZigzag:
 class TestRoutes:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_all_routes_agree(self, n):
-        fam.mallows_riordan(n, verify_routes=True)
-        fam.j_tilde(n, verify_routes=True)
-        fam.j_hat(n, verify_routes=True)
+        assert fam.route_disagreement(n) is None
 
     def test_binomial_recurrence_route_matches(self):
         # the polynomial and the integer tables run the same J~ and J^
@@ -156,9 +154,9 @@ class TestRoutes:
 
     def test_route_disagreement_fails_the_check(self, monkeypatch):
         monkeypatch.setattr(fam, "_j_via_log", lambda nmax: [Polynomial.zero()] * (nmax + 1))
-        result = identities.check_route_agreement(3)
-        assert not result.passed
-        assert result.detail == "route disagreement for J_1"
+        passed, detail = identities.check_route_agreement(3)
+        assert not passed
+        assert detail == "route disagreement for J_1"
 
     def test_unrelated_assertion_propagates(self, monkeypatch):
         def broken(nmax):
@@ -202,6 +200,20 @@ def brute_force_dichromatic(n: int) -> list[Polynomial]:
         tdeg = max((t for k, t in coeffs if k == j), default=-1)
         out.append(Polynomial([coeffs.get((j, t), 0) for t in range(tdeg + 1)]))
     return out
+
+
+class TestCheckRegistry:
+    def test_names_order_and_depth_rules(self):
+        names = [name for name, _ in identities.ALL_CHECKS]
+        assert len(names) == len(set(names)) == 22
+        results = identities.run_all(3)
+        assert [r.name for r in results] == names
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
+        detail = {r.name: r.detail for r in results}
+        assert detail["specializations"] == "exact through n=15"  # floor
+        assert detail["route-agreement"].endswith("n<=10")  # floor
+        assert detail["tutte-diagonal"].endswith("n<=3")  # cap at 8
+        assert detail["zigzag-alternation"] == "n<=12"  # fixed depth
 
 
 class TestTutte:

@@ -48,6 +48,14 @@ class TestDispatch:
     def test_regions(self, n, theta, a, b, region):
         assert classify(PersistenceQuery(n, theta, F(a), F(b))) is region
 
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 3)])
+    def test_regions_outside_the_window_are_prefix_closed(self, a, b):
+        # persistence_prefix classifies only the last horizon
+        for k in range(-80, 81):
+            regions = [classify(PersistenceQuery(n, F(k, 20), F(a), F(b))) for n in range(16)]
+            last_closed = max(n for n, r in enumerate(regions) if r is not Region.WINDOW)
+            assert Region.WINDOW not in regions[:last_closed], (k, regions)
+
     def test_query_validation(self):
         with pytest.raises(DomainError):
             PersistenceQuery(-1, F(0))
@@ -111,6 +119,11 @@ class TestOracle:
         q = PersistenceQuery(5, F(0), F(2), F(1))
         assert oracle_masses(q) == [F(1, 3**n) for n in range(6)]
         assert oracle_density(q) == PiecewisePoly.constant(0, 1, F(1, 3**5))
+
+    @pytest.mark.parametrize("theta", [F(4, 5), F(-3, 2)])
+    def test_density_mass_is_last_oracle_mass(self, theta):
+        q = PersistenceQuery(6, theta)
+        assert oracle_density(q).mass() == oracle_masses(q)[-1]
 
     def test_masses_decrease(self):
         masses = oracle_masses(PersistenceQuery(8, F(4, 5)))
