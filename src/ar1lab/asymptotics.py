@@ -20,7 +20,7 @@ import mpmath as mp
 
 from ar1lab.errors import DomainError, InvariantError, RootSearchError
 from ar1lab.families import j_tilde, scalar_families, scalar_j
-from ar1lab.persistence import PersistenceQuery, oracle_masses, persistence_exact
+from ar1lab.persistence import PersistenceQuery, oracle_masses, persistence_prefix
 
 DEFAULT_ROOT_TOL = 1e-10
 
@@ -284,11 +284,8 @@ def decay_rate(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RateBundle:
         mu = 2.0 * (1.0 - theta) * root.value
         if mu <= -2.0 * theta:
             raise InvariantError(f"rate bound violated: mu={mu} at theta={theta}")
-        th_exact = Fraction(theta)
-        values = []
-        for n in range(25, 31):
-            p = persistence_exact(n, th_exact)
-            values.append(1.0 / (float(p) * mu**n))
+        p = persistence_prefix(30, Fraction(theta))
+        values = [1.0 / (float(p[n]) * mu**n) for n in range(25, 31)]
         drift = max(values) / min(values) - 1.0
         return RateBundle(
             theta=theta,
@@ -513,17 +510,12 @@ def rate_bundle(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RateBundle:
         zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / theta))  # recover a_1(1/theta)
         th_exact = Fraction(theta).limit_denominator(10**6)
         lm = ell_mp(th_exact, dps=50)
+        p = persistence_prefix(30, th_exact)
         with mp.workdps(60):
-            r20 = _r_n_mp(th_exact, 20, lm)
-            r30 = _r_n_mp(th_exact, 30, lm)
+            r20, r30 = [mp.mpf(p[n].numerator) / mp.mpf(p[n].denominator) - lm for n in (20, 30)]
             if r20 > 0 and r30 > 0:
                 kappa = float((mp.log(r20) - mp.log(r30)) / 10)
     return RateBundle(theta=theta, z_root=zr, ell=ell, nu=nu, kappa_estimate=kappa)
-
-
-def _r_n_mp(theta_exact: Fraction, n: int, ell_value):
-    p = persistence_exact(n, theta_exact)
-    return mp.mpf(p.numerator) / mp.mpf(p.denominator) - ell_value
 
 
 # ---------------------------------------------------------------------------

@@ -277,12 +277,15 @@ def _cmd_volume(args) -> int:
 def _cmd_figure(args) -> int:
     horizons = args.n or [4, 5]
     step = parse_rational(args.grid)
-    if step <= 0:
-        raise SystemExit("grid step must be positive")
     lo, hi = Fraction(-5), Fraction(5)
+    if not 0 < step <= hi - lo:
+        raise DomainError("grid step must lie in (0, 10]")
+    if min(horizons) < 2:
+        raise DomainError("figure horizons must be >= 2")
     count = int((hi - lo) / step)
     thetas = [lo + k * step for k in range(count + 1)]
-    tables = {n: [pers.persistence_exact(n, th) for th in thetas] for n in horizons}
+    prefixes = [pers.persistence_prefix(max(horizons), th) for th in thetas]
+    tables = {n: [p[n] for p in prefixes] for n in horizons}
     h = float(step)
     lines = []
     for n in horizons:

@@ -176,26 +176,27 @@ def check_fibonacci_window() -> tuple[bool, str]:
 
 
 def check_sparre_andersen(nmax: int) -> tuple[bool, str]:
-    for n in range(nmax + 1):
-        if pers.persistence_oracle(pers.PersistenceQuery(n, Fraction(1))) != Fraction(comb(2 * n, n), 4**n):
+    masses = pers.oracle_masses(pers.PersistenceQuery(nmax, Fraction(1)))
+    for n, mass in enumerate(masses):
+        if mass != Fraction(comb(2 * n, n), 4**n):
             return False, f"n={n}"
     return True, f"central binomials n<={nmax}"
 
 
-def check_duality_alternating(nmax: int) -> tuple[bool, str]:
-    for th in (Fraction(-3), Fraction(-3, 2), Fraction(-1)):
-        for n in range(1, nmax + 1):
-            if pers.duality_residual(n, th, alternating=True) != 0:
+def _duality(drifts: tuple[Fraction, ...], nmax: int) -> tuple[bool, str]:
+    for th in drifts:
+        for n, residual in enumerate(pers.duality_residuals(nmax, th)):
+            if residual != 0:
                 return False, f"theta={th}, n={n}"
-    return True, f"3 drifts, n<={nmax}"
+    return True, f"{len(drifts)} drifts, n<={nmax}"
+
+
+def check_duality_alternating(nmax: int) -> tuple[bool, str]:
+    return _duality((Fraction(-3), Fraction(-3, 2), Fraction(-1)), nmax)
 
 
 def check_duality_positive(nmax: int) -> tuple[bool, str]:
-    for th in (Fraction(3, 2), Fraction(2), Fraction(3)):
-        for n in range(nmax + 1):
-            if pers.duality_residual(n, th, alternating=False) != 0:
-                return False, f"theta={th}, n={n}"
-    return True, f"3 drifts, n<={nmax}"
+    return _duality((Fraction(3, 2), Fraction(2), Fraction(3)), nmax)
 
 
 def check_phase_transition(nmax: int) -> tuple[bool, str]:

@@ -10,7 +10,7 @@ arithmetic and agree wherever both are defined.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from typing import Iterator
@@ -53,14 +53,13 @@ class PersistenceQuery:
 
 
 def geometric_sum(theta: Fraction, m: int) -> Fraction:
-    """theta + theta^2 + ... + theta^m (zero when m < 1)."""
+    """theta + theta^2 + ... + theta^m (zero when m < 1), in closed form."""
     theta = Fraction(theta)
-    acc = Fraction(0)
-    power = Fraction(1)
-    for _ in range(m):
-        power *= theta
-        acc += power
-    return acc
+    if m < 1:
+        return Fraction(0)
+    if theta == 1:
+        return Fraction(m)
+    return theta * (1 - theta**m) / (1 - theta)
 
 
 def classify(query: PersistenceQuery) -> Region:
@@ -158,29 +157,25 @@ def oracle_density(query: PersistenceQuery) -> PiecewisePoly:
 
 
 def persistence_exact(n: int, theta, a=1, b=1) -> Fraction:
-    """Closed form when the region admits one, otherwise the oracle."""
-    query = PersistenceQuery(n, Fraction(theta), Fraction(a), Fraction(b))
-    try:
-        return persistence_closed_form(query)
-    except NoClosedFormError:
-        return persistence_oracle(query)
+    """Exact p_n: the last value of ``persistence_prefix``."""
+    return persistence_prefix(n, theta, a, b)[-1]
 
 
 def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
     """[p_0..p_n], closed forms where possible, one oracle chain otherwise.
 
-    Only horizon n is classified: a horizon outside the window has every
+    This is the only place that chooses between the two routes.  Only
+    horizon n is classified: a horizon outside the window has every
     shorter horizon outside it too.  For drift <= -1 the region is always
     INVERSE_NEG, and for drift in (-1, 0] every geometric sum lies in
     (-1, 0], so the region is always DIRECT.  For drift > 0 both geometric
     sums, in theta and in 1/theta, grow with the horizon, so a condition
     that admits a closed form at n admits one at every shorter horizon.
     """
-    theta, a, b = Fraction(theta), Fraction(a), Fraction(b)
-    queries = [PersistenceQuery(k, theta, a, b) for k in range(n + 1)]
-    if classify(queries[-1]) is not Region.WINDOW:
-        return [persistence_closed_form(q) for q in queries]
-    return oracle_masses(queries[-1])
+    query = PersistenceQuery(n, theta, a, b)
+    if classify(query) is Region.WINDOW:
+        return oracle_masses(query)
+    return [persistence_closed_form(replace(query, n=k)) for k in range(n + 1)]
 
 
 def hitting_pmf(query: PersistenceQuery) -> Fraction:
@@ -205,24 +200,23 @@ def hitting_pmf(query: PersistenceQuery) -> Fraction:
     return value
 
 
-def duality_residual(n: int, theta, alternating: bool) -> Fraction:
-    """Residual of the drift-inversion factorizations, from oracle values.
+def duality_residuals(nmax: int, theta) -> list[Fraction]:
+    """Residuals of the drift-inversion factorization for n = 0..nmax.
 
-    alternating (theta < 0):  sum_k (-1)^k p_k(theta) p_{n-k}(1/theta)  - 0
-    plain       (theta > 0):  sum_k        p_k(theta) p_{n-k}(1/theta) - 1
-    Both vanish identically; symmetric unit support is used.
+    theta < 0:  sum_k (-1)^k p_k(theta) p_{n-k}(1/theta) - [n = 0]
+    theta > 0:  sum_k        p_k(theta) p_{n-k}(1/theta) - 1
+    Both vanish identically; symmetric unit support is used.  The two
+    prefixes are one direct oracle chain each, never a closed form, so the
+    identity checks the oracle at theta against the oracle at 1/theta.
     """
     theta = Fraction(theta)
     if theta == 0:
         raise DomainError("drift must be nonzero for the duality")
-    if alternating and theta > 0:
-        raise DomainError("alternating form requires negative drift")
-    if not alternating and theta < 0:
-        raise DomainError("plain form requires positive drift")
-    ps = oracle_masses(PersistenceQuery(n, theta))
-    qs = oracle_masses(PersistenceQuery(n, 1 / theta))
-    acc = Fraction(0)
-    for k in range(n + 1):
-        term = ps[k] * qs[n - k]
-        acc += -term if (alternating and k % 2 == 1) else term
-    return acc if alternating else acc - 1
+    ps = oracle_masses(PersistenceQuery(nmax, theta))
+    qs = oracle_masses(PersistenceQuery(nmax, 1 / theta))
+    if theta > 0:
+        return [sum(ps[k] * qs[n - k] for k in range(n + 1)) - 1 for n in range(nmax + 1)]
+    return [
+        sum((-1) ** k * ps[k] * qs[n - k] for k in range(n + 1)) - (n == 0)
+        for n in range(nmax + 1)
+    ]

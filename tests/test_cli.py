@@ -76,6 +76,25 @@ def test_rates_unsupported_band_fails_cleanly(capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "persist --nmax -1",
+        "persist --nmax 3 --a 0",
+        "figure --grid 0",
+        "figure --grid 11",
+        "figure --n 1",
+        "verify --nmax -1",
+        "simulate --n -1 --trials 10",
+    ],
+)
+def test_bad_inputs_exit_2_with_an_error_line(capsys, argv):
+    rc = main(argv.split())
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+
+
 def test_persist_table(capsys):
     rc, out = run_cli(capsys, ["persist", "--nmax", "3", "--theta", "4/5"])
     assert rc == 0

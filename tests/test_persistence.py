@@ -6,13 +6,14 @@ from math import comb
 import pytest
 
 from ar1lab.errors import DomainError, NoClosedFormError
+from ar1lab import identities
 from ar1lab import persistence as pers
 from ar1lab.exact.piecewise import PiecewisePoly
 from ar1lab.persistence import (
     PersistenceQuery,
     Region,
     classify,
-    duality_residual,
+    duality_residuals,
     geometric_sum,
     hitting_pmf,
     oracle_density,
@@ -28,6 +29,17 @@ class TestDispatch:
     def test_geometric_sum(self):
         assert geometric_sum(F(1, 2), 3) == F(7, 8)
         assert geometric_sum(F(2), 0) == 0
+
+        def by_loop(theta, m):
+            acc, power = F(0), F(1)
+            for _ in range(m):
+                power *= theta
+                acc += power
+            return acc
+
+        for k in range(-80, 81):
+            for m in range(-2, 41):
+                assert geometric_sum(F(k, 20), m) == by_loop(F(k, 20), m), (k, m)
 
     @pytest.mark.parametrize(
         "n,theta,a,b,region",
@@ -61,6 +73,8 @@ class TestDispatch:
             PersistenceQuery(-1, F(0))
         with pytest.raises(DomainError):
             PersistenceQuery(2, F(0), F(0), F(1))
+        with pytest.raises(DomainError):
+            persistence_prefix(-1, F(0))
 
     def test_window_error_carries_bounds(self):
         with pytest.raises(NoClosedFormError) as err:
@@ -162,28 +176,53 @@ class TestHitting:
 class TestDuality:
     def test_trivial_positive_case(self):
         # p_0 p_1(1/3) + p_1(3) p_0 = 1/2 + 1/2 = 1
-        assert duality_residual(1, F(3), alternating=False) == 0
+        assert duality_residuals(1, F(3))[1] == 0
 
     def test_trivial_negative_case(self):
-        assert duality_residual(1, F(-2), alternating=True) == 0
+        assert duality_residuals(1, F(-2))[1] == 0
 
     @pytest.mark.parametrize("theta", [F(-3), F(-3, 2), F(-1)])
     def test_alternating_zero(self, theta):
-        for n in range(1, 6):
-            assert duality_residual(n, theta, alternating=True) == 0
+        assert duality_residuals(5, theta) == [0] * 6
 
     @pytest.mark.parametrize("theta", [F(3, 2), F(2), F(3)])
     def test_plain_one(self, theta):
-        for n in range(6):
-            assert duality_residual(n, theta, alternating=False) == 0
+        assert duality_residuals(5, theta) == [0] * 6
 
     def test_guards(self):
         with pytest.raises(DomainError):
-            duality_residual(2, F(0), alternating=True)
-        with pytest.raises(DomainError):
-            duality_residual(2, F(2), alternating=True)
-        with pytest.raises(DomainError):
-            duality_residual(2, F(-2), alternating=False)
+            duality_residuals(2, F(0))
+
+    def test_one_oracle_chain_per_drift_and_inverse(self, monkeypatch):
+        drifts = []
+        real = pers.oracle_masses
+
+        def counted(query):
+            drifts.append(query.theta)
+            return real(query)
+
+        monkeypatch.setattr(pers, "oracle_masses", counted)
+        assert identities.check_duality_positive(4) == (True, "3 drifts, n<=4")
+        assert drifts == [F(3, 2), F(2, 3), F(2), F(1, 2), F(3), F(1, 3)]
+
+    @pytest.mark.parametrize(
+        "check,inverse,detail",
+        [
+            (identities.check_duality_positive, F(1, 2), "theta=2, n=4"),
+            (identities.check_duality_alternating, F(-2, 3), "theta=-3/2, n=4"),
+        ],
+    )
+    def test_checks_fail_on_a_perturbed_inverse_chain(self, monkeypatch, check, inverse, detail):
+        real = pers.oracle_masses
+
+        def perturbed(query):
+            masses = real(query)
+            if query.theta == inverse:
+                masses[4] += F(1, 10**6)
+            return masses
+
+        monkeypatch.setattr(pers, "oracle_masses", perturbed)
+        assert check(8) == (False, detail)
 
 
 class TestRandomizedCrossChecks:
@@ -207,14 +246,12 @@ class TestRandomizedCrossChecks:
     @given(st.fractions(min_value=-4, max_value=-1, max_denominator=9).filter(lambda x: x != 0))
     @settings(max_examples=15, deadline=None)
     def test_alternating_duality_everywhere(self, theta):
-        for n in range(1, 4):
-            assert duality_residual(n, theta, alternating=True) == 0
+        assert duality_residuals(3, theta) == [0] * 4
 
     @given(st.fractions(min_value=1, max_value=4, max_denominator=9).filter(lambda x: x > 0))
     @settings(max_examples=15, deadline=None)
     def test_plain_duality_everywhere(self, theta):
-        for n in range(4):
-            assert duality_residual(n, theta, alternating=False) == 0
+        assert duality_residuals(3, theta) == [0] * 4
 
     @given(drifts, st.fractions(min_value="1/4", max_value=3, max_denominator=6),
            st.fractions(min_value="1/4", max_value=3, max_denominator=6))
