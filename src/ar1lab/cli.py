@@ -24,7 +24,7 @@ from ar1lab import families as fam
 from ar1lab import identities
 from ar1lab import montecarlo as mc
 from ar1lab import persistence as pers
-from ar1lab.errors import DomainError, InvariantError, NoClosedFormError
+from ar1lab.errors import DomainError, InvariantError
 from ar1lab.exact.rational import format_rational, parse_rational
 
 
@@ -417,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, NoClosedFormError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

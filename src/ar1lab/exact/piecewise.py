@@ -7,8 +7,8 @@ densities may be discontinuous at breakpoints.
 
 ``piecewise_pushforward`` performs one autoregressive step with uniform
 innovations: it maps the sub-density of Y to that of (theta*Y + X) killed on
-the negative half-line, so the total mass after n steps is the survival
-probability itself.
+the negative half-line, reading each piece off Y's cumulative, so the total
+mass after n steps is the survival probability itself.
 """
 
 from __future__ import annotations
@@ -81,11 +81,7 @@ class PiecewisePoly:
         return self.pieces[i](x)
 
     def mass(self) -> Fraction:
-        total = Fraction(0)
-        for (lo, hi), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            anti = p.antiderivative()
-            total += anti(hi) - anti(lo)
-        return total
+        return self.cumulative_at(self.breakpoints[-1])
 
     def _cumulative_polys(self) -> list[Polynomial]:
         """A_i with A_i(x) = integral of the density from b_0 to x on piece i."""
@@ -98,71 +94,15 @@ class PiecewisePoly:
         return out
 
     def cumulative_at(self, x) -> Fraction:
+        """Integral of the density from b_0 to x."""
         x = Fraction(x)
-        bps = self.breakpoints
-        if x <= bps[0]:
-            return Fraction(0)
-        if x >= bps[-1]:
-            return self.mass()
-        i = bisect_right(bps, x) - 1
-        return self._cumulative_polys()[i](x)
-
-    # -- transforms -------------------------------------------------------
-    def scale_argument(self, theta) -> "PiecewisePoly":
-        """Density of theta*Y when Y has this density (theta nonzero)."""
-        theta = Fraction(theta)
-        if theta == 0:
-            raise DomainError("cannot scale a density by zero")
-        inner = Polynomial((0, 1 / theta))
-        scale = abs(1 / theta)
-        polys = [p.compose(inner) * scale for p in self.pieces]
-        bps = [theta * b for b in self.breakpoints]
-        if theta > 0:
-            return PiecewisePoly(bps, polys)
-        return PiecewisePoly(tuple(reversed(bps)), tuple(reversed(polys)))
-
-    def convolve_uniform(self, a, b) -> "PiecewisePoly":
-        """Density of Y + X for X uniform on [-a, b], X independent of Y."""
-        a, b = Fraction(a), Fraction(b)
-        if a + b <= 0:
-            raise DomainError("uniform support width a+b must be positive")
-        cum = self._cumulative_polys()
-        total = self.mass()
-        bps = self.breakpoints
-
-        def h_cum_expr(shift: Fraction, point: Fraction) -> Polynomial:
-            # H(y + shift) as a polynomial in y, on the cell whose midpoint
-            # maps to `point`.
-            if point <= bps[0]:
-                return Polynomial.zero()
-            if point >= bps[-1]:
-                return Polynomial.constant(total)
-            i = bisect_right(bps, point) - 1
-            return cum[i].compose(Polynomial((shift, 1)))
-
-        cands = sorted({c - a for c in bps} | {c + b for c in bps})
-        new_bps: list[Fraction] = [cands[0]]
-        new_pieces: list[Polynomial] = []
-        inv_width = 1 / (a + b)
-        for lo, hi in zip(cands, cands[1:]):
-            mid = (lo + hi) / 2
-            upper = h_cum_expr(a, mid + a)
-            lower = h_cum_expr(-b, mid - b)
-            new_pieces.append((upper - lower) * inv_width)
-            new_bps.append(hi)
-        return PiecewisePoly(new_bps, new_pieces)
-
-    def restrict_nonneg(self) -> "PiecewisePoly":
-        """Kill the part of the density below zero."""
-        bps, pcs = self.breakpoints, self.pieces
-        if bps[0] >= 0:
-            return self
-        if bps[-1] <= 0:
-            return PiecewisePoly.zero()
-        i = bisect_right(bps, Fraction(0)) - 1
-        if bps[i] == 0:
-            return PiecewisePoly(bps[i:], pcs[i:])
-        return PiecewisePoly((Fraction(0),) + bps[i + 1 :], pcs[i:])
+        total = Fraction(0)
+        for (lo, hi), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
+            if lo >= x:
+                break
+            anti = p.antiderivative()
+            total += anti(min(x, hi)) - anti(lo)
+        return total
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
@@ -203,17 +143,40 @@ def _canonicalize(bps: Sequence[Fraction], pcs: Sequence[Polynomial]):
 def piecewise_pushforward(f: PiecewisePoly, theta, a, b) -> PiecewisePoly:
     """One AR(1) step: density of (theta*Y + X)+ killed below 0.
 
-    X is uniform on [-a, b].  The result is the exact sub-density of the next
+    X is uniform on [-a, b], so for y >= 0 the result is
+    P(y - b <= theta*Y <= y + a)/(a + b), a difference of Y's cumulative F at
+    (y + a)/theta and (y - b)/theta.  It is the exact sub-density of the next
     state on the survival event, so total mass can only shrink.
     """
     theta, a, b = Fraction(theta), Fraction(a), Fraction(b)
-    if a + b <= 0:
-        raise DomainError("uniform innovation needs a + b > 0")
     if a <= 0 or b <= 0:
         raise DomainError("uniform innovation half-widths must be positive")
-    mass = f.mass()
+    bps = f.breakpoints
+    cum = f._cumulative_polys()
+    mass = cum[-1](bps[-1])
     if mass == 0:
         return PiecewisePoly.zero()
     if theta == 0:
         return PiecewisePoly.constant(0, b, mass / (a + b))
-    return f.scale_argument(theta).convolve_uniform(a, b).restrict_nonneg()
+    inv = 1 / theta
+    upper, lower = (a, -b) if theta > 0 else (-b, a)
+
+    def side(shift: Fraction, y: Fraction) -> Polynomial:
+        # F((t + shift)/theta) as a polynomial in t, on the cell holding y
+        x = (y + shift) * inv
+        if x <= bps[0]:
+            return Polynomial.zero()
+        if x >= bps[-1]:
+            return Polynomial.constant(mass)
+        return cum[bisect_right(bps, x) - 1].compose(Polynomial((shift * inv, inv)))
+
+    ends = {y for tc in (theta * c for c in bps) for y in (tc - a, tc + b) if y > 0}
+    if not ends:
+        return PiecewisePoly.zero()
+    cells = [Fraction(0)] + sorted(ends)
+    inv_width = 1 / (a + b)
+    pieces = []
+    for lo, hi in zip(cells, cells[1:]):
+        mid = (lo + hi) / 2
+        pieces.append((side(upper, mid) - side(lower, mid)) * inv_width)
+    return PiecewisePoly(cells, pieces)

@@ -11,18 +11,26 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 
+from ar1lab.errors import DomainError
+
 Rational = Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"num/den"`` or ``"num"`` (also accepts plain decimal strings)."""
+    """Parse ``"num/den"`` or ``"num"`` (also accepts plain decimal strings).
+
+    Raises DomainError, naming the text, when it is not a rational number.
+    """
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    if "." in text or "e" in text or "E" in text:
-        return Fraction(text)
-    return Fraction(int(text))
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        if "." in text or "e" in text or "E" in text:
+            return Fraction(text)
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"not a rational number: {text!r}") from None
 
 
 def format_rational(q: Fraction) -> str:

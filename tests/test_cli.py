@@ -86,6 +86,12 @@ def test_rates_unsupported_band_fails_cleanly(capsys):
         "figure --n 1",
         "verify --nmax -1",
         "simulate --n -1 --trials 10",
+        "persist --theta 1/0",
+        "persist --theta abc",
+        "rates --theta 1/0",
+        "figure --grid x",
+        "simulate --theta 1/0 --trials 10",
+        "volume --kind tutte_q --n 3 --q 1/0 --t 1",
     ],
 )
 def test_bad_inputs_exit_2_with_an_error_line(capsys, argv):

@@ -25,6 +25,11 @@ class TestRational:
         assert parse_rational("-5") == F(-5)
         assert parse_rational("0.25") == F(1, 4)
 
+    def test_malformed_text_is_a_domain_error(self):
+        for text in ("1/0", "abc", "x", "1/2/3", ""):
+            with pytest.raises(DomainError, match="not a rational number"):
+                parse_rational(text)
+
     @given(small_fractions)
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
@@ -225,26 +230,6 @@ class TestPiecewisePoly:
         assert f.breakpoints == (F(0), F(2))
         assert len(f.pieces) == 1
 
-    def test_scale_argument_negative(self):
-        f = PiecewisePoly.constant(0, 1, F(1))
-        g = f.scale_argument(F(-2))
-        assert g.support == (F(-2), F(0))
-        assert g.mass() == 1
-        assert g.evaluate(F(-1)) == F(1, 2)
-
-    def test_convolve_uniform_mass_preserved(self):
-        f = PiecewisePoly.constant(0, 1, F(1))
-        g = f.convolve_uniform(F(1), F(1))
-        assert g.mass() == 1
-        assert g.support == (F(-1), F(2))
-
-    def test_restrict(self):
-        f = PiecewisePoly.constant(-1, 1, F(1, 2))
-        g = f.restrict_nonneg()
-        assert g.support == (F(0), F(1))
-        assert g.mass() == F(1, 2)
-        assert f.mass() == 1
-
     def test_serialization_round_trip(self):
         f = PiecewisePoly((F(0), F(1, 2), F(2)), (Polynomial((1, 1)), Polynomial((F(1, 3),))))
         assert PiecewisePoly.from_dict(f.to_dict()) == f
@@ -269,8 +254,24 @@ class TestPiecewisePoly:
         g = piecewise_pushforward(g, F(1, 2), 1, 1)
         assert g.mass() == F(79, 384)
 
+    def test_pushforward_negative_drift(self):
+        f = PiecewisePoly.constant(0, 1, F(1))
+        g = piecewise_pushforward(f, F(-2), 1, 1)
+        assert g.breakpoints == (F(0), F(1))
+        assert g.pieces == (Polynomial((F(1, 4), F(-1, 4))),)
+        assert g.mass() == F(1, 8)
+
+    def test_pushforward_unit_drift(self):
+        f = PiecewisePoly.constant(0, 1, F(1))
+        g = piecewise_pushforward(f, 1, 1, 1)
+        assert g.breakpoints == (F(0), F(1), F(2))
+        assert g.pieces == (Polynomial((F(1, 2),)), Polynomial((1, F(-1, 2))))
+        assert g.mass() == F(3, 4)
+
     def test_pushforward_zero_density(self):
         assert piecewise_pushforward(PiecewisePoly.zero(), F(1, 2), 1, 1).is_zero()
+        # every point of the next state lies below 0
+        assert piecewise_pushforward(PiecewisePoly.constant(3, 4, 1), -1, 1, 1).is_zero()
 
     def test_pushforward_guards(self):
         f = PiecewisePoly.constant(0, 1, F(1))
@@ -281,17 +282,26 @@ class TestPiecewisePoly:
 
     @given(
         st.lists(st.fractions(min_value=0, max_value=2, max_denominator=4), min_size=1, max_size=3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=4),
+        st.fractions(min_value=-2, max_value=2, max_denominator=4),
         st.fractions(min_value="1/2", max_value=2, max_denominator=4),
         st.fractions(min_value="1/2", max_value=2, max_denominator=4),
     )
     @settings(max_examples=25, deadline=None)
-    def test_convolution_preserves_mass_for_random_densities(self, values, a, b):
-        bps = [F(k) for k in range(len(values) + 1)]
-        f = PiecewisePoly(bps, [Polynomial((v,)) for v in values])
-        if f.is_zero():
-            return
-        g = f.convolve_uniform(a, b)
-        assert g.mass() == f.mass()
+    def test_pushforward_is_the_cumulative_difference(self, values, start, theta, a, b):
+        # g(y) = P(y - b <= theta*Y <= y + a)/(a + b) for y >= 0
+        f = PiecewisePoly([start + k for k in range(len(values) + 1)], [Polynomial((v,)) for v in values])
+        g = piecewise_pushforward(f, theta, a, b)
+        bps = g.breakpoints
+        points = list(bps) + [(lo + hi) / 2 for lo, hi in zip(bps, bps[1:])] + [bps[-1] + 1]
+        for y in points:
+            if theta == 0:
+                want = f.mass() / (a + b) if 0 <= y <= b else 0
+            else:
+                u, l = (y + a) / theta, (y - b) / theta
+                want = (f.cumulative_at(max(u, l)) - f.cumulative_at(min(u, l))) / (a + b)
+            assert g.evaluate(y) == want
+        assert g.mass() <= f.mass()
 
     @pytest.mark.parametrize("theta", [F(-3), F(-1), F(-1, 2), F(1, 3), F(4, 5), F(2)])
     def test_pushforward_never_gains_mass(self, theta):

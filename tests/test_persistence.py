@@ -1,5 +1,7 @@
 """Exact persistence: dispatch, closed forms, oracle, dualities."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 from math import comb
 
@@ -138,6 +140,22 @@ class TestOracle:
     def test_density_mass_is_last_oracle_mass(self, theta):
         q = PersistenceQuery(6, theta)
         assert oracle_density(q).mass() == oracle_masses(q)[-1]
+
+    @pytest.mark.parametrize(
+        "theta, a, b, pieces, digest",
+        [
+            (F(4, 5), 1, 1, 58, "34b6a67aebcdd2c90b60053e39bc5db30e5dbd02dc11f265d2c5e522413c6e0e"),
+            (F(3, 2), 1, 1, 192, "94fd58e49b57d8b14c1dcd5b2e9edcf7cfa3593ed5f044a2aebfbf9e0ed31905"),
+            (F(4, 5), 2, 1, 18, "53063717424dbe6fd2a7e302adb2fe932ac613f41121acecbdef1c776fb225c2"),
+            (F(6, 5), 1, 3, 252, "169630c8a681efe63a2702798bb2c725485d75e2fd3cf37b99938854280d9189"),
+        ],
+        ids=["4/5", "3/2", "4/5,a=2", "6/5,b=3"],
+    )
+    def test_window_densities_are_pinned(self, theta, a, b, pieces, digest):
+        # every breakpoint and coefficient of the n = 8 density, bit for bit
+        g = oracle_density(PersistenceQuery(8, theta, a, b))
+        assert len(g.pieces) == pieces
+        assert hashlib.sha256(json.dumps(g.to_dict()).encode()).hexdigest() == digest
 
     def test_masses_decrease(self):
         masses = oracle_masses(PersistenceQuery(8, F(4, 5)))
