@@ -19,8 +19,8 @@ from math import factorial, lgamma
 import mpmath as mp
 
 from ar1lab.errors import DomainError, InvariantError, RootSearchError
-from ar1lab.families import j_tilde, scalar_families, scalar_j
-from ar1lab.persistence import PersistenceQuery, oracle_masses, persistence_prefix
+from ar1lab.families import j_tilde, scalar_j
+from ar1lab.persistence import PersistenceQuery, persistence_closed_form, persistence_prefix
 
 DEFAULT_ROOT_TOL = 1e-10
 
@@ -102,7 +102,7 @@ def deformed_exp(theta: float, z: float, tol: float = 1e-12) -> float:
     order = _truncation_order(theta, z, tol / 10)
     peak = _max_term_log10(theta, z)
     if peak - 16 > math.log10(tol) - 1:
-        return float(_deformed_exp_mp(theta, z, order, peak))
+        return float(_deformed_exp_mp(theta, z, order, max(30, int(peak) + 30)))
     term = 1.0
     terms = [term]
     for n in range(1, order + 1):
@@ -111,8 +111,7 @@ def deformed_exp(theta: float, z: float, tol: float = 1e-12) -> float:
     return math.fsum(terms)
 
 
-def _deformed_exp_mp(theta, z, order: int, peak_log10: float):
-    dps = max(30, int(peak_log10) + 30)
+def _deformed_exp_mp(theta, z, order: int, dps: int):
     with mp.workdps(dps):
         th = mp.mpf(theta)
         zz = mp.mpf(z)
@@ -153,14 +152,13 @@ class RootResult:
     value: float
     residual: float
     bracket: tuple[float, float]
-    truncation_order: int
 
 
 def _bisect_then_polish(theta: float, lo: float, hi: float, tol: float) -> RootResult:
     flo = _E_neg(theta, lo)
     fhi = _E_neg(theta, hi)
     if flo == 0.0:
-        return RootResult(lo, 0.0, (lo, hi), _truncation_order(theta, lo, tol))
+        return RootResult(lo, 0.0, (lo, hi))
     if flo * fhi > 0:
         raise RootSearchError(f"no sign change on [{lo}, {hi}]")
     while hi - lo > 1e-13 * max(1.0, hi):
@@ -185,7 +183,7 @@ def _bisect_then_polish(theta: float, lo: float, hi: float, tol: float) -> RootR
         residual = abs(value / deriv) / max(abs(root), 1.0)
     else:
         residual = abs(value)
-    return RootResult(root, residual, (lo, hi), _truncation_order(theta, root, tol))
+    return RootResult(root, residual, (lo, hi))
 
 
 def first_negative_root(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
@@ -352,31 +350,31 @@ def ell_expansion(theta: float, kmax: int = 9) -> float:
 def ell_with_tail(theta: float, tol: float = 1e-10, nmax: int = 400) -> tuple[float, Fraction, float, int]:
     """(ell, partial_sum, tail_bound, N): ell = 1/sum p_n(1/theta), drift > 1.
 
-    Exact rational terms are accumulated until the geometric tail estimate
-    moves the limit by less than tol.  For drift >= 2 the tail ratio comes
-    from the root-based rate of p_n(1/theta); in (1, 2) the empirical ratio
-    of consecutive terms is used and only a short oracle chain is affordable.
+    Exact rational terms p_n(1/theta) from the persistence layer are
+    accumulated until the geometric tail estimate moves the limit by less
+    than tol.  For drift >= 2 every horizon has a closed form, read one at a
+    time, and the tail ratio comes from the root-based rate of p_n(1/theta);
+    in (1, 2) only a short exact prefix is affordable and the empirical
+    ratio of consecutive terms is used.
     """
     if theta <= 1.0:
         raise DomainError("the limit is zero for drift <= 1; positive only above 1")
-    th = Fraction(theta)
-    r = 1 / th
+    r = 1 / Fraction(theta)
     ratio_analytic = None
     if r <= Fraction(1, 2):
-        # p_n(r) = J_{n+1}(r)/(2^n n!) holds for every n when r <= 1/2
-        fam = scalar_families(r)
+        # r + r^2 + ... < 1, so every horizon is DIRECT: one closed form each
         ratio_analytic = 1.0 / decay_rate(float(r)).lam
         cap = nmax
 
         def term_at(n: int) -> Fraction:
-            return fam.j(n + 1) / (2**n * factorial(n))
+            return persistence_closed_form(PersistenceQuery(n, r))
 
     else:
         cap = min(nmax, 16)
-        chain = oracle_masses(PersistenceQuery(cap, r))
+        prefix = persistence_prefix(cap, r)
 
         def term_at(n: int) -> Fraction:
-            return chain[n]
+            return prefix[n]
 
     terms: list[Fraction] = []
     acc = Fraction(0)
@@ -409,25 +407,21 @@ def limit_ell(theta: float, tol: float = 1e-10) -> float:
 def ell_mp(theta, dps: int = 60):
     """High-precision limit for rational drift >= 2, as an mpmath float.
 
+    With r = 1/theta and z = -1/(2(1 - r)), ell = E(r, z)/E(r, rz) exactly:
+    E_z(r, z) = E(r, rz), and sum_m J_{m+1} w^m/m! = E_z/E at (r - 1)z = w,
+    so sum_n p_n(r) = sum_n J_{n+1}(r)/(2^n n!) is E(r, rz)/E(r, z).
     Needed for stabilization checks of p_n - ell, whose scale drops far
     below double precision by n = 30.
     """
     th = Fraction(theta)
     if th < 2:
         raise DomainError("high-precision limit implemented for drift >= 2")
-    r = 1 / th
-    lam = 2.0 * float(1 - r) * first_negative_root(float(r)).value
-    need = int(dps * math.log(10) / math.log(lam)) + 20
     with mp.workdps(dps + 10):
-        # J_n(r) at working precision; r = 1/theta > 0, so no sum cancels
-        jv = scalar_j(mp.mpf(r.numerator) / r.denominator, 1, None, need + 1)
-        acc = mp.mpf(0)
-        for n in range(need + 1):
-            p = jv[n + 1] / (2**n * factorial(n))
-            acc += p
-        ratio = mp.mpf(1) / lam
-        tail = p * ratio / (1 - ratio)
-        return 1 / (acc + tail)
+        r = mp.mpf(th.denominator) / th.numerator
+        z = -1 / (2 * (1 - r))
+        order = _truncation_order(float(r), float(z), 10.0 ** -(dps + 10))
+        num, den = (_deformed_exp_mp(r, w, order, dps + 10) for w in (z, r * z))
+        return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +465,7 @@ def nu_root(theta: float, count: int = 12, tol: float = DEFAULT_ROOT_TOL) -> Roo
         else:
             lo, flo = mid, fmid
     nu = 0.5 * (lo + hi)
-    return RootResult(nu, abs(L(nu)), (l1, l2), count)
+    return RootResult(nu, abs(L(nu)), (l1, l2))
 
 
 def volterra_top_eigenvalue(theta: float, a: float = 1.0, b: float = 1.0) -> float:

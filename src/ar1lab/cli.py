@@ -247,8 +247,8 @@ def _cmd_volume(args) -> int:
     q = parse_rational(args.q) if args.q else None
     t = parse_rational(args.t) if args.t else None
     spec = mc.PolytopeSpec(args.kind, args.n, q=q, t=t)
-    est = mc.polytope_volume_mc(spec, args.trials, args.seed)
     target = mc.polytope_exact_target(spec)
+    est = mc.polytope_volume_mc(spec, args.trials, args.seed)
     sigma = (est.ci_high - est.ci_low) / (2 * 1.959963984540054)
     payload = {
         "kind": spec.kind,

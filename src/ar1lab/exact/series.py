@@ -80,11 +80,6 @@ class TruncatedSeries:
     def _one(self):
         return self.coeffs[0] * 0 + 1
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1], order)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -120,9 +115,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self + (-other)
-
-    def scale(self, scalar) -> "TruncatedSeries":
-        return TruncatedSeries([c * scalar for c in self.coeffs], self.order)
 
     # -- multiplicative structure -----------------------------------------
     def __mul__(self, other):

@@ -19,8 +19,7 @@ Each family recurrence is written once, generic over the ring:
 them over polynomials in th; the scalar tables run them at a fixed rational
 drift in pure integer arithmetic, which stays fast at depths (n in the
 hundreds) where building the full polynomials would be wasteful; and
-``scalar_j`` also serves the float and mpmath consumers in the asymptotics
-layer.
+``scalar_j`` also serves the float consumer in the asymptotics layer.
 """
 
 from __future__ import annotations
@@ -440,9 +439,9 @@ def scalar_j(p, q, lists: tuple[list, list] | None, nmax: int) -> list:
     The ring is that of p and q.  p = th and q = 1 give the polynomials
     J_n themselves; integers give the exact scaled values of
     ``ScalarFamilies``; q = 1 with a float or an mpmath p gives J_n(p) in
-    that arithmetic.  Those are stable where the consumers use them: for p
-    in [-1, 0) every G_i is nonnegative, and for p > 0 every G_i is
-    positive, so every recurrence term is nonnegative and no sum cancels.
+    that arithmetic.  The float consumer, ``tutte_poisson_pmf``, takes p in
+    [-1, 0), where every G_i is nonnegative, so every recurrence term is
+    nonnegative and no sum cancels; the same holds for any p > 0.
     """
     g, j = lists if lists is not None else ([1], [0, 1, 1])
     while len(g) <= nmax:

@@ -9,7 +9,7 @@ import pytest
 from ar1lab.errors import DomainError
 from ar1lab import asymptotics as asym
 from ar1lab.families import mallows_riordan, scalar_families
-from ar1lab.persistence import persistence_exact
+from ar1lab.persistence import persistence_exact, persistence_prefix
 
 
 class TestDeformedExp:
@@ -174,10 +174,39 @@ class TestLimit:
             asym.limit_ell(1.0)
         with pytest.raises(DomainError):
             asym.ell_expansion(4.0, -1)
+        with pytest.raises(DomainError):
+            asym.ell_mp(F(3, 2))
 
     def test_high_precision_route_matches(self):
         lm = asym.ell_mp(F(4), dps=40)
         assert float(lm) == pytest.approx(asym.limit_ell(4.0, 1e-12), abs=1e-12)
+
+    # 55 digits of ell from summing ~110 terms J_{n+1}(1/theta)/(2^n n!) at
+    # 70 digits plus a geometric tail, a route independent of the E ratio
+    ELL_PINS = {
+        F(2): "0.4104210157548548935450671661414109010398171816972404163",
+        F(5, 2): "0.4349548873363538797566134477625192909841187798164953925",
+        F(3): "0.4487106577337736316166843034323338567001543049345980219",
+        F(4): "0.4638172846823154589758865557967840033365829900590934382",
+        F(10): "0.4868183190140470673655078413827333495165804928264271329",
+    }
+
+    @pytest.mark.parametrize("theta", sorted(ELL_PINS))
+    def test_high_precision_limit_pinned(self, theta):
+        import mpmath as mp
+
+        with mp.workdps(70):
+            assert abs(asym.ell_mp(theta, 60) - mp.mpf(self.ELL_PINS[theta])) < mp.mpf("1e-54")
+
+    @pytest.mark.parametrize("theta, terms", [(2.0, 43), (3.0, 34), (4.0, 31)])
+    def test_partial_sum_is_the_exact_prefix(self, theta, terms):
+        _, partial, _, n = asym.ell_with_tail(theta, 1e-8)
+        assert n == terms
+        assert partial == sum(persistence_prefix(n, 1 / F(theta)))
+
+    def test_window_limit_refuses_past_the_exact_prefix(self):
+        with pytest.raises(DomainError, match="within 6 exact terms"):
+            asym.ell_with_tail(1.5, 1e-8, nmax=6)
 
 
 class TestNuRoot:

@@ -173,6 +173,19 @@ def test_volume_json(capsys):
     assert payload["in_interval"] is True
 
 
+def test_volume_without_closed_form_fails_before_sampling(capsys, monkeypatch):
+    import ar1lab.montecarlo as mc
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the exact target was checked")
+
+    monkeypatch.setattr(mc, "polytope_volume_mc", no_sampling)
+    rc = main("volume --kind tutte_q --n 3 --q 1/2 --t 0".split())
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+
+
 def test_figure_reference_values(capsys):
     rc, out = run_cli(capsys, ["figure", "--n", "4", "5", "--grid", "1/4"])
     assert rc == 0
