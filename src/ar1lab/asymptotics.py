@@ -22,8 +22,6 @@ from ar1lab.errors import DomainError, InvariantError, RootSearchError
 from ar1lab.families import j_tilde, scalar_j
 from ar1lab.persistence import PersistenceQuery, persistence_closed_form, persistence_prefix
 
-DEFAULT_ROOT_TOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # Deformed exponential
@@ -154,30 +152,38 @@ class RootResult:
     bracket: tuple[float, float]
 
 
-def _bisect_then_polish(theta: float, lo: float, hi: float, tol: float) -> RootResult:
-    flo = _E_neg(theta, lo)
-    fhi = _E_neg(theta, hi)
-    if flo == 0.0:
-        return RootResult(lo, 0.0, (lo, hi))
+def _bisect(f, lo: float, hi: float) -> tuple[float, float] | None:
+    """A sign change of f on [lo, hi] shrunk to relative width 1e-13, or onto
+    an exact zero of f met on the way; None when f(lo) and f(hi) share a sign."""
+    flo, fhi = f(lo), f(hi)
     if flo * fhi > 0:
-        raise RootSearchError(f"no sign change on [{lo}, {hi}]")
+        return None
+    if flo == 0.0:
+        return lo, lo
     while hi - lo > 1e-13 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        fmid = _E_neg(theta, mid)
+        fmid = f(mid)
         if fmid == 0.0:
-            lo = hi = mid
-            break
+            return mid, mid
         if flo * fmid < 0:
             hi = mid
         else:
             lo, flo = mid, fmid
+    return lo, hi
+
+
+def _bisect_then_polish(theta: float, lo: float, hi: float) -> RootResult:
+    bracket = _bisect(lambda z: _E_neg(theta, z), lo, hi)
+    if bracket is None:
+        raise RootSearchError(f"no sign change on [{lo}, {hi}]")
+    lo, hi = bracket
     root = 0.5 * (lo + hi)
     deriv = _E_neg_deriv(theta, root)
     if deriv != 0.0:
         step = _E_neg(theta, root) / deriv
         if abs(step) < (hi - lo) + 1e-9 * max(1.0, root):
             root -= step
-    value = _E_neg(theta, root, tol=min(tol * 1e-3, 1e-15))
+    value = _E_neg(theta, root, tol=1e-15)
     deriv = _E_neg_deriv(theta, root)
     if deriv != 0.0:
         residual = abs(value / deriv) / max(abs(root), 1.0)
@@ -186,12 +192,10 @@ def _bisect_then_polish(theta: float, lo: float, hi: float, tol: float) -> RootR
     return RootResult(root, residual, (lo, hi))
 
 
-def first_negative_root(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
+def first_negative_root(theta: float) -> RootResult:
     """z_theta = inf{z > 0 : E(theta, -z) = 0}, by scan, bisection and polish."""
     if not -1.0 <= theta < 1.0:
         raise DomainError("first negative root requires theta in [-1, 1)")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     cap = 10.0 + 20.0 / (1.0 - theta)
     z, step = 1e-3, 0.05
     fprev = _E_neg(theta, z)
@@ -199,13 +203,13 @@ def first_negative_root(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RootResu
         z2 = z + step
         f2 = _E_neg(theta, z2)
         if fprev * f2 <= 0:
-            return _bisect_then_polish(theta, z, z2, tol)
+            return _bisect_then_polish(theta, z, z2)
         z, fprev = z2, f2
         step *= 1.25
     raise RootSearchError(f"no sign change found below z={cap} for theta={theta}")
 
 
-def positive_roots(theta: float, count: int, tol: float = DEFAULT_ROOT_TOL) -> list[RootResult]:
+def positive_roots(theta: float, count: int) -> list[RootResult]:
     """First `count` positive roots of z -> E(theta, -z) for theta in (0, 1).
 
     All roots are simple and positive in this range; the k-th root grows like
@@ -238,7 +242,7 @@ def positive_roots(theta: float, count: int, tol: float = DEFAULT_ROOT_TOL) -> l
             raise RootSearchError(
                 f"found only {len(found)} of {count} roots below z={cap}", found
             )
-        found.append(_bisect_then_polish(theta, hit[0], hit[1], tol))
+        found.append(_bisect_then_polish(theta, hit[0], hit[1]))
     return found
 
 
@@ -263,7 +267,7 @@ class RateBundle:
     root_residual: float | None = None  # residual of the root behind lam or mu
 
 
-def decay_rate(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RateBundle:
+def decay_rate(theta: float) -> RateBundle:
     """Exponential decay data: lambda for drift in [-1, 1/2], mu below -1.
 
     For drift < -1 the constant in front of the rate has no usable closed
@@ -272,13 +276,13 @@ def decay_rate(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RateBundle:
     and reported with a relative-drift diagnostic.
     """
     if -1.0 <= theta <= 0.5 + 1e-12:
-        root = first_negative_root(theta, tol)
+        root = first_negative_root(theta)
         lam = 2.0 * (1.0 - theta) * root.value
         if lam <= 1.0:
             raise InvariantError(f"rate bound violated: lambda={lam} at theta={theta}")
         return RateBundle(theta=theta, z_root=root.value, lam=lam, root_residual=root.residual)
     if theta < -1.0:
-        root = first_negative_root(1.0 / theta, tol)
+        root = first_negative_root(1.0 / theta)
         mu = 2.0 * (1.0 - theta) * root.value
         if mu <= -2.0 * theta:
             raise InvariantError(f"rate bound violated: mu={mu} at theta={theta}")
@@ -429,18 +433,19 @@ def ell_mp(theta, dps: int = 60):
 # ---------------------------------------------------------------------------
 
 
-def nu_root(theta: float, count: int = 12, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
+def nu_root(theta: float) -> RootResult:
     """First positive root of the meromorphic rate function for drift >= 2.
 
     L(z) = 1/a_1 + sum_{k>=2} (1 - z/l_1)/(a_k (1 - z/l_k)) with a_k the
     positive roots for parameter 1/theta and l_k = 2(1-1/theta) a_k; the
     root lies strictly between l_1 and l_2.  The series is truncated after
-    `count` roots; the discarded tail is far below tol there.
+    12 roots; a_k grows like k theta^(k-1), so the k-th term falls off
+    geometrically.
     """
     if theta < 2.0:
         raise DomainError("second-order rate requires drift >= 2")
     r = 1.0 / theta
-    roots = [rr.value for rr in positive_roots(r, count, tol)]
+    roots = [rr.value for rr in positive_roots(r, 12)]
     lams = [2.0 * (1.0 - r) * a for a in roots]
     a1, l1, l2 = roots[0], lams[0], lams[1]
 
@@ -450,21 +455,10 @@ def nu_root(theta: float, count: int = 12, tol: float = DEFAULT_ROOT_TOL) -> Roo
             acc += (1.0 - z / l1) / (a * (1.0 - z / l))
         return acc
 
-    lo = l1 * (1.0 + 1e-9)
-    hi = l2 * (1.0 - 1e-9)
-    flo, fhi = L(lo), L(hi)
-    if flo * fhi > 0:
-        raise RootSearchError(
-            f"no sign change of the rate function in ({l1}, {l2}); increase count", roots
-        )
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        fmid = L(mid)
-        if flo * fmid <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    nu = 0.5 * (lo + hi)
+    bracket = _bisect(L, l1 * (1.0 + 1e-9), l2 * (1.0 - 1e-9))
+    if bracket is None:
+        raise RootSearchError(f"no sign change of the rate function in ({l1}, {l2}) from 12 roots", roots)
+    nu = 0.5 * (bracket[0] + bracket[1])
     return RootResult(nu, abs(L(nu)), (l1, l2))
 
 
@@ -489,17 +483,17 @@ def volterra_top_eigenvalue(theta: float, a: float = 1.0, b: float = 1.0) -> flo
     return value
 
 
-def rate_bundle(theta: float, tol: float = DEFAULT_ROOT_TOL) -> RateBundle:
+def rate_bundle(theta: float) -> RateBundle:
     """Assembled rate data for any supported drift (CLI entry point)."""
     if theta <= 0.5 + 1e-12:
-        return decay_rate(theta, tol)
+        return decay_rate(theta)
     if theta <= 1.0:
         raise DomainError("no rate formula for drift in (1/2, 1]")
     ell, _, _, _ = ell_with_tail(theta, 1e-12 if theta >= 2 else 1e-8)
     nu = kappa = None
     zr = float("nan")
     if theta >= 2.0:
-        res = nu_root(theta, tol=tol)
+        res = nu_root(theta)
         nu = res.value
         zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / theta))  # recover a_1(1/theta)
         th_exact = Fraction(theta).limit_denominator(10**6)

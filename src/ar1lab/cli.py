@@ -186,8 +186,8 @@ def _make_law(args) -> mc.InnovationLaw:
 def _cmd_simulate(args) -> int:
     law = _make_law(args)
     theta = float(parse_rational(args.theta[0])) if args.theta else 0.0
-    est = mc.estimate_persistence(theta, law, args.n, args.trials, args.seed, workers=args.workers)
     exact = mc.exact_persistence_target(theta, law, args.n)
+    est = mc.estimate_persistence(theta, law, args.n, args.trials, args.seed, workers=args.workers)
     z_score = None
     if exact is not None:
         sigma = math.sqrt(max(est.point * (1 - est.point), 1e-12 / args.trials) / args.trials)
@@ -218,7 +218,7 @@ def _cmd_rates(args) -> int:
     rows = []
     for tstr in args.theta or ["-1", "0", "1/4"]:
         theta = float(parse_rational(tstr))
-        bundle = asym.rate_bundle(theta, args.tol)
+        bundle = asym.rate_bundle(theta)
         resid = {} if bundle.root_residual is None else {"root": bundle.root_residual}
         rows.append(
             {
@@ -389,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="decay rates, limits and second-order rates")
     p.add_argument("--theta", action="append", default=[], help="drift (decimal or num/den; repeatable)")
-    p.add_argument("--tol", type=float, default=1e-10)
     add_common(p)
     p.set_defaults(func=_cmd_rates)
 

@@ -57,10 +57,6 @@ class PiecewisePoly:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.pieces)
 
-    @property
-    def support(self) -> tuple[Fraction, Fraction]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
@@ -160,23 +156,22 @@ def piecewise_pushforward(f: PiecewisePoly, theta, a, b) -> PiecewisePoly:
         return PiecewisePoly.constant(0, b, mass / (a + b))
     inv = 1 / theta
     upper, lower = (a, -b) if theta > 0 else (-b, a)
-
-    def side(shift: Fraction, y: Fraction) -> Polynomial:
-        # F((t + shift)/theta) as a polynomial in t, on the cell holding y
-        x = (y + shift) * inv
-        if x <= bps[0]:
-            return Polynomial.zero()
-        if x >= bps[-1]:
-            return Polynomial.constant(mass)
-        return cum[bisect_right(bps, x) - 1].compose(Polynomial((shift * inv, inv)))
-
     ends = {y for tc in (theta * c for c in bps) for y in (tc - a, tc + b) if y > 0}
     if not ends:
         return PiecewisePoly.zero()
     cells = [Fraction(0)] + sorted(ends)
+    table = [Polynomial.zero(), *cum, Polynomial.constant(mass)]  # F below, on and above f's support
+
+    def side(shift: Fraction):
+        # F((t + shift)/theta) cell by cell.  No midpoint maps onto a breakpoint of f (each
+        # shifted one is a cell end) and the index is monotone, so each piece is composed once.
+        inner, index = Polynomial((shift * inv, inv)), None
+        for lo, hi in zip(cells, cells[1:]):
+            i = bisect_right(bps, ((lo + hi) / 2 + shift) * inv)
+            if i != index:
+                index, poly = i, table[i].compose(inner)
+            yield poly
+
     inv_width = 1 / (a + b)
-    pieces = []
-    for lo, hi in zip(cells, cells[1:]):
-        mid = (lo + hi) / 2
-        pieces.append((side(upper, mid) - side(lower, mid)) * inv_width)
+    pieces = [(u - l) * inv_width for u, l in zip(side(upper), side(lower))]
     return PiecewisePoly(cells, pieces)

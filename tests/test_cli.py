@@ -186,6 +186,19 @@ def test_volume_without_closed_form_fails_before_sampling(capsys, monkeypatch):
     assert captured.err.startswith("error: ")
 
 
+def test_simulate_without_target_fails_before_sampling(capsys, monkeypatch):
+    import ar1lab.montecarlo as mc
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the exact target was checked")
+
+    monkeypatch.setattr(mc, "estimate_persistence", no_sampling)
+    rc = main("simulate --law biexponential --theta 1/2 --n 64 --trials 1000000".split())
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+
+
 def test_figure_reference_values(capsys):
     rc, out = run_cli(capsys, ["figure", "--n", "4", "5", "--grid", "1/4"])
     assert rc == 0

@@ -303,6 +303,24 @@ class TestPiecewisePoly:
             assert g.evaluate(y) == want
         assert g.mass() <= f.mass()
 
+    @pytest.mark.parametrize("theta, pieces", [(F(3, 2), 192), (F(4, 5), 58)], ids=["3/2", "4/5"])
+    def test_pushforward_composes_each_piece_once_per_side(self, monkeypatch, theta, pieces):
+        # the padded cumulative table has pieces + 2 entries; each side walks it once
+        from ar1lab.persistence import PersistenceQuery, oracle_density
+
+        f = oracle_density(PersistenceQuery(8, theta))
+        assert len(f.pieces) == pieces
+        calls = []
+        real = Polynomial.compose
+
+        def counted(self, inner):
+            calls.append(self)
+            return real(self, inner)
+
+        monkeypatch.setattr(Polynomial, "compose", counted)
+        piecewise_pushforward(f, theta, 1, 1)
+        assert len(calls) <= 2 * (pieces + 2)
+
     @pytest.mark.parametrize("theta", [F(-3), F(-1), F(-1, 2), F(1, 3), F(4, 5), F(2)])
     def test_pushforward_never_gains_mass(self, theta):
         f = PiecewisePoly.constant(0, 1, F(1, 2))

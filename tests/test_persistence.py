@@ -148,8 +148,11 @@ class TestOracle:
             (F(3, 2), 1, 1, 192, "94fd58e49b57d8b14c1dcd5b2e9edcf7cfa3593ed5f044a2aebfbf9e0ed31905"),
             (F(4, 5), 2, 1, 18, "53063717424dbe6fd2a7e302adb2fe932ac613f41121acecbdef1c776fb225c2"),
             (F(6, 5), 1, 3, 252, "169630c8a681efe63a2702798bb2c725485d75e2fd3cf37b99938854280d9189"),
+            (F(-1, 2), 1, 1, 8, "647de0f6d3de9dea9a6a4fe5432d317ec1590e382dcc3387fe2559cb7cd09df6"),
+            (F(-4, 5), 1, 3, 8, "d3ec73ac5292e8fe19eb7faf3163ace134fe877ebf3540b8d6b48ea2effa50a2"),
+            (F(-2, 3), 2, 1, 8, "6c022a0d9caa689958c259bde55a310b7f9a17e41429d5f2995db2c18a4c8cfa"),
         ],
-        ids=["4/5", "3/2", "4/5,a=2", "6/5,b=3"],
+        ids=["4/5", "3/2", "4/5,a=2", "6/5,b=3", "-1/2", "-4/5,b=3", "-2/3,a=2"],
     )
     def test_window_densities_are_pinned(self, theta, a, b, pieces, digest):
         # every breakpoint and coefficient of the n = 8 density, bit for bit
