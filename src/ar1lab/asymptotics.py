@@ -251,6 +251,15 @@ def positive_roots(theta: float, count: int) -> list[RootResult]:
 # ---------------------------------------------------------------------------
 
 
+def float_drift(theta) -> float:
+    """float(theta) for root scans and sampling; DomainError naming a drift past the float range."""
+    try:
+        return float(theta)
+    except OverflowError:
+        size = mp.nstr(mp.mpf(theta.numerator) / theta.denominator, 6)
+        raise DomainError(f"drift {size} has no float value") from None
+
+
 @dataclass(frozen=True)
 class RateBundle:
     """Decay-rate data at one drift value; unused slots stay None."""
@@ -267,7 +276,7 @@ class RateBundle:
     root_residual: float | None = None  # residual of the root behind lam or mu
 
 
-def decay_rate(theta: float) -> RateBundle:
+def decay_rate(theta: float | Fraction) -> RateBundle:
     """Exponential decay data: lambda for drift in [-1, 1/2], mu below -1.
 
     For drift < -1 the constant in front of the rate has no usable closed
@@ -275,22 +284,23 @@ def decay_rate(theta: float) -> RateBundle:
     as the stabilized value of 1/(p_n mu^n) from exact persistence values,
     and reported with a relative-drift diagnostic.
     """
-    if -1.0 <= theta <= 0.5 + 1e-12:
-        root = first_negative_root(theta)
-        lam = 2.0 * (1.0 - theta) * root.value
+    t = float_drift(theta)
+    if -1 <= theta <= Fraction(1, 2):
+        root = first_negative_root(t)
+        lam = 2.0 * (1.0 - t) * root.value
         if lam <= 1.0:
-            raise InvariantError(f"rate bound violated: lambda={lam} at theta={theta}")
-        return RateBundle(theta=theta, z_root=root.value, lam=lam, root_residual=root.residual)
-    if theta < -1.0:
-        root = first_negative_root(1.0 / theta)
-        mu = 2.0 * (1.0 - theta) * root.value
-        if mu <= -2.0 * theta:
-            raise InvariantError(f"rate bound violated: mu={mu} at theta={theta}")
+            raise InvariantError(f"rate bound violated: lambda={lam} at theta={t}")
+        return RateBundle(theta=t, z_root=root.value, lam=lam, root_residual=root.residual)
+    if theta < -1:
+        root = first_negative_root(1.0 / t)
+        mu = 2.0 * (1.0 - t) * root.value
+        if mu <= -2.0 * t:
+            raise InvariantError(f"rate bound violated: mu={mu} at theta={t}")
         p = persistence_prefix(30, Fraction(theta))
         values = [1.0 / (float(p[n]) * mu**n) for n in range(25, 31)]
         drift = max(values) / min(values) - 1.0
         return RateBundle(
-            theta=theta,
+            theta=t,
             z_root=root.value,
             mu=mu,
             c_estimate=values[-1],
@@ -351,7 +361,7 @@ def ell_expansion(theta: float, kmax: int = 9) -> float:
     return float(sum(float(c) / theta**k for k, c in enumerate(coeffs)))
 
 
-def ell_with_tail(theta: float, tol: float = 1e-10, nmax: int = 400) -> tuple[float, Fraction, float, int]:
+def ell_with_tail(theta, tol: float = 1e-10, nmax: int = 400) -> tuple[float, Fraction, float, int]:
     """(ell, partial_sum, tail_bound, N): ell = 1/sum p_n(1/theta), drift > 1.
 
     Exact rational terms p_n(1/theta) from the persistence layer are
@@ -361,13 +371,13 @@ def ell_with_tail(theta: float, tol: float = 1e-10, nmax: int = 400) -> tuple[fl
     in (1, 2) only a short exact prefix is affordable and the empirical
     ratio of consecutive terms is used.
     """
-    if theta <= 1.0:
+    if theta <= 1:
         raise DomainError("the limit is zero for drift <= 1; positive only above 1")
     r = 1 / Fraction(theta)
     ratio_analytic = None
     if r <= Fraction(1, 2):
         # r + r^2 + ... < 1, so every horizon is DIRECT: one closed form each
-        ratio_analytic = 1.0 / decay_rate(float(r)).lam
+        ratio_analytic = 1.0 / decay_rate(r).lam
         cap = nmax
 
         def term_at(n: int) -> Fraction:
@@ -386,7 +396,7 @@ def ell_with_tail(theta: float, tol: float = 1e-10, nmax: int = 400) -> tuple[fl
     while True:
         if n > cap:
             raise DomainError(
-                f"tail below {tol} not reachable within {cap} exact terms for drift {theta}"
+                f"tail below {tol} not reachable within {cap} exact terms for drift {float(theta)}"
             )
         term = term_at(n)
         acc += term
@@ -398,7 +408,7 @@ def ell_with_tail(theta: float, tol: float = 1e-10, nmax: int = 400) -> tuple[fl
                 if tail / float(acc) ** 2 < tol:
                     ell = 1.0 / (float(acc) + tail)
                     if not 0.0 < ell <= 0.5 + 1e-12:
-                        raise InvariantError(f"limit {ell} escapes (0, 1/2] at drift {theta}")
+                        raise InvariantError(f"limit {ell} escapes (0, 1/2] at drift {float(theta)}")
                     return ell, acc, tail, n
         n += 1
 
@@ -483,27 +493,27 @@ def volterra_top_eigenvalue(theta: float, a: float = 1.0, b: float = 1.0) -> flo
     return value
 
 
-def rate_bundle(theta: float) -> RateBundle:
+def rate_bundle(theta: float | Fraction) -> RateBundle:
     """Assembled rate data for any supported drift (CLI entry point)."""
-    if theta <= 0.5 + 1e-12:
+    t = float_drift(theta)
+    if theta <= Fraction(1, 2):
         return decay_rate(theta)
-    if theta <= 1.0:
+    if theta <= 1:
         raise DomainError("no rate formula for drift in (1/2, 1]")
     ell, _, _, _ = ell_with_tail(theta, 1e-12 if theta >= 2 else 1e-8)
     nu = kappa = None
     zr = float("nan")
-    if theta >= 2.0:
-        res = nu_root(theta)
+    if theta >= 2:
+        res = nu_root(t)
         nu = res.value
-        zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / theta))  # recover a_1(1/theta)
-        th_exact = Fraction(theta).limit_denominator(10**6)
-        lm = ell_mp(th_exact, dps=50)
-        p = persistence_prefix(30, th_exact)
+        zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / t))  # recover a_1(1/theta)
+        lm = ell_mp(theta, dps=50)
+        p = persistence_prefix(30, Fraction(theta))
         with mp.workdps(60):
             r20, r30 = [mp.mpf(p[n].numerator) / mp.mpf(p[n].denominator) - lm for n in (20, 30)]
             if r20 > 0 and r30 > 0:
                 kappa = float((mp.log(r20) - mp.log(r30)) / 10)
-    return RateBundle(theta=theta, z_root=zr, ell=ell, nu=nu, kappa_estimate=kappa)
+    return RateBundle(theta=t, z_root=zr, ell=ell, nu=nu, kappa_estimate=kappa)
 
 
 # ---------------------------------------------------------------------------

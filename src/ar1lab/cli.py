@@ -175,7 +175,7 @@ def _cmd_verify(args) -> int:
 
 def _make_law(args) -> mc.InnovationLaw:
     if args.law == "uniform":
-        return mc.uniform_law(float(parse_rational(args.a)), float(parse_rational(args.b)))
+        return mc.uniform_law(parse_rational(args.a), parse_rational(args.b))
     if args.law == "biexponential":
         return mc.biexponential_law()
     if args.law == "gaussian":
@@ -185,16 +185,16 @@ def _make_law(args) -> mc.InnovationLaw:
 
 def _cmd_simulate(args) -> int:
     law = _make_law(args)
-    theta = float(parse_rational(args.theta[0])) if args.theta else 0.0
+    theta = parse_rational(args.theta[0]) if args.theta else Fraction(0)
     exact = mc.exact_persistence_target(theta, law, args.n)
-    est = mc.estimate_persistence(theta, law, args.n, args.trials, args.seed, workers=args.workers)
+    est = mc.estimate_persistence(float(theta), law, args.n, args.trials, args.seed, workers=args.workers)
     z_score = None
     if exact is not None:
         sigma = math.sqrt(max(est.point * (1 - est.point), 1e-12 / args.trials) / args.trials)
         z_score = (est.point - exact) / sigma if sigma > 0 else 0.0
     payload = {
         "law": law.kind,
-        "theta": theta,
+        "theta": float(theta),
         "n": args.n,
         "trials": args.trials,
         "seed": args.seed,
@@ -217,12 +217,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_rates(args) -> int:
     rows = []
     for tstr in args.theta or ["-1", "0", "1/4"]:
-        theta = float(parse_rational(tstr))
-        bundle = asym.rate_bundle(theta)
+        bundle = asym.rate_bundle(parse_rational(tstr))
         resid = {} if bundle.root_residual is None else {"root": bundle.root_residual}
         rows.append(
             {
-                "theta": theta,
+                "theta": bundle.theta,
                 "z_root": bundle.z_root,
                 "lambda_or_mu": bundle.lam if bundle.lam is not None else bundle.mu,
                 "ell": bundle.ell,

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from ar1lab.errors import DomainError
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"num/den"`` or ``"num"`` (also accepts plain decimal strings).

@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 from numpy.random import Generator, Philox
 
-from ar1lab.asymptotics import biexp_persistence_nonpositive, qseries_biexp_coeffs
+from ar1lab.asymptotics import biexp_persistence_nonpositive, float_drift, qseries_biexp_coeffs
 from ar1lab.errors import DomainError
 from ar1lab.families import mallows_riordan, tutte_modified_eval, zigzag
 from ar1lab.persistence import persistence_exact
@@ -36,8 +36,8 @@ class InnovationLaw:
     or the atomic counterexample law (mass 1-c at zero, c on negatives)."""
 
     kind: str
-    a: float = 1.0
-    b: float = 1.0
+    a: float | Fraction = 1.0
+    b: float | Fraction = 1.0
     c: float = 0.5
 
     KINDS = ("uniform", "biexponential", "gaussian", "atomic_negative")
@@ -74,7 +74,7 @@ class InnovationLaw:
         return np.where(u < self.c, -neg, 0.0)
 
 
-def uniform_law(a: float = 1.0, b: float = 1.0) -> InnovationLaw:
+def uniform_law(a: float | Fraction = 1.0, b: float | Fraction = 1.0) -> InnovationLaw:
     return InnovationLaw("uniform", a=a, b=b)
 
 
@@ -149,6 +149,11 @@ def _block_rng(seed: int, stream: int, block: int) -> Generator:
     return Generator(Philox(key=seed, counter=[0, 0, stream, block]))
 
 
+def _draw_block(draw, seed: int, stream: int, block: int, rows: int, n: int) -> np.ndarray:
+    # the full block is drawn then cut, so a partial block draws what a full one does
+    return draw(_block_rng(seed, stream, block), (BLOCK_SIZE, n))[:rows]
+
+
 def _alive(theta: float, x: np.ndarray) -> np.ndarray:
     """Survival mask of the paths from Y_0 = 0 whose innovations are the rows of x."""
     y = np.zeros(len(x))
@@ -160,15 +165,7 @@ def _alive(theta: float, x: np.ndarray) -> np.ndarray:
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
-    out = []
-    b = 0
-    remaining = trials
-    while remaining > 0:
-        rows = min(BLOCK_SIZE, remaining)
-        out.append((b, rows))
-        remaining -= rows
-        b += 1
-    return out
+    return [(b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE)) for b in range(-(-trials // BLOCK_SIZE))]
 
 
 def estimate_persistence(
@@ -194,12 +191,7 @@ def estimate_persistence(
         return _make_estimate(trials, trials, seed)
 
     def run(item: tuple[int, int]) -> int:
-        block, rows = item
-        rng = _block_rng(seed, stream, block)
-        # draw the full block then truncate, so partial blocks see the same
-        # per-path innovations as full ones
-        x = law.sample(rng, (BLOCK_SIZE, n))[:rows]
-        return int(_alive(theta, x).sum())
+        return int(_alive(theta, _draw_block(law.sample, seed, stream, *item, n)).sum())
 
     items = _blocks(trials)
     if workers > 1:
@@ -220,8 +212,7 @@ def survival_indicators(
     """
     out = {th: [] for th in thetas}
     for block, rows in _blocks(trials):
-        rng = _block_rng(seed, stream, block)
-        x = law.sample(rng, (BLOCK_SIZE, n))[:rows]
+        x = _draw_block(law.sample, seed, stream, block, rows, n)
         for th in thetas:
             out[th].append(_alive(th, x))
     return {th: np.concatenate(parts) for th, parts in out.items()}
@@ -431,8 +422,7 @@ def polytope_volume_mc(
         box_volume *= w
     hits = 0
     for block, rows in _blocks(trials):
-        rng = _block_rng(seed, stream, block)
-        u = rng.random((BLOCK_SIZE, spec.n))[:rows]
+        u = _draw_block(Generator.random, seed, stream, block, rows, spec.n)
         pts = u * np.array(widths) + np.array(los)
         hits += int(_membership(spec, pts).sum())
     return _make_estimate(hits, trials, seed).scaled(box_volume)
@@ -443,20 +433,20 @@ def polytope_volume_mc(
 # ---------------------------------------------------------------------------
 
 
-def exact_persistence_target(theta: float, law: InnovationLaw, n: int) -> float | None:
-    """The exact p_n when a closed route exists for this law, else None."""
+def exact_persistence_target(theta: float | Fraction, law: InnovationLaw, n: int) -> float | None:
+    """Exact p_n at the exact theta and support if a closed route exists, else None."""
+    t = float_drift(theta)
     if n == 0:
         return 1.0
     if law.kind == "uniform":
-        th = Fraction(theta).limit_denominator(10**9)
-        return float(persistence_exact(n, th, Fraction(law.a), Fraction(law.b)))
+        return float(persistence_exact(n, theta, law.a, law.b))
     if law.symmetric and law.continuous:
-        if theta == 1.0:
+        if theta == 1:
             return math.comb(2 * n, n) / 4.0**n
-        if theta == 0.0:
+        if theta == 0:
             return 0.5**n
     if law.kind == "biexponential":
-        if theta <= 0.0:
-            return float(biexp_persistence_nonpositive(Fraction(theta), n))
-        return qseries_biexp_coeffs(theta, n)[n]
+        if theta <= 0:
+            return float(biexp_persistence_nonpositive(theta, n))
+        return qseries_biexp_coeffs(t, n)[n]
     return None

@@ -101,6 +101,62 @@ def test_bad_inputs_exit_2_with_an_error_line(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", ["rates --theta 1e400", "simulate --theta 1e400 --trials 10"])
+def test_drift_without_a_float_exits_2_naming_it(capsys, argv):
+    rc = main(argv.split())
+    assert rc == 2
+    assert capsys.readouterr().err == "error: drift 1.0e+400 has no float value\n"
+
+
+@pytest.mark.parametrize(
+    "theta, drifts",
+    [("7/3", {Fraction(7, 3), Fraction(3, 7)}), ("-7/5", {Fraction(-5, 7)})],
+)
+def test_rates_reads_exact_values_at_the_typed_drift(capsys, monkeypatch, theta, drifts):
+    import ar1lab.persistence as pers
+
+    seen = set()
+    tables = pers.scalar_families
+
+    def record(th):
+        seen.add(Fraction(th))
+        return tables(th)
+
+    monkeypatch.setattr(pers, "scalar_families", record)
+    rc, _ = run_cli(capsys, ["rates", f"--theta={theta}"])
+    assert rc == 0
+    assert seen and seen <= drifts
+
+
+def test_rates_fits_c_from_exact_p_n_at_the_typed_drift(capsys):
+    from ar1lab.asymptotics import decay_rate
+    from ar1lab.persistence import persistence_prefix
+
+    rc, out = run_cli(capsys, ["rates", "--theta=-7/5"])
+    assert rc == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    p30 = persistence_prefix(30, Fraction(-7, 5))[30]
+    assert row["c_estimate"] == repr(1 / (float(p30) * decay_rate(-1.4).mu ** 30))
+
+
+def test_simulate_hands_exact_drift_and_support_to_the_exact_target(capsys, monkeypatch):
+    import ar1lab.montecarlo as mc
+
+    calls = []
+    exact = mc.persistence_exact
+
+    def record(n, theta, a, b):
+        calls.append((n, theta, a, b))
+        return exact(n, theta, a, b)
+
+    monkeypatch.setattr(mc, "persistence_exact", record)
+    argv = "simulate --law uniform --a 1/3 --theta 4/5 --n 6 --trials 1000"
+    rc, _ = run_cli(capsys, argv.split())
+    assert rc == 0
+    assert calls == [(6, Fraction(4, 5), Fraction(1, 3), Fraction(1))]
+    assert all(type(v) is Fraction for v in calls[0][1:])
+
+
 def test_persist_table(capsys):
     rc, out = run_cli(capsys, ["persist", "--nmax", "3", "--theta", "4/5"])
     assert rc == 0
