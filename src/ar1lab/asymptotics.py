@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial, lgamma
 
 import mpmath as mp
@@ -101,24 +103,21 @@ def deformed_exp(theta: float, z: float, tol: float = 1e-12) -> float:
     peak = _max_term_log10(theta, z)
     if peak - 16 > math.log10(tol) - 1:
         return float(_deformed_exp_mp(theta, z, order, max(30, int(peak) + 30)))
-    term = 1.0
-    terms = [term]
+    return math.fsum(_deformed_exp_terms(theta, z, order))
+
+
+def _deformed_exp_terms(theta, z, order: int):
+    """th^(n(n-1)/2) z^n/n! for n = 0..order, in the arithmetic of theta and z."""
+    term = z**0
+    yield term
     for n in range(1, order + 1):
-        term = term * (theta ** (n - 1)) * z / n
-        terms.append(term)
-    return math.fsum(terms)
+        term = term * theta ** (n - 1) * z / n
+        yield term
 
 
 def _deformed_exp_mp(theta, z, order: int, dps: int):
     with mp.workdps(dps):
-        th = mp.mpf(theta)
-        zz = mp.mpf(z)
-        acc = mp.mpf(1)
-        term = mp.mpf(1)
-        for n in range(1, order + 1):
-            term = term * th ** (n - 1) * zz / n
-            acc += term
-        return acc
+        return sum(_deformed_exp_terms(mp.mpf(theta), mp.mpf(z), order))
 
 
 def _E_neg(theta: float, z: float, tol: float = 1e-13) -> float:
@@ -192,21 +191,30 @@ def _bisect_then_polish(theta: float, lo: float, hi: float) -> RootResult:
     return RootResult(root, residual, (lo, hi))
 
 
+def _scan(f, z: float, fz: float, step: float, growth: float, cap: float):
+    """(z, z2, f(z2)) at the first sign change of f on the grid that starts
+    at z (where f is fz) and grows its step by the factor growth; None when
+    the grid passes cap first."""
+    while z < cap:
+        z2 = z + step
+        f2 = f(z2)
+        if fz * f2 <= 0:
+            return z, z2, f2
+        z, fz = z2, f2
+        step *= growth
+    return None
+
+
 def first_negative_root(theta: float) -> RootResult:
     """z_theta = inf{z > 0 : E(theta, -z) = 0}, by scan, bisection and polish."""
     if not -1.0 <= theta < 1.0:
         raise DomainError("first negative root requires theta in [-1, 1)")
     cap = 10.0 + 20.0 / (1.0 - theta)
-    z, step = 1e-3, 0.05
-    fprev = _E_neg(theta, z)
-    while z < cap:
-        z2 = z + step
-        f2 = _E_neg(theta, z2)
-        if fprev * f2 <= 0:
-            return _bisect_then_polish(theta, z, z2)
-        z, fprev = z2, f2
-        step *= 1.25
-    raise RootSearchError(f"no sign change found below z={cap} for theta={theta}")
+    f = partial(_E_neg, theta)
+    hit = _scan(f, 1e-3, f(1e-3), 0.05, 1.25, cap)
+    if hit is None:
+        raise RootSearchError(f"no sign change found below z={cap} for theta={theta}")
+    return _bisect_then_polish(theta, hit[0], hit[1])
 
 
 def positive_roots(theta: float, count: int) -> list[RootResult]:
@@ -220,29 +228,15 @@ def positive_roots(theta: float, count: int) -> list[RootResult]:
     if count < 1:
         raise DomainError("need count >= 1")
     found: list[RootResult] = []
-    z = 1e-3
-    sign_prev = _E_neg(theta, z)
+    f = partial(_E_neg, theta)
+    z, fz = 1e-3, f(1e-3)
     for k in range(1, count + 1):
-        predicted = (k + 1) * theta ** (-k)
-        cap = 10.0 * max(predicted, z * 2.0)
-        step = max(z * 0.02, 1e-3)
-        hit = None
-        while z < cap:
-            z2 = z + step
-            f2 = _E_neg(theta, z2)
-            if sign_prev * f2 <= 0:
-                hit = (z, z2)
-                sign_prev = f2
-                z = z2
-                break
-            sign_prev = f2
-            z = z2
-            step *= 1.06
+        cap = 10.0 * max((k + 1) * theta ** (-k), z * 2.0)
+        hit = _scan(f, z, fz, max(z * 0.02, 1e-3), 1.06, cap)
         if hit is None:
-            raise RootSearchError(
-                f"found only {len(found)} of {count} roots below z={cap}", found
-            )
-        found.append(_bisect_then_polish(theta, hit[0], hit[1]))
+            raise RootSearchError(f"found only {len(found)} of {count} roots below z={cap}", found)
+        lo, z, fz = hit
+        found.append(_bisect_then_polish(theta, lo, z))
     return found
 
 
@@ -251,13 +245,14 @@ def positive_roots(theta: float, count: int) -> list[RootResult]:
 # ---------------------------------------------------------------------------
 
 
-def float_drift(theta) -> float:
-    """float(theta) for root scans and sampling; DomainError naming a drift past the float range."""
+def float_value(x, name: str) -> float:
+    """float(x) for root scans and sampling; DomainError naming the value (a drift,
+    a support half-width) when x lies past the float range."""
     try:
-        return float(theta)
+        return float(x)
     except OverflowError:
-        size = mp.nstr(mp.mpf(theta.numerator) / theta.denominator, 6)
-        raise DomainError(f"drift {size} has no float value") from None
+        size = mp.nstr(mp.mpf(x.numerator) / x.denominator, 6)
+        raise DomainError(f"{name} {size} has no float value") from None
 
 
 @dataclass(frozen=True)
@@ -284,7 +279,7 @@ def decay_rate(theta: float | Fraction) -> RateBundle:
     as the stabilized value of 1/(p_n mu^n) from exact persistence values,
     and reported with a relative-drift diagnostic.
     """
-    t = float_drift(theta)
+    t = float_value(theta, "drift")
     if -1 <= theta <= Fraction(1, 2):
         root = first_negative_root(t)
         lam = 2.0 * (1.0 - t) * root.value
@@ -292,12 +287,15 @@ def decay_rate(theta: float | Fraction) -> RateBundle:
             raise InvariantError(f"rate bound violated: lambda={lam} at theta={t}")
         return RateBundle(theta=t, z_root=root.value, lam=lam, root_residual=root.residual)
     if theta < -1:
+        if theta < -(2**50):
+            # mu = 2|theta| + 1 + o(1), and from 2^50 on the float spacing at 2|theta| is 1/2 or more
+            raise DomainError(f"drift {t:g} is below -2^50, where floats cannot separate mu from 2|theta|")
         root = first_negative_root(1.0 / t)
         mu = 2.0 * (1.0 - t) * root.value
         if mu <= -2.0 * t:
             raise InvariantError(f"rate bound violated: mu={mu} at theta={t}")
         p = persistence_prefix(30, Fraction(theta))
-        values = [1.0 / (float(p[n]) * mu**n) for n in range(25, 31)]
+        values = [float(1 / (p[n] * Fraction(mu) ** n)) for n in range(25, 31)]
         drift = max(values) / min(values) - 1.0
         return RateBundle(
             theta=t,
@@ -454,6 +452,8 @@ def nu_root(theta: float) -> RootResult:
     """
     if theta < 2.0:
         raise DomainError("second-order rate requires drift >= 2")
+    if 13 * Fraction(theta) ** 12 > sys.float_info.max:
+        raise DomainError(f"drift {theta:g} is too large for nu: its 12th root, near 13 theta^12, has no float value")
     r = 1.0 / theta
     roots = [rr.value for rr in positive_roots(r, 12)]
     lams = [2.0 * (1.0 - r) * a for a in roots]
@@ -495,25 +495,25 @@ def volterra_top_eigenvalue(theta: float, a: float = 1.0, b: float = 1.0) -> flo
 
 def rate_bundle(theta: float | Fraction) -> RateBundle:
     """Assembled rate data for any supported drift (CLI entry point)."""
-    t = float_drift(theta)
+    t = float_value(theta, "drift")
     if theta <= Fraction(1, 2):
         return decay_rate(theta)
     if theta <= 1:
         raise DomainError("no rate formula for drift in (1/2, 1]")
-    ell, _, _, _ = ell_with_tail(theta, 1e-12 if theta >= 2 else 1e-8)
-    nu = kappa = None
-    zr = float("nan")
-    if theta >= 2:
-        res = nu_root(t)
-        nu = res.value
-        zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / t))  # recover a_1(1/theta)
-        lm = ell_mp(theta, dps=50)
-        p = persistence_prefix(30, Fraction(theta))
-        with mp.workdps(60):
-            r20, r30 = [mp.mpf(p[n].numerator) / mp.mpf(p[n].denominator) - lm for n in (20, 30)]
-            if r20 > 0 and r30 > 0:
-                kappa = float((mp.log(r20) - mp.log(r30)) / 10)
-    return RateBundle(theta=t, z_root=zr, ell=ell, nu=nu, kappa_estimate=kappa)
+    if theta < 2:
+        ell, _, _, _ = ell_with_tail(theta, 1e-8)
+        return RateBundle(theta=t, z_root=float("nan"), ell=ell)
+    res = nu_root(t)  # refuses a drift too large for its roots before any exact term is summed
+    ell, _, _, _ = ell_with_tail(theta, 1e-12)
+    zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / t))  # recover a_1(1/theta)
+    lm = ell_mp(theta, dps=50)
+    p = persistence_prefix(30, Fraction(theta))
+    kappa = None
+    with mp.workdps(60):
+        r20, r30 = [mp.mpf(p[n].numerator) / mp.mpf(p[n].denominator) - lm for n in (20, 30)]
+        if r20 > 0 and r30 > 0:
+            kappa = float((mp.log(r20) - mp.log(r30)) / 10)
+    return RateBundle(theta=t, z_root=zr, ell=ell, nu=res.value, kappa_estimate=kappa)
 
 
 # ---------------------------------------------------------------------------

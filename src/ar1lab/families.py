@@ -15,11 +15,12 @@ the nested-integral volume polynomial, and the exact one-sided derivative
 data of the persistence probability at drift -1.
 
 Each family recurrence is written once, generic over the ring:
-``scalar_j``, ``scalar_jt`` and ``scalar_jh``.  The polynomial tables run
-them over polynomials in th; the scalar tables run them at a fixed rational
-drift in pure integer arithmetic, which stays fast at depths (n in the
-hundreds) where building the full polynomials would be wasteful; and
-``scalar_j`` also serves the float consumer in the asymptotics layer.
+``scalar_j``, ``scalar_jt`` and ``scalar_jh``.  One ``FamilyTables`` class
+grows them, over polynomials in th (``_POLY``) and, as ``ScalarFamilies``,
+at a fixed rational drift in pure integer arithmetic, which stays fast at
+depths (n in the hundreds) where building the full polynomials would be
+wasteful; ``scalar_j`` also serves the float consumer in the asymptotics
+layer.
 """
 
 from __future__ import annotations
@@ -40,21 +41,11 @@ _LOCK = threading.RLock()
 # J_n: tree-inversion enumerators
 # ---------------------------------------------------------------------------
 
-_G_POLY: list = [1]  # G_i = 1 + th + ... + th^i
-_J_POLY: list[Polynomial | None] = [None, Polynomial.one(), Polynomial.one()]
-
-
-def _grow_j(nmax: int) -> None:
-    with _LOCK:
-        scalar_j(Polynomial.x(), 1, (_G_POLY, _J_POLY), nmax)
-
-
 def mallows_riordan(n: int) -> Polynomial:
     """J_n, via J_{m+2} = sum_i C(m,i)(1+th+...+th^i) J_{i+1} J_{m+1-i}."""
     if n < 1:
         raise IndexError("family index must be >= 1")
-    _grow_j(n)
-    return _J_POLY[n]
+    return _POLY.grow_j(n)[n]
 
 
 def _deformed_exp_series(order: int) -> TruncatedSeries:
@@ -109,9 +100,9 @@ def _j_via_ratio(nmax: int) -> list[Polynomial | None]:
 
 def _j_egf(order: int) -> TruncatedSeries:
     """sum J_{n+1} z^n/n! through z^order, over the Laurent ring."""
-    _grow_j(order + 1)
+    j = _POLY.grow_j(order + 1)
     return TruncatedSeries(
-        [LaurentPoly.from_polynomial(_J_POLY[n + 1]) * Fraction(1, factorial(n)) for n in range(order + 1)],
+        [LaurentPoly.from_polynomial(j[n + 1]) * Fraction(1, factorial(n)) for n in range(order + 1)],
         order,
     )
 
@@ -151,15 +142,6 @@ def gessel_identity_holds(order: int) -> bool:
 # J~_n: inverse-drift family
 # ---------------------------------------------------------------------------
 
-_JT_POLY: list[Polynomial | None] = [None, Polynomial.one()]
-
-
-def _grow_jt(nmax: int) -> None:
-    with _LOCK:
-        _grow_j(nmax)
-        scalar_jt(1, _J_POLY, _JT_POLY, nmax)
-
-
 def j_tilde(n: int) -> Polynomial:
     """J~_n, defined by sum J~_{n+1} z^n/n! = (sum (-1)^n J_{n+1} z^n/n!)^(-1).
 
@@ -168,16 +150,15 @@ def j_tilde(n: int) -> Polynomial:
     """
     if n < 1:
         raise IndexError("family index must be >= 1")
-    _grow_jt(n)
-    return _JT_POLY[n]
+    return _POLY.grow_jt(n)[n]
 
 
 def _jt_via_inversion(nmax: int) -> list[Polynomial | None]:
     """Direct series inversion of sum (-1)^n J_{n+1} z^n / n!."""
-    _grow_j(nmax + 1)
+    j = _POLY.grow_j(nmax + 1)
     order = nmax - 1
     coeffs = [
-        _J_POLY[k + 1] * Fraction((-1) ** k, factorial(k)) for k in range(order + 1)
+        j[k + 1] * Fraction((-1) ** k, factorial(k)) for k in range(order + 1)
     ]
     inv = TruncatedSeries(coeffs, order).invert()
     out: list[Polynomial | None] = [None] * (nmax + 1)
@@ -188,7 +169,7 @@ def _jt_via_inversion(nmax: int) -> list[Polynomial | None]:
 
 def _jt_via_signed_convolution(nmax: int) -> list[Polynomial | None]:
     """J~_{n+2} = sum_{k=0}^{n} C(n,k) (-1)^k (1+th+...+th^k) J_{k+1} J~_{n+1-k}."""
-    _grow_j(nmax + 1)
+    j = _POLY.grow_j(nmax + 1)
     out: list[Polynomial | None] = [None, Polynomial.one(), Polynomial.one()]
     for m in range(3, nmax + 1):
         n = m - 2
@@ -198,7 +179,7 @@ def _jt_via_signed_convolution(nmax: int) -> list[Polynomial | None]:
                 Fraction((-1) ** k)
                 * comb(n, k)
                 * Polynomial.geometric(k + 1)
-                * _J_POLY[k + 1]
+                * j[k + 1]
                 * out[n + 1 - k]
             )
         out.append(acc)
@@ -218,30 +199,20 @@ def c_polynomial(n: int) -> Polynomial:
 # J^_n: large-drift family
 # ---------------------------------------------------------------------------
 
-_JH_POLY: list[Polynomial | None] = [None, Polynomial.one()]
-
-
-def _grow_jh(nmax: int) -> None:
-    with _LOCK:
-        _grow_jt(nmax)
-        scalar_jh(1, _JT_POLY, _JH_POLY, nmax)
-
-
 def j_hat(n: int) -> Polynomial:
     """J^_n, via J^_{n+1} = 2n J^_n + (-1)^n J~_{n+1}."""
     if n < 1:
         raise IndexError("family index must be >= 1")
-    _grow_jh(n)
-    return _JH_POLY[n]
+    return _POLY.grow_jh(n)[n]
 
 
 def _jh_via_partial_sums(nmax: int) -> list[Polynomial | None]:
     """J^_{n+1}/(2^n n!) = sum_{k<=n} (-1)^k J~_{k+1}/(2^k k!)."""
-    _grow_jt(nmax)
+    jt = _POLY.grow_jt(nmax)
     out: list[Polynomial | None] = [None] * (nmax + 1)
     acc = Polynomial.zero()
     for k in range(0, nmax):
-        acc = acc + _JT_POLY[k + 1] * Fraction((-1) ** k, 2**k * factorial(k))
+        acc = acc + jt[k + 1] * Fraction((-1) ** k, 2**k * factorial(k))
         out[k + 1] = acc * (2**k * factorial(k))
     return out
 
@@ -258,11 +229,10 @@ def route_disagreement(nmax: int) -> str | None:
     """
     if nmax < 1:
         return None
-    _grow_jh(nmax)
     families = (
-        ("J", _J_POLY, (_j_via_log(nmax), _j_via_ratio(nmax))),
-        ("J~", _JT_POLY, (_jt_via_inversion(nmax), _jt_via_signed_convolution(nmax))),
-        ("J^", _JH_POLY, (_jh_via_partial_sums(nmax),)),
+        ("J", _POLY.grow_j(nmax), (_j_via_log(nmax), _j_via_ratio(nmax))),
+        ("J~", _POLY.grow_jt(nmax), (_jt_via_inversion(nmax), _jt_via_signed_convolution(nmax))),
+        ("J^", _POLY.grow_jh(nmax), (_jh_via_partial_sums(nmax),)),
     )
     for n in range(1, nmax + 1):
         for name, main, routes in families:
@@ -319,10 +289,10 @@ def tutte_complete(n: int) -> list[Polynomial]:
         raise IndexError("vertex count must be >= 0")
     if n == 0:
         return [Polynomial.one()]
-    _grow_j(n)
+    j = _POLY.grow_j(n)
     shift = Polynomial((1, 1))
     s_coeffs = [Polynomial.zero()] + [
-        _J_POLY[k].compose(shift) * Fraction(1, factorial(k)) for k in range(1, n + 1)
+        j[k].compose(shift) * Fraction(1, factorial(k)) for k in range(1, n + 1)
     ]
     s = TruncatedSeries(s_coeffs, n)
     out = [Polynomial.zero()]  # x^0 coefficient of T_n vanishes for n >= 1
@@ -420,7 +390,7 @@ def boundary_derivatives(n: int) -> BoundaryDerivatives:
 
 
 # ---------------------------------------------------------------------------
-# The family recurrences over any ring, and scalar tables at a fixed drift
+# The family recurrences over any ring, and the tables they grow
 # ---------------------------------------------------------------------------
 
 
@@ -485,57 +455,64 @@ def scalar_jh(q, jt, jh: list, nmax: int) -> list:
     return jh
 
 
-class ScalarFamilies:
-    """Values J_n(th), J~_n(th), J^_n(th) at one rational drift.
+class FamilyTables:
+    """Tables of J_n(p/q), J~_n(p/q) and J^_n(p/q), each scaled by
+    q^((n-1)(n-2)/2) and grown on demand by the recurrences above.
 
-    Internally each value is an integer: the polynomial value times
-    q^((n-1)(n-2)/2) where th = p/q in lowest terms.  The recurrences then
-    run over plain integers, which keeps deep tables (n in the hundreds)
-    cheap compared to Fraction normalization at every step.
+    The ring is that of p and q: p = th and q = 1 give the polynomials
+    themselves (``_POLY``); the integers p, q of a rational drift give
+    ``ScalarFamilies``, exact at depths (n in the hundreds) where
+    Fraction normalization at every step would dominate.  ``grow_j``,
+    ``grow_jt`` and ``grow_jh`` extend a table through index nmax and
+    return it.
     """
 
-    def __init__(self, theta: Fraction):
-        theta = Fraction(theta)
-        self.theta = theta
-        self._p = theta.numerator
-        self._q = theta.denominator
-        self._g = [1]  # homogeneous sums G_i = sum_{j<=i} p^j q^(i-j)
-        self._j = [0, 1, 1]  # J_n * q^dexp(n)
-        self._jt = [0, 1]  # J~_n * q^dexp(n)
-        self._jh = [0, 1]  # J^_n * q^dexp(n)
+    def __init__(self, p, q):
+        self._p, self._q = p, q
+        zero, one = p * 0, p**0
+        self._g = [one]  # homogeneous sums G_i = sum_{k<=i} p^k q^(i-k)
+        self._j = [zero, one, one]
+        self._jt = [zero, one]
+        self._jh = [zero, one]
         self._lock = threading.RLock()
 
-    def _grow_j(self, nmax: int) -> None:
-        scalar_j(self._p, self._q, (self._g, self._j), nmax)
+    def grow_j(self, nmax: int) -> list:
+        with self._lock:
+            return scalar_j(self._p, self._q, (self._g, self._j), nmax)
 
-    def _grow_jt(self, nmax: int) -> None:
-        self._grow_j(nmax)
-        scalar_jt(self._q, self._j, self._jt, nmax)
+    def grow_jt(self, nmax: int) -> list:
+        with self._lock:
+            return scalar_jt(self._q, self.grow_j(nmax), self._jt, nmax)
 
-    def _grow_jh(self, nmax: int) -> None:
-        self._grow_jt(nmax)
-        scalar_jh(self._q, self._jt, self._jh, nmax)
+    def grow_jh(self, nmax: int) -> list:
+        with self._lock:
+            return scalar_jh(self._q, self.grow_jt(nmax), self._jh, nmax)
+
+
+_POLY = FamilyTables(Polynomial.x(), 1)
+
+
+class ScalarFamilies(FamilyTables):
+    """Values J_n(th), J~_n(th), J^_n(th) at one rational drift th = p/q."""
+
+    def __init__(self, theta: Fraction):
+        self.theta = Fraction(theta)
+        super().__init__(self.theta.numerator, self.theta.denominator)
 
     def j(self, n: int) -> Fraction:
         if n < 1:
             raise IndexError("family index must be >= 1")
-        with self._lock:
-            self._grow_j(n)
-            return Fraction(self._j[n], self._q ** _dexp(n))
+        return Fraction(self.grow_j(n)[n], self._q ** _dexp(n))
 
     def j_tilde(self, n: int) -> Fraction:
         if n < 1:
             raise IndexError("family index must be >= 1")
-        with self._lock:
-            self._grow_jt(n)
-            return Fraction(self._jt[n], self._q ** _dexp(n))
+        return Fraction(self.grow_jt(n)[n], self._q ** _dexp(n))
 
     def j_hat(self, n: int) -> Fraction:
         if n < 1:
             raise IndexError("family index must be >= 1")
-        with self._lock:
-            self._grow_jh(n)
-            return Fraction(self._jh[n], self._q ** _dexp(n))
+        return Fraction(self.grow_jh(n)[n], self._q ** _dexp(n))
 
 
 _SCALAR_TABLES: dict[Fraction, ScalarFamilies] = {}

@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 from numpy.random import Generator, Philox
 
-from ar1lab.asymptotics import biexp_persistence_nonpositive, float_drift, qseries_biexp_coeffs
+from ar1lab.asymptotics import biexp_persistence_nonpositive, float_value, qseries_biexp_coeffs
 from ar1lab.errors import DomainError
 from ar1lab.families import mallows_riordan, tutte_modified_eval, zigzag
 from ar1lab.persistence import persistence_exact
@@ -45,8 +45,11 @@ class InnovationLaw:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise DomainError(f"unknown innovation law {self.kind!r}")
-        if self.kind == "uniform" and (self.a <= 0 or self.b <= 0):
-            raise DomainError("uniform law needs positive half-widths")
+        if self.kind == "uniform":
+            if self.a <= 0 or self.b <= 0:
+                raise DomainError("uniform law needs positive half-widths")
+            float_value(self.a, "half-width a")
+            float_value(self.b, "half-width b")
         if self.kind == "atomic_negative" and not 0.0 < self.c <= 1.0:
             raise DomainError("atomic law needs mass c in (0, 1]")
 
@@ -435,7 +438,7 @@ def polytope_volume_mc(
 
 def exact_persistence_target(theta: float | Fraction, law: InnovationLaw, n: int) -> float | None:
     """Exact p_n at the exact theta and support if a closed route exists, else None."""
-    t = float_drift(theta)
+    t = float_value(theta, "drift")
     if n == 0:
         return 1.0
     if law.kind == "uniform":

@@ -156,16 +156,23 @@ def oracle_density(query: PersistenceQuery) -> PiecewisePoly:
     return f
 
 
+def _window_masses(query: PersistenceQuery) -> list[Fraction] | None:
+    """[p_0..p_n] by one oracle chain when horizon n lies in the window;
+    None when closed forms apply.  The one place that chooses the route."""
+    return oracle_masses(query) if classify(query) is Region.WINDOW else None
+
+
 def persistence_exact(n: int, theta, a=1, b=1) -> Fraction:
-    """Exact p_n: the last value of ``persistence_prefix``."""
-    return persistence_prefix(n, theta, a, b)[-1]
+    """Exact p_n: one closed form, or the last mass of one oracle chain."""
+    query = PersistenceQuery(n, theta, a, b)
+    masses = _window_masses(query)
+    return persistence_closed_form(query) if masses is None else masses[-1]
 
 
 def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
     """[p_0..p_n], closed forms where possible, one oracle chain otherwise.
 
-    This is the only place that chooses between the two routes.  Only
-    horizon n is classified: a horizon outside the window has every
+    Only horizon n is classified: a horizon outside the window has every
     shorter horizon outside it too.  For drift <= -1 the region is always
     INVERSE_NEG, and for drift in (-1, 0] every geometric sum lies in
     (-1, 0], so the region is always DIRECT.  For drift > 0 both geometric
@@ -173,8 +180,9 @@ def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
     that admits a closed form at n admits one at every shorter horizon.
     """
     query = PersistenceQuery(n, theta, a, b)
-    if classify(query) is Region.WINDOW:
-        return oracle_masses(query)
+    masses = _window_masses(query)
+    if masses is not None:
+        return masses
     return [persistence_closed_form(replace(query, n=k)) for k in range(n + 1)]
 
 

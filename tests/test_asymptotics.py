@@ -94,6 +94,40 @@ class TestPositiveRoots:
             asym.positive_roots(-0.2, 3)
 
 
+class TestEvaluationCounts:
+    """Upper bounds on deformed_exp evaluations, so a scan change adds none."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        original = asym.deformed_exp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(asym, "deformed_exp", counted)
+        return calls
+
+    def test_positive_root_ladder(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        asym.positive_roots(0.25, 12)
+        assert 0 < len(calls) <= 1097
+
+    def test_first_negative_root(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        asym.first_negative_root(0.3)
+        assert 0 < len(calls) <= 58
+
+    def test_rates_command(self, monkeypatch, capsys):
+        from ar1lab.cli import main
+
+        calls = self.counting(monkeypatch)
+        argv = "rates --theta -1 --theta 0 --theta 1/4 --theta -2 --theta 4"
+        assert main(argv.split()) == 0
+        assert 0 < len(calls) <= 1385
+
+
 class TestDecayRate:
     def test_known_rates(self):
         assert asym.decay_rate(-1.0).lam == pytest.approx(math.pi, abs=1e-12)

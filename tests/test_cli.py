@@ -108,6 +108,47 @@ def test_drift_without_a_float_exits_2_naming_it(capsys, argv):
     assert capsys.readouterr().err == "error: drift 1.0e+400 has no float value\n"
 
 
+def test_rates_fits_c_where_mu_to_the_n_overflows(capsys):
+    rc, out = run_cli(capsys, ["rates", "--theta=-1e10"])
+    assert rc == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert float(row["c_estimate"]) == pytest.approx(2e-10, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "value, skipped",
+    [
+        ("-1e16", "first_negative_root"),
+        ("-1e300", "first_negative_root"),
+        ("1e26", "ell_with_tail"),
+        ("1e300", "ell_with_tail"),
+    ],
+)
+def test_rates_past_the_float_range_exits_2_naming_the_drift(capsys, monkeypatch, value, skipped):
+    import ar1lab.asymptotics as asym
+
+    def refused_first(*args):
+        raise AssertionError(f"{skipped} ran before the refusal")
+
+    monkeypatch.setattr(asym, skipped, refused_first)
+    rc = main(["rates", f"--theta={value}"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: drift {float(value):g} ")
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_uniform_support_without_a_float_exits_2_naming_it(capsys, monkeypatch, side):
+    import ar1lab.montecarlo as mc
+
+    def refused_first(*args):
+        raise AssertionError("the exact target ran before the refusal")
+
+    monkeypatch.setattr(mc, "persistence_exact", refused_first)
+    rc = main(["simulate", f"--{side}", "1e400", "--trials", "10"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: half-width {side} 1.0e+400 has no float value\n"
+
+
 @pytest.mark.parametrize(
     "theta, drifts",
     [("7/3", {Fraction(7, 3), Fraction(3, 7)}), ("-7/5", {Fraction(-5, 7)})],
@@ -136,7 +177,7 @@ def test_rates_fits_c_from_exact_p_n_at_the_typed_drift(capsys):
     assert rc == 0
     row = next(csv.DictReader(io.StringIO(out)))
     p30 = persistence_prefix(30, Fraction(-7, 5))[30]
-    assert row["c_estimate"] == repr(1 / (float(p30) * decay_rate(-1.4).mu ** 30))
+    assert row["c_estimate"] == repr(float(1 / (p30 * Fraction(decay_rate(-1.4).mu) ** 30)))
 
 
 def test_simulate_hands_exact_drift_and_support_to_the_exact_target(capsys, monkeypatch):

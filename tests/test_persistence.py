@@ -170,6 +170,34 @@ class TestOracle:
         assert chain == oracle_masses(PersistenceQuery(4, F(4, 5)))
 
 
+class TestSingleValue:
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+
+        def counted(query):
+            calls.append(query.n)
+            return persistence_closed_form(query)
+
+        monkeypatch.setattr(pers, "persistence_closed_form", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "n, theta, a, b",
+        [(118, F(1, 3), 1, 1), (20, F(-2), 1, 1), (20, F(3), 1, 1), (9, F(1, 2), F(2), F(1))],
+    )
+    def test_closed_form_value_skips_the_prefix(self, monkeypatch, n, theta, a, b):
+        want = persistence_prefix(n, theta, a, b)[-1]
+        calls = self.counting(monkeypatch)
+        assert persistence_exact(n, theta, a, b) == want
+        assert calls == [n]
+
+    def test_window_value_is_the_last_oracle_mass(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        assert persistence_exact(6, F(4, 5)) == persistence_prefix(6, F(4, 5))[-1]
+        assert calls == []
+
+
 class TestHitting:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_geometric_at_zero_drift(self, n):
