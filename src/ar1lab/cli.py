@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -339,8 +340,17 @@ def _cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads any argument starting "-digit" or "-.digit" as a
+    value, so "--theta -13/10" and "--theta -1e300" parse like "--theta -2"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ar1lab",
         description="Exact and Monte Carlo laboratory for AR(1) persistence probabilities",
     )

@@ -25,7 +25,7 @@ from ar1lab.exact.rational import format_rational, parse_rational
 class PiecewisePoly:
     """Finitely supported piecewise-polynomial density, exact everywhere."""
 
-    __slots__ = ("breakpoints", "pieces")
+    __slots__ = ("breakpoints", "pieces", "_cumulative")
 
     def __init__(self, breakpoints: Iterable, pieces: Iterable[Polynomial]):
         bps = tuple(Fraction(b) for b in breakpoints)
@@ -40,6 +40,7 @@ class PiecewisePoly:
         bps, pcs = _canonicalize(bps, pcs)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pcs)
+        object.__setattr__(self, "_cumulative", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("PiecewisePoly is immutable")
@@ -77,20 +78,30 @@ class PiecewisePoly:
         return self.pieces[i](x)
 
     def mass(self) -> Fraction:
-        return self.cumulative_at(self.breakpoints[-1])
+        return self._cumulative_polys()[-1](self.breakpoints[-1])
 
-    def _cumulative_polys(self) -> list[Polynomial]:
-        """A_i with A_i(x) = integral of the density from b_0 to x on piece i."""
-        out = []
-        acc = Fraction(0)
-        for (lo, hi), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            anti = p.antiderivative()
-            out.append(anti - anti(lo) + acc)
-            acc += anti(hi) - anti(lo)
-        return out
+    def _cumulative_polys(self) -> tuple[Polynomial, ...]:
+        """A_i with A_i(x) = integral of the density from b_0 to x on piece i.
+
+        Built once per density and kept, so ``mass`` and the next
+        pushforward share one integration.
+        """
+        if self._cumulative is None:
+            out = []
+            acc = Fraction(0)
+            for (lo, hi), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
+                anti = p.antiderivative()
+                out.append(anti - anti(lo) + acc)
+                acc += anti(hi) - anti(lo)
+            object.__setattr__(self, "_cumulative", tuple(out))
+        return self._cumulative
 
     def cumulative_at(self, x) -> Fraction:
-        """Integral of the density from b_0 to x."""
+        """Integral of the density from b_0 to x.
+
+        Shares no code with ``_cumulative_polys``, so tests use it as the
+        independent reference for the pushforward.
+        """
         x = Fraction(x)
         total = Fraction(0)
         for (lo, hi), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):

@@ -5,6 +5,15 @@ X_k uniform on [-a, b].  Closed polynomial forms exist outside a drift
 window bounded by generalized Fibonacci numbers; inside the window only the
 density-propagation oracle applies.  Both routes are exact rational
 arithmetic and agree wherever both are defined.
+
+For theta > 0 the positive-drift factorization
+sum_{k=0..n} p_k(theta; a, b) p_{n-k}(1/theta; b, a) = 1 ties the chain at
+theta to the chain at 1/theta on the reflected support [-b, a].  A window
+prefix at theta may therefore be read off the prefix at 1/theta, through
+p_n(theta) = 1 - sum_{k<n} p_k(theta) p_{n-k}(1/theta), whenever that
+chain is predicted to be the smaller one (``_window_masses``).  The oracle
+itself (``oracle_masses``) and the duality residuals stay direct, so the
+checks that compare them still compare independent routes.
 """
 
 from __future__ import annotations
@@ -156,14 +165,74 @@ def oracle_density(query: PersistenceQuery) -> PiecewisePoly:
     return f
 
 
+def _closed_forms(query: PersistenceQuery) -> list[Fraction]:
+    """[p_0..p_n] by closed forms, for a horizon n outside the window."""
+    return [persistence_closed_form(replace(query, n=k)) for k in range(query.n + 1)]
+
+
+def _piece_counts(query: PersistenceQuery) -> Iterator[int]:
+    """Piece counts of the oracle chain's densities f_1, f_2, ..., predicted
+    from breakpoints alone.
+
+    f_1 lives on {0, b}; a pushforward cuts [0, inf) at 0 and at every
+    theta*c - a and theta*c + b above 0, c over the input's breakpoints.
+    """
+    th, a, b = query.theta, query.a, query.b
+    ends = {Fraction(0), b}
+    while True:
+        yield len(ends) - 1
+        ends = {Fraction(0)} | {y for c in ends for y in (th * c - a, th * c + b) if y > 0}
+
+
+def _reflected_is_cheaper(query: PersistenceQuery, reflected: PersistenceQuery) -> bool:
+    """Whether the reflected oracle chain builds fewer pieces than the direct one.
+
+    The two predicted chains race: the side with the smaller running total
+    of pieces advances (ties to the direct side), and the race ends when
+    that side has reached horizon n, so the dearer side is never predicted
+    past the cheaper side's total.  The sign of theta - 1 does not decide on
+    an asymmetric support: at (7/5; 3, 1) the direct chain is the smaller
+    one, at (5/7; 1, 3) the reflected one.
+    """
+    sides = (_piece_counts(query), _piece_counts(reflected))
+    totals, steps = [0, 0], [0, 0]
+    while True:
+        side = 0 if totals[0] <= totals[1] else 1
+        if steps[side] == query.n:
+            return side == 1
+        totals[side] += next(sides[side])
+        steps[side] += 1
+
+
 def _window_masses(query: PersistenceQuery) -> list[Fraction] | None:
-    """[p_0..p_n] by one oracle chain when horizon n lies in the window;
-    None when closed forms apply.  The one place that chooses the route."""
-    return oracle_masses(query) if classify(query) is Region.WINDOW else None
+    """[p_0..p_n] when horizon n lies in the window; None when closed forms
+    apply.  The one place that chooses the route.
+
+    A window query (its drift is always positive) is answered by one direct
+    oracle chain or from the reflected query (n, 1/theta, b, a) through the
+    positive-drift factorization p_m = 1 - sum_{k<m} p_k q_{m-k}, q being
+    the reflected prefix.  That prefix is closed forms when its horizon lies
+    outside the window (they cost nothing next to a chain), else one oracle
+    chain, taken when it is predicted to build fewer pieces than the direct
+    chain (``_reflected_is_cheaper``).
+    """
+    if classify(query) is not Region.WINDOW:
+        return None
+    reflected = PersistenceQuery(query.n, 1 / query.theta, query.b, query.a)
+    if classify(reflected) is not Region.WINDOW:
+        q = _closed_forms(reflected)
+    elif _reflected_is_cheaper(query, reflected):
+        q = oracle_masses(reflected)
+    else:
+        return oracle_masses(query)
+    p = [Fraction(1)]
+    for m in range(1, query.n + 1):
+        p.append(1 - sum(p[k] * q[m - k] for k in range(m)))
+    return p
 
 
 def persistence_exact(n: int, theta, a=1, b=1) -> Fraction:
-    """Exact p_n: one closed form, or the last mass of one oracle chain."""
+    """Exact p_n: one closed form, or the last entry of the window prefix."""
     query = PersistenceQuery(n, theta, a, b)
     masses = _window_masses(query)
     return persistence_closed_form(query) if masses is None else masses[-1]
@@ -171,6 +240,10 @@ def persistence_exact(n: int, theta, a=1, b=1) -> Fraction:
 
 def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
     """[p_0..p_n], closed forms where possible, one oracle chain otherwise.
+
+    In the window (where the drift is positive) that chain may be the one at
+    1/theta on the reflected support [-b, a], with the prefix at theta read
+    off the positive-drift factorization (see ``_window_masses``).
 
     Only horizon n is classified: a horizon outside the window has every
     shorter horizon outside it too.  For drift <= -1 the region is always
@@ -181,9 +254,7 @@ def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
     """
     query = PersistenceQuery(n, theta, a, b)
     masses = _window_masses(query)
-    if masses is not None:
-        return masses
-    return [persistence_closed_form(replace(query, n=k)) for k in range(n + 1)]
+    return _closed_forms(query) if masses is None else masses
 
 
 def hitting_pmf(query: PersistenceQuery) -> Fraction:

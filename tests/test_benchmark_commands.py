@@ -1,19 +1,26 @@
-"""Every command line the benchmark runs parses with the current CLI."""
+"""Every command line the benchmark runs parses with the current CLI, and the
+oracle-window commands still print their pinned outputs."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from ar1lab.cli import build_parser
+from ar1lab.cli import build_parser, main
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, monkeypatch):
+    """A perfbench module loaded by file path (standard library imports only)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses looks the module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_benchmark_command_parses(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks the module up
-    spec.loader.exec_module(workloads)  # standard library imports only
+    workloads = _load("workloads", monkeypatch)
     parser = build_parser()
     rejected = []
     for name, build in workloads.WORKLOADS.items():
@@ -25,3 +32,14 @@ def test_every_benchmark_command_parses(monkeypatch):
                     rejected.append(f"{name}: {command.key}")
     assert workloads.WORKLOADS
     assert rejected == []
+
+
+def test_oracle_window_outputs_match_the_pinned_references(monkeypatch, capsys):
+    # a changed exact rational fails here before it fails the benchmark
+    workloads, check = _load("workloads", monkeypatch), _load("check", monkeypatch)
+    refs = check.load_refs()
+    commands = workloads.WORKLOADS["oracle-window"](0)
+    assert commands
+    for command in commands:
+        assert main(list(command.argv)) == 0
+        assert check.compare(refs[command.key], capsys.readouterr().out) is None, command.key

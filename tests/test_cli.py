@@ -207,6 +207,24 @@ def test_persist_table(capsys):
     assert rows[3]["p_exact"] == "4181/15360"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["persist", "--nmax", "4"],
+        ["rates"],
+        ["simulate", "--n", "4", "--trials", "2000", "--seed", "5"],
+    ],
+    ids=["persist", "rates", "simulate"],
+)
+def test_negative_rational_drift_parses_as_a_separate_argument(capsys, command):
+    rc, joined = run_cli(capsys, command + ["--theta=-13/10"])
+    assert rc == 0
+    rc, separate = run_cli(capsys, command + ["--theta", "-13/10"])
+    assert rc == 0
+    assert separate == joined
+    assert "-13/10" in joined or "-1.3" in joined
+
+
 @pytest.mark.parametrize("theta", ["1/3", "3"])
 def test_persist_prints_rationals_past_the_int_str_limit(capsys, theta):
     # row 150 has a denominator of more than 5000 digits, past the default

@@ -198,6 +198,87 @@ class TestSingleValue:
         assert calls == []
 
 
+class TestReflectedRoute:
+    """Window prefixes at drift theta > 0 may come from the reflected chain
+    at 1/theta through sum_k p_k(theta; a, b) p_{n-k}(1/theta; b, a) = 1."""
+
+    @staticmethod
+    def chain_drifts(monkeypatch):
+        drifts = []
+        real = pers.oracle_masses
+
+        def counted(query):
+            drifts.append((query.theta, query.a, query.b))
+            return real(query)
+
+        monkeypatch.setattr(pers, "oracle_masses", counted)
+        return drifts
+
+    @pytest.mark.parametrize(
+        "theta, a, b, chains",
+        [
+            (F(6, 5), 1, 1, [(F(5, 6), 1, 1)]),
+            (F(5, 4), 1, 1, [(F(4, 5), 1, 1)]),
+            (F(3, 2), 1, 1, [(F(2, 3), 1, 1)]),
+            (F(7, 4), 1, 1, [(F(4, 7), 1, 1)]),
+            (F(3), 2, 1, []),  # reflected horizons are closed forms at 1/3 on [-1, 2]
+            (F(3, 2), F(1, 3), 2, []),
+            (F(5), 1, 4, []),
+            (F(7, 5), 3, 1, [(F(7, 5), 3, 1)]),  # the reflected chain at 5/7 is the dearer one
+            (F(1), 2, 1, [(F(1), 2, 1)]),  # classical Sparre Andersen: [-2, 1] against [-1, 2]
+        ],
+    )
+    def test_prefix_equals_the_direct_oracle(self, monkeypatch, theta, a, b, chains):
+        want = oracle_masses(PersistenceQuery(9, theta, a, b))
+        drifts = self.chain_drifts(monkeypatch)
+        for n in range(10):
+            assert persistence_prefix(n, theta, a, b) == want[: n + 1], n
+        assert drifts[-1:] == chains
+
+    def test_predictor_keeps_the_direct_side_at_7_5_on_3_1(self):
+        query = PersistenceQuery(9, F(7, 5), 3, 1)
+        reflected = PersistenceQuery(9, F(5, 7), 1, 3)
+        assert classify(reflected) is Region.WINDOW
+        assert not pers._reflected_is_cheaper(query, reflected)
+        assert pers._reflected_is_cheaper(reflected, query)
+
+    def test_ties_go_to_the_direct_side(self):
+        query = PersistenceQuery(9, F(1))
+        assert not pers._reflected_is_cheaper(query, query)
+
+    @pytest.mark.parametrize(
+        "theta, a, b, n",
+        [(F(3, 2), 1, 1, 10), (F(4, 5), 1, 1, 11), (F(7, 5), 3, 1, 9), (F(5, 7), 1, 3, 9), (F(3, 2), 3, 1, 8)],
+    )
+    def test_predicted_piece_counts_match_the_chain(self, theta, a, b, n):
+        query = PersistenceQuery(n, theta, a, b)
+        predicted = pers._piece_counts(query)
+        assert [next(predicted) for _ in range(n)] == [len(f.pieces) for f in pers._oracle_chain(query)]
+
+    @pytest.mark.parametrize(
+        "theta, a, b",
+        [(F(3), 2, 1), (F(3, 2), F(1, 3), 2), (F(5), 1, 4), (F(7, 5), 3, 1), (F(1), 2, 1), (F(5, 4), 1, 2)],
+    )
+    def test_positive_factorization_needs_the_reflected_support(self, theta, a, b):
+        ps = oracle_masses(PersistenceQuery(6, theta, a, b))
+        qs = oracle_masses(PersistenceQuery(6, 1 / theta, b, a))
+        assert [sum(ps[k] * qs[n - k] for k in range(n + 1)) for n in range(7)] == [1] * 7
+        unreflected = oracle_masses(PersistenceQuery(1, 1 / theta, a, b))
+        assert ps[0] * unreflected[1] + ps[1] * unreflected[0] == F(2 * b, a + b) != 1
+
+    @pytest.mark.parametrize("theta", [F(-2), F(-1, 2)])
+    def test_alternating_factorization_keeps_the_support(self, theta):
+        ps = oracle_masses(PersistenceQuery(6, theta, 2, 1))
+        qs = oracle_masses(PersistenceQuery(6, 1 / theta, 2, 1))
+        assert [sum((-1) ** k * ps[k] * qs[n - k] for k in range(n + 1)) for n in range(7)] == [1] + [0] * 6
+
+    @pytest.mark.parametrize("n, theta, chain", [(11, F(3, 2), F(2, 3)), (12, F(4, 5), F(4, 5))])
+    def test_one_oracle_chain_on_the_cheaper_side(self, monkeypatch, n, theta, chain):
+        drifts = self.chain_drifts(monkeypatch)
+        persistence_prefix(n, theta)
+        assert drifts == [(chain, 1, 1)]
+
+
 class TestHitting:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_geometric_at_zero_drift(self, n):
