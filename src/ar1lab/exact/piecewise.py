@@ -78,13 +78,13 @@ class PiecewisePoly:
         return self.pieces[i](x)
 
     def mass(self) -> Fraction:
-        return self._cumulative_polys()[-1](self.breakpoints[-1])
+        return self._cumulative_polys()[1]
 
-    def _cumulative_polys(self) -> tuple[Polynomial, ...]:
-        """A_i with A_i(x) = integral of the density from b_0 to x on piece i.
+    def _cumulative_polys(self) -> tuple[tuple[Polynomial, ...], Fraction]:
+        """(A_i, mass) with A_i(x) = integral of the density from b_0 to x on piece i.
 
         Built once per density and kept, so ``mass`` and the next
-        pushforward share one integration.
+        pushforward share one integration; the mass is the running total.
         """
         if self._cumulative is None:
             out = []
@@ -93,14 +93,14 @@ class PiecewisePoly:
                 anti = p.antiderivative()
                 out.append(anti - anti(lo) + acc)
                 acc += anti(hi) - anti(lo)
-            object.__setattr__(self, "_cumulative", tuple(out))
+            object.__setattr__(self, "_cumulative", (tuple(out), acc))
         return self._cumulative
 
     def cumulative_at(self, x) -> Fraction:
         """Integral of the density from b_0 to x.
 
-        Shares no code with ``_cumulative_polys``, so tests use it as the
-        independent reference for the pushforward.
+        Sums each piece's antiderivative up to x and shares no code with
+        ``_cumulative_polys``.
         """
         x = Fraction(x)
         total = Fraction(0)
@@ -159,8 +159,7 @@ def piecewise_pushforward(f: PiecewisePoly, theta, a, b) -> PiecewisePoly:
     if a <= 0 or b <= 0:
         raise DomainError("uniform innovation half-widths must be positive")
     bps = f.breakpoints
-    cum = f._cumulative_polys()
-    mass = cum[-1](bps[-1])
+    cum, mass = f._cumulative_polys()
     if mass == 0:
         return PiecewisePoly.zero()
     if theta == 0:

