@@ -120,14 +120,14 @@ def _deformed_exp_mp(theta, z, order: int, dps: int):
         return sum(_deformed_exp_terms(mp.mpf(theta), mp.mpf(z), order))
 
 
-def _E_neg(theta: float, z: float, tol: float = 1e-13) -> float:
+def _E_neg(theta: float, z: float) -> float:
     """E(theta, -z), the function whose positive roots are scanned."""
-    return deformed_exp(theta, -z, tol)
+    return deformed_exp(theta, -z, 1e-13)
 
 
-def _E_neg_deriv(theta: float, z: float, tol: float = 1e-13) -> float:
+def _E_neg_deriv(theta: float, z: float) -> float:
     """d/dz E(theta, -z) = -E(theta, -theta z)."""
-    return -deformed_exp(theta, -theta * z, tol)
+    return -deformed_exp(theta, -theta * z, 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def _bisect_then_polish(theta: float, lo: float, hi: float) -> RootResult:
         step = _E_neg(theta, root) / deriv
         if abs(step) < (hi - lo) + 1e-9 * max(1.0, root):
             root -= step
-    value = _E_neg(theta, root, tol=1e-15)
+    value = deformed_exp(theta, -root, 1e-15)
     deriv = _E_neg_deriv(theta, root)
     if deriv != 0.0:
         residual = abs(value / deriv) / max(abs(root), 1.0)
@@ -263,9 +263,9 @@ class RateBundle:
     z_root: float
     lam: float | None = None  # 2(1-theta) z_theta, drift in [-1, 1/2]
     mu: float | None = None  # 2(1-theta) z_{1/theta}, drift < -1
-    ell: float | None = None  # limit of p_n, drift > 1
+    ell: float | None = None  # limit of p_n, drift >= 2
     nu: float | None = None  # rate of p_n - ell, drift >= 2
-    kappa_estimate: float | None = None  # empirical decay exponent, drift > 1
+    kappa_estimate: float | None = None  # empirical decay exponent, drift >= 2
     c_estimate: float | None = None  # fitted constant for drift < -1
     c_rel_drift: float | None = None  # stabilization diagnostic of the fit
     root_residual: float | None = None  # residual of the root behind lam or mu
@@ -305,7 +305,7 @@ def decay_rate(theta: float | Fraction) -> RateBundle:
             c_rel_drift=drift,
             root_residual=root.residual,
         )
-    raise DomainError("no decay-rate formula for drift in (1/2, 1]; use the limit routines for drift > 1")
+    raise DomainError("no decay-rate formula for drift above 1/2; the limit routines cover drift >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -359,60 +359,55 @@ def ell_expansion(theta: float, kmax: int = 9) -> float:
     return float(sum(float(c) / theta**k for k, c in enumerate(coeffs)))
 
 
-def ell_with_tail(theta, tol: float = 1e-10, nmax: int = 400) -> tuple[float, Fraction, float, int]:
-    """(ell, partial_sum, tail_bound, N): ell = 1/sum p_n(1/theta), drift > 1.
+def _refuse_window_limit(theta) -> None:
+    """DomainError for a drift in (1, 2).
+
+    There r = 1/theta lies in (1/2, 1), where p_n(r) >= p_n(1/2) (p_n grows
+    with the drift on theta >= 0) and p_n/p_(n-1) >= P[X >= 0] = 1/2, so
+    the geometric tail after n terms is at least p_n(1/2) and tail/acc^2
+    stays above p_16(1/2)/17^2 = 4.0e-6 for n <= 16, far above any
+    tolerance asked for; a longer prefix at r is an oracle chain whose
+    pieces grow exponentially.
+    """
+    if theta < 2:
+        raise DomainError(
+            f"drift {float(theta):g} is in (1, 2), where exact terms cannot bound the limit's tail;"
+            " the limit is computed for drift >= 2"
+        )
+
+
+def ell_with_tail(theta, tol: float = 1e-10) -> tuple[float, Fraction, float, int]:
+    """(ell, partial_sum, tail_bound, N): ell = 1/sum p_n(1/theta), drift >= 2.
 
     Exact rational terms p_n(1/theta) from the persistence layer are
     accumulated until the geometric tail estimate moves the limit by less
-    than tol.  For drift >= 2 every horizon has a closed form, read one at a
-    time, and the tail ratio comes from the root-based rate of p_n(1/theta);
-    in (1, 2) only a short exact prefix is affordable and the empirical
-    ratio of consecutive terms is used.
+    than tol.  At r = 1/theta <= 1/2 every horizon has a closed form, read
+    one at a time, and the tail ratio is 1/lambda(r) from the root-based
+    rate of p_n(r).
     """
     if theta <= 1:
         raise DomainError("the limit is zero for drift <= 1; positive only above 1")
+    _refuse_window_limit(theta)
     r = 1 / Fraction(theta)
-    ratio_analytic = None
-    if r <= Fraction(1, 2):
-        # r + r^2 + ... < 1, so every horizon is DIRECT: one closed form each
-        ratio_analytic = 1.0 / decay_rate(r).lam
-        cap = nmax
-
-        def term_at(n: int) -> Fraction:
-            return persistence_closed_form(PersistenceQuery(n, r))
-
-    else:
-        cap = min(nmax, 16)
-        prefix = persistence_prefix(cap, r)
-
-        def term_at(n: int) -> Fraction:
-            return prefix[n]
-
-    terms: list[Fraction] = []
+    ratio = 1.0 / decay_rate(r).lam
     acc = Fraction(0)
-    n = 0
-    while True:
-        if n > cap:
-            raise DomainError(
-                f"tail below {tol} not reachable within {cap} exact terms for drift {float(theta)}"
-            )
-        term = term_at(n)
+    cap = 400
+    # r + r^2 + ... < 1, so every horizon is DIRECT: one closed form each
+    for n in range(cap + 1):
+        term = persistence_closed_form(PersistenceQuery(n, r))
         acc += term
-        terms.append(term)
         if n >= 2:
-            ratio = ratio_analytic if ratio_analytic is not None else float(terms[-1] / terms[-2])
-            if 0.0 < ratio < 1.0:
-                tail = float(terms[-1]) * ratio / (1.0 - ratio)
-                if tail / float(acc) ** 2 < tol:
-                    ell = 1.0 / (float(acc) + tail)
-                    if not 0.0 < ell <= 0.5 + 1e-12:
-                        raise InvariantError(f"limit {ell} escapes (0, 1/2] at drift {float(theta)}")
-                    return ell, acc, tail, n
-        n += 1
+            tail = float(term) * ratio / (1.0 - ratio)
+            if tail / float(acc) ** 2 < tol:
+                ell = 1.0 / (float(acc) + tail)
+                if not 0.0 < ell <= 0.5 + 1e-12:
+                    raise InvariantError(f"limit {ell} escapes (0, 1/2] at drift {float(theta)}")
+                return ell, acc, tail, n
+    raise DomainError(f"tail below {tol} not reachable within {cap} exact terms for drift {float(theta)}")
 
 
 def limit_ell(theta: float, tol: float = 1e-10) -> float:
-    """lim p_n(theta) = 1/sum_{n>=0} p_n(1/theta) for drift > 1."""
+    """lim p_n(theta) = 1/sum_{n>=0} p_n(1/theta) for drift >= 2."""
     return ell_with_tail(theta, tol)[0]
 
 
@@ -500,9 +495,7 @@ def rate_bundle(theta: float | Fraction) -> RateBundle:
         return decay_rate(theta)
     if theta <= 1:
         raise DomainError("no rate formula for drift in (1/2, 1]")
-    if theta < 2:
-        ell, _, _, _ = ell_with_tail(theta, 1e-8)
-        return RateBundle(theta=t, z_root=float("nan"), ell=ell)
+    _refuse_window_limit(theta)
     res = nu_root(t)  # refuses a drift too large for its roots before any exact term is summed
     ell, _, _, _ = ell_with_tail(theta, 1e-12)
     zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / t))  # recover a_1(1/theta)
@@ -521,12 +514,12 @@ def rate_bundle(theta: float | Fraction) -> RateBundle:
 # ---------------------------------------------------------------------------
 
 
-def qpochhammer(x, q: float, tol: float = 1e-14):
+def qpochhammer(x, q: float):
     """(x; q)_inf = prod_{n>=0} (1 - x q^n), truncated with a factor bound.
 
-    Stops once the next factor differs from 1 by less than tol divided by
+    Stops once the next factor differs from 1 by less than 1e-14 divided by
     the number of factors so far, keeping the multiplicative error below
-    roughly tol.
+    roughly 1e-14.
     """
     if not 0.0 <= q < 1.0:
         raise DomainError("q must lie in [0, 1)")
@@ -538,14 +531,14 @@ def qpochhammer(x, q: float, tol: float = 1e-14):
         acc *= factor
         n += 1
         qn *= q
-        if abs(x) * qn < tol / (n + 1):
+        if abs(x) * qn < 1e-14 / (n + 1):
             break
         if n > 100000:
             raise RuntimeError("q-product did not converge")
     return acc
 
 
-def qseries_biexp(theta: float, z, tol: float = 1e-12):
+def qseries_biexp(theta: float, z):
     """Generating function sum p_n(theta) z^n for biexponential innovations.
 
     Uses the q-product form with q = theta^2 for theta in (0,1) and
@@ -558,18 +551,16 @@ def qseries_biexp(theta: float, z, tol: float = 1e-12):
         raise DomainError("drift 1 is the random-walk case: sum p_n z^n = (1-z)^(-1/2)")
     if theta < 1.0:
         q = theta * theta
-        num = qpochhammer(theta * z, q, tol) + qpochhammer(q * z, q, tol)
-        den = qpochhammer(z, q, tol) + qpochhammer(theta * z, q, tol)
+        num = qpochhammer(theta * z, q) + qpochhammer(q * z, q)
+        den = qpochhammer(z, q) + qpochhammer(theta * z, q)
         return num / den
     q = theta**-2
-    num = qpochhammer(z, q, tol) + qpochhammer(z / theta, q, tol)
-    den = (1.0 - z) * (qpochhammer(z / theta, q, tol) + qpochhammer(z / theta**2, q, tol))
+    num = qpochhammer(z, q) + qpochhammer(z / theta, q)
+    den = (1.0 - z) * (qpochhammer(z / theta, q) + qpochhammer(z / theta**2, q))
     return num / den
 
 
-def qseries_biexp_coeffs(
-    theta: float, nmax: int, tol: float = 1e-14, radius: float = 0.5, npoints: int = 128
-) -> list[float]:
+def qseries_biexp_coeffs(theta: float, nmax: int, radius: float = 0.5, npoints: int = 128) -> list[float]:
     """Taylor coefficients p_0..p_nmax of the q-product generating function.
 
     Extracted by averaging the product form over a circle of the given
@@ -581,7 +572,7 @@ def qseries_biexp_coeffs(
     samples = []
     for j in range(npoints):
         zj = radius * cmath.exp(2j * cmath.pi * j / npoints)
-        samples.append(qseries_biexp(theta, zj, tol))
+        samples.append(qseries_biexp(theta, zj))
     out = []
     for n in range(nmax + 1):
         acc = 0.0 + 0.0j
@@ -607,7 +598,7 @@ def biexp_persistence_nonpositive(theta, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def tutte_poisson_pmf(t: float, theta: float, n: int, tol: float = 1e-12) -> float:
+def tutte_poisson_pmf(t: float, theta: float, n: int) -> float:
     """P[X(t) = n] = e^(-t mbar) T_n(t, theta)/n! for the jump process on N.
 
     Defined for drift theta in [-2, -1), where the total jump mass
@@ -621,7 +612,7 @@ def tutte_poisson_pmf(t: float, theta: float, n: int, tol: float = 1e-12) -> flo
     if n < 0:
         raise DomainError("count must be nonnegative")
     x = theta + 1.0
-    mbar = theta * math.log(deformed_exp(x, 1.0 / theta, tol))
+    mbar = theta * math.log(deformed_exp(x, 1.0 / theta, 1e-12))
     if n == 0:
         return math.exp(-t * mbar)
     jv = scalar_j(x, 1, None, n)  # x in [-1, 0): stable in floats

@@ -249,7 +249,7 @@ def _cmd_volume(args) -> int:
     spec = mc.PolytopeSpec(args.kind, args.n, q=q, t=t)
     target = mc.polytope_exact_target(spec)
     est = mc.polytope_volume_mc(spec, args.trials, args.seed)
-    sigma = (est.ci_high - est.ci_low) / (2 * 1.959963984540054)
+    sigma = (est.ci_high - est.ci_low) / (2 * mc.Z95)
     payload = {
         "kind": spec.kind,
         "n": spec.n,

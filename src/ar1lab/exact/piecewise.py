@@ -91,8 +91,9 @@ class PiecewisePoly:
             acc = Fraction(0)
             for (lo, hi), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
                 anti = p.antiderivative()
-                out.append(anti - anti(lo) + acc)
-                acc += anti(hi) - anti(lo)
+                cum = anti + (acc - anti(lo))
+                out.append(cum)
+                acc = cum(hi)
             object.__setattr__(self, "_cumulative", (tuple(out), acc))
         return self._cumulative
 
@@ -147,6 +148,12 @@ def _canonicalize(bps: Sequence[Fraction], pcs: Sequence[Polynomial]):
     return tuple(mb[lo : hi + 1]), tuple(mp[lo:hi])
 
 
+def cell_ends(breakpoints: Iterable[Fraction], theta: Fraction, a: Fraction, b: Fraction) -> set[Fraction]:
+    """Where one pushforward cuts [0, inf) besides 0: every theta*c - a and
+    theta*c + b above 0, c over the input's breakpoints."""
+    return {y for tc in (theta * c for c in breakpoints) for y in (tc - a, tc + b) if y > 0}
+
+
 def piecewise_pushforward(f: PiecewisePoly, theta, a, b) -> PiecewisePoly:
     """One AR(1) step: density of (theta*Y + X)+ killed below 0.
 
@@ -166,7 +173,7 @@ def piecewise_pushforward(f: PiecewisePoly, theta, a, b) -> PiecewisePoly:
         return PiecewisePoly.constant(0, b, mass / (a + b))
     inv = 1 / theta
     upper, lower = (a, -b) if theta > 0 else (-b, a)
-    ends = {y for tc in (theta * c for c in bps) for y in (tc - a, tc + b) if y > 0}
+    ends = cell_ends(bps, theta, a, b)
     if not ends:
         return PiecewisePoly.zero()
     cells = [Fraction(0)] + sorted(ends)

@@ -76,10 +76,10 @@ class Polynomial:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, power: int, c=1) -> "Polynomial":
+    def monomial(cls, power: int) -> "Polynomial":
         if power < 0:
             raise ValueError("monomial power must be >= 0")
-        return cls((0,) * power + (c,))
+        return cls((0,) * power + (1,))
 
     @classmethod
     def geometric(cls, nterms: int) -> "Polynomial":

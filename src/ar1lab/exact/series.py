@@ -30,12 +30,10 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Iterable, order: int | None = None):
+    def __init__(self, coeffs: Iterable, order: int):
         cs = list(coeffs)
         if not cs:
             raise ValueError("need at least one coefficient to fix the ring")
-        if order is None:
-            order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
         zero = cs[0] * 0
@@ -90,9 +88,7 @@ class TruncatedSeries:
     def __hash__(self):
         return hash(("TruncatedSeries", self.coeffs))
 
-    def agrees_with(self, other: "TruncatedSeries", order: int | None = None) -> bool:
-        if order is None:
-            order = min(self.order, other.order)
+    def agrees_with(self, other: "TruncatedSeries", order: int) -> bool:
         return all(self.coeffs[n] == other.coeffs[n] for n in range(order + 1))
 
     def __repr__(self) -> str:

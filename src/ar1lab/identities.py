@@ -144,16 +144,21 @@ def check_tutte_diagonal(nmax: int) -> tuple[bool, str]:
     return True, f"T_K(1,theta)=J, n<={nmax}"
 
 
+def _oracle_vs_closed_forms(cases, nmax: int, detail: str) -> tuple[bool, str]:
+    """Each (theta, a, b) case's oracle masses p_0..p_nmax against its closed forms."""
+    for th, a, b in cases:
+        masses = pers.oracle_masses(pers.PersistenceQuery(nmax, th, a, b))
+        for n in range(nmax + 1):
+            if pers.persistence_closed_form(pers.PersistenceQuery(n, th, a, b)) != masses[n]:
+                support = "" if a == b == 1 else f"(a,b)=({a},{b}), "
+                return False, f"{support}theta={th}, n={n}"
+    return True, detail
+
+
 def check_oracle_vs_closed_form(nmax: int) -> tuple[bool, str]:
     thetas = [Fraction(-3), Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
               Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
-    for th in thetas:
-        masses = pers.oracle_masses(pers.PersistenceQuery(nmax, th))
-        for n in range(nmax + 1):
-            cf = pers.persistence_closed_form(pers.PersistenceQuery(n, th))
-            if cf != masses[n]:
-                return False, f"theta={th}, n={n}"
-    return True, f"{len(thetas)} drifts, n<={nmax}"
+    return _oracle_vs_closed_forms([(th, 1, 1) for th in thetas], nmax, f"{len(thetas)} drifts, n<={nmax}")
 
 
 def check_fibonacci_window() -> tuple[bool, str]:
@@ -232,14 +237,9 @@ def check_hitting_law(nmax: int) -> tuple[bool, str]:
 
 
 def check_asymmetric_uniform(nmax: int) -> tuple[bool, str]:
-    for a, b in ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3))):
-        for th in (Fraction(-2), Fraction(-1), Fraction(1, 4)):
-            masses = pers.oracle_masses(pers.PersistenceQuery(nmax, th, a, b))
-            for n in range(nmax + 1):
-                cf = pers.persistence_closed_form(pers.PersistenceQuery(n, th, a, b))
-                if cf != masses[n]:
-                    return False, f"(a,b)=({a},{b}), theta={th}, n={n}"
-    return True, f"two supports, three drifts, n<={nmax}"
+    cases = [(th, a, b) for a, b in ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)))
+             for th in (Fraction(-2), Fraction(-1), Fraction(1, 4))]
+    return _oracle_vs_closed_forms(cases, nmax, f"two supports, three drifts, n<={nmax}")
 
 
 def check_coefficient_stability(nmax: int) -> tuple[bool, str]:

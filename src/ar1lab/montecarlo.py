@@ -23,6 +23,7 @@ from ar1lab.families import mallows_riordan, tutte_modified_eval, zigzag
 from ar1lab.persistence import persistence_exact
 
 BLOCK_SIZE = 1 << 15
+Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +122,11 @@ class MCEstimate:
         return self.ci_low <= target <= self.ci_high
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Score interval for a binomial proportion; robust near 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% score interval for a binomial proportion; robust near 0 and 1."""
     if trials < 1:
         raise DomainError("need at least one trial")
+    z = Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -206,7 +208,7 @@ def estimate_persistence(
 
 
 def survival_indicators(
-    thetas: list[float], law: InnovationLaw, n: int, trials: int, seed: int, stream: int = 0
+    thetas: list[float], law: InnovationLaw, n: int, trials: int, seed: int
 ) -> dict[float, np.ndarray]:
     """Per-path survival indicators under common random innovations.
 
@@ -215,7 +217,7 @@ def survival_indicators(
     """
     out = {th: [] for th in thetas}
     for block, rows in _blocks(trials):
-        x = _draw_block(law.sample, seed, stream, block, rows, n)
+        x = _draw_block(law.sample, seed, 0, block, rows, n)
         for th in thetas:
             out[th].append(_alive(th, x))
     return {th: np.concatenate(parts) for th, parts in out.items()}
@@ -264,14 +266,13 @@ def mc_identity_check(
     n_max: int,
     trials: int,
     seed: int,
-    z_flag: float = 4.0,
 ) -> IdentityCheckReport:
     """Estimate both drift families and test the inversion factorizations.
 
     For theta < 0 the alternating sum over p_k(theta) p_{n-k}(1/theta) is
     compared to 0 (or to its atomic-law value for the counterexample law);
     for theta > 0 the plain sum is compared to 1.  Every estimate uses its
-    own substream; residuals are flagged beyond z_flag propagated standard
+    own substream; residuals are flagged beyond 4 propagated standard
     errors.
     """
     if theta == 0.0:
@@ -313,7 +314,7 @@ def mc_identity_check(
         report.residuals.append(resid)
         report.sigmas.append(sigma)
         report.z_scores.append(zval)
-        if abs(zval) > z_flag:
+        if abs(zval) > 4.0:
             report.flagged.append(n)
     return report
 
@@ -409,9 +410,7 @@ def _membership(spec: PolytopeSpec, pts: np.ndarray) -> np.ndarray:
     return ok
 
 
-def polytope_volume_mc(
-    spec: PolytopeSpec, trials: int, seed: int, stream: int = 0
-) -> MCEstimate:
+def polytope_volume_mc(spec: PolytopeSpec, trials: int, seed: int) -> MCEstimate:
     """Hit-or-miss volume estimate over the exact bounding box."""
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -425,7 +424,7 @@ def polytope_volume_mc(
         box_volume *= w
     hits = 0
     for block, rows in _blocks(trials):
-        u = _draw_block(Generator.random, seed, stream, block, rows, spec.n)
+        u = _draw_block(Generator.random, seed, 0, block, rows, spec.n)
         pts = u * np.array(widths) + np.array(los)
         hits += int(_membership(spec, pts).sum())
     return _make_estimate(hits, trials, seed).scaled(box_volume)

@@ -25,7 +25,7 @@ from math import factorial
 from typing import Iterator
 
 from ar1lab.errors import DomainError, InvariantError, NoClosedFormError
-from ar1lab.exact.piecewise import PiecewisePoly, piecewise_pushforward
+from ar1lab.exact.piecewise import PiecewisePoly, cell_ends, piecewise_pushforward
 from ar1lab.families import scalar_families
 
 
@@ -174,14 +174,14 @@ def _piece_counts(query: PersistenceQuery) -> Iterator[int]:
     """Piece counts of the oracle chain's densities f_1, f_2, ..., predicted
     from breakpoints alone.
 
-    f_1 lives on {0, b}; a pushforward cuts [0, inf) at 0 and at every
-    theta*c - a and theta*c + b above 0, c over the input's breakpoints.
+    f_1 lives on {0, b}; a pushforward cuts [0, inf) at 0 and at the
+    ``cell_ends`` of the input's breakpoints, the rule the kernel itself uses.
     """
     th, a, b = query.theta, query.a, query.b
     ends = {Fraction(0), b}
     while True:
         yield len(ends) - 1
-        ends = {Fraction(0)} | {y for c in ends for y in (th * c - a, th * c + b) if y > 0}
+        ends = {Fraction(0)} | cell_ends(ends, th, a, b)
 
 
 def _reflected_is_cheaper(query: PersistenceQuery, reflected: PersistenceQuery) -> bool:

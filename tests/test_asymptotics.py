@@ -239,8 +239,33 @@ class TestLimit:
         assert partial == sum(persistence_prefix(n, 1 / F(theta)))
 
     def test_window_limit_refuses_past_the_exact_prefix(self):
-        with pytest.raises(DomainError, match="within 6 exact terms"):
-            asym.ell_with_tail(1.5, 1e-8, nmax=6)
+        # in (1, 2) no affordable exact prefix bounds the tail (next tests), so it refuses up front
+        with pytest.raises(DomainError, match=r"^drift 1.5 is in \(1, 2\)"):
+            asym.ell_with_tail(1.5, 1e-8)
+
+    @pytest.mark.parametrize("theta", [F(11, 10), F(5, 4), F(3, 2), F(199, 100)])
+    def test_window_drifts_refuse_before_any_exact_term_or_root_scan(self, monkeypatch, theta):
+        def refused(*args, **kwargs):
+            raise AssertionError("computed before the refusal")
+
+        for name in ("persistence_prefix", "persistence_closed_form", "decay_rate", "nu_root"):
+            monkeypatch.setattr(asym, name, refused)
+        for limit in (asym.rate_bundle, asym.ell_with_tail, asym.limit_ell):
+            with pytest.raises(DomainError, match=rf"^drift {float(theta):g} is in \(1, 2\)"):
+                limit(theta)
+
+    def test_no_window_prefix_reaches_the_tolerance_rates_asks_for(self):
+        # At r = 1/theta in (1/2, 1): p_n(r) >= p_n(1/2) (coupling) and p_n/p_(n-1) >= 1/2,
+        # so the tail estimate p_n(r) ratio/(1 - ratio) is at least p_n(1/2), while the
+        # partial sum of n + 1 <= 17 terms is at most 17.
+        p = persistence_prefix(16, F(1, 2))
+        for r in (F(2, 3), F(4, 5)):
+            q = persistence_prefix(8, r)
+            assert all(q[n] >= p[n] and 2 * q[n] >= q[n - 1] for n in range(1, 9))
+        assert all(2 * p[n] >= p[n - 1] for n in range(1, 17))
+        bound = min(p[2:]) / 17**2
+        assert bound == p[16] / 17**2
+        assert bound >= 4e-6 > 1e-8  # rates asks for 1e-8, limit_ell for 1e-10
 
 
 class TestNuRoot:

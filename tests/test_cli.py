@@ -30,6 +30,57 @@ def test_poly_json(capsys):
     assert records[2] == {"family": "J", "n": 3, "coefficients": ["2", "1"]}
 
 
+def _polynomial(strings) -> Polynomial:
+    return Polynomial(parse_rational(c) for c in strings)
+
+
+def test_poly_default_csv_reads_back_as_the_family(capsys):
+    rc, out = run_cli(capsys, ["poly", "--nmax", "5"])
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["family"], int(r["n"])) for r in rows] == [("J", n) for n in range(1, 6)]
+    for n, row in enumerate(rows, start=1):
+        assert _polynomial(json.loads(row["coefficients"])) == fam.mallows_riordan(n)
+
+
+@pytest.mark.parametrize("family, poly", [("Jt", fam.j_tilde), ("Jh", fam.j_hat)])
+def test_poly_inverse_families_read_back(capsys, family, poly):
+    rc, out = run_cli(capsys, ["poly", "--family", family, "--nmax", "6", "--format", "json"])
+    assert rc == 0
+    records = json.loads(out)
+    assert [(r["family"], r["n"]) for r in records] == [(family, n) for n in range(1, 7)]
+    for r in records:
+        assert _polynomial(r["coefficients"]) == poly(r["n"])
+
+
+def test_persist_json_reads_back_as_exact_rationals(capsys):
+    rc, out = run_cli(capsys, ["persist", "--nmax", "4", "--theta", "4/5", "--theta", "-2", "--format", "json"])
+    assert rc == 0
+    rows = json.loads(out)
+    assert len(rows) == 10
+    for row in rows:
+        p = parse_rational(row["p_exact"])
+        assert p == persistence_exact(row["n"], parse_rational(row["theta"]))
+        assert row["p_float"] == repr(float(p))
+    assert rows[3]["region_tag"] == "fibonacci-window"
+    assert rows[3]["p_exact"] == "4181/15360"
+    assert rows[9]["region_tag"] == "inverse-negative"
+
+
+def test_rates_json_carries_the_csv_values(capsys):
+    argv = ["rates", "--theta", "-1", "--theta", "4"]
+    rc, out = run_cli(capsys, argv)
+    assert rc == 0
+    rc, js = run_cli(capsys, argv + ["--format", "json"])
+    assert rc == 0
+    records = json.loads(js)
+    for row, rec in zip(csv.DictReader(io.StringIO(out)), records, strict=True):
+        assert rec["residuals"] == json.loads(row.pop("residuals"))
+        assert {k: "" if v is None else repr(v) for k, v in rec.items() if k != "residuals"} == row
+    assert set(records[0]["residuals"]) == {"root"} and records[1]["residuals"] == {}
+    assert records[1]["ell"] == pytest.approx(0.4638172846823155, abs=1e-12)
+
+
 def test_poly_tutte_nested(capsys):
     rc, out = run_cli(capsys, ["poly", "--family", "tutte", "--nmax", "3", "--format", "json"])
     assert rc == 0
@@ -106,6 +157,15 @@ def test_drift_without_a_float_exits_2_naming_it(capsys, argv):
     rc = main(argv.split())
     assert rc == 2
     assert capsys.readouterr().err == "error: drift 1.0e+400 has no float value\n"
+
+
+@pytest.mark.parametrize("theta", ["11/10", "5/4", "3/2", "199/100"])
+def test_rates_between_one_and_two_exits_2_naming_the_drift(capsys, theta):
+    rc = main(["rates", "--theta", theta])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: drift {float(parse_rational(theta)):g} is in (1, 2), ")
+    assert err.count("\n") == 1
 
 
 def test_rates_fits_c_where_mu_to_the_n_overflows(capsys):
