@@ -8,7 +8,7 @@ class DomainError(ValueError):
 
 
 class NonInvertibleError(DomainError):
-    """A truncated series with zero constant term cannot be inverted."""
+    """A truncated series with zero constant term cannot divide another, or be inverted."""
 
 
 class NoClosedFormError(DomainError):

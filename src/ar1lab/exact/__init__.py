@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: rationals, polynomials, series, densities."""
 
 from ar1lab.exact.rational import format_rational, parse_rational
-from ar1lab.exact.polynomial import LaurentPoly, Polynomial
+from ar1lab.exact.polynomial import Polynomial
 from ar1lab.exact.series import TruncatedSeries, cos_series, sin_series
 from ar1lab.exact.piecewise import PiecewisePoly, piecewise_pushforward
 
@@ -9,7 +9,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "Polynomial",
-    "LaurentPoly",
     "TruncatedSeries",
     "sin_series",
     "cos_series",

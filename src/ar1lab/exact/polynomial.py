@@ -1,9 +1,7 @@
 """Dense univariate polynomials over exact rationals.
 
 ``Polynomial`` stores coefficients in ascending degree with no trailing
-zeros, so equality of values is equality of representations.  ``LaurentPoly``
-adds a power-of-the-variable offset (possibly negative); it is needed when
-ratio-form generating functions put powers of the parameter in denominators.
+zeros, so equality of values is equality of representations.
 """
 
 from __future__ import annotations
@@ -117,7 +115,10 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Polynomial", self.coeffs))
+        # a polynomial of degree <= 0 equals its constant, so it hashes as one
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -179,10 +180,13 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, _Scalar):
+    def __truediv__(self, other):
+        """Division by a scalar, or ``divexact`` by a polynomial."""
+        if isinstance(other, Polynomial):
+            return self.divexact(other)
+        if not isinstance(other, _Scalar):
             return NotImplemented
-        return Polynomial(tuple(c / scalar for c in self.coeffs))
+        return Polynomial(tuple(c / other for c in self.coeffs))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -195,11 +199,6 @@ class Polynomial:
             base = base * base
             n >>= 1
         return result
-
-    def multiplicative_inverse(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial.constant(1 / self.coeffs[0])
-        raise ZeroDivisionError("only nonzero constants are invertible")
 
     # -- calculus -----------------------------------------------------
     def derivative(self) -> "Polynomial":
@@ -256,13 +255,15 @@ class Polynomial:
             if all(c == 0 for c in rem):
                 return Polynomial.zero()
             raise ValueError("inexact polynomial division")
+        # only the divisor's nonzero terms: dividing by th^s is then a shift
+        terms = [(j, c) for j, c in enumerate(dc) if c]
         qt = [Fraction(0)] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
             q = rem[k] / lead
             qt[k - dd] = q
             if q != 0:
-                for j in range(dd + 1):
-                    rem[k - dd + j] -= q * dc[j]
+                for j, c in terms:
+                    rem[k - dd + j] -= q * c
         if any(c != 0 for c in rem):
             raise ValueError("inexact polynomial division")
         return Polynomial(qt)
@@ -275,106 +276,3 @@ class Polynomial:
     def from_strings(cls, items: Sequence[str]) -> "Polynomial":
         return cls(tuple(parse_rational(s) for s in items))
 
-
-class LaurentPoly:
-    """A polynomial times an integer (possibly negative) power of the variable.
-
-    Canonical form: the carried polynomial has nonzero constant term unless
-    the whole value is zero.
-    """
-
-    __slots__ = ("poly", "offset")
-
-    def __init__(self, poly: Polynomial, offset: int = 0):
-        if poly.is_zero():
-            offset = 0
-        else:
-            v = poly.valuation
-            if v:
-                poly = Polynomial(poly.coeffs[v:])
-                offset += v
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "offset", offset)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("LaurentPoly is immutable")
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "LaurentPoly":
-        return cls(p, 0)
-
-    @classmethod
-    def monomial(cls, power: int, c=1) -> "LaurentPoly":
-        return cls(Polynomial.constant(c), power)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Scalar):
-            other = LaurentPoly(Polynomial.constant(other))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.poly == other.poly and (self.is_zero() or self.offset == other.offset)
-
-    def __hash__(self):
-        return hash(("LaurentPoly", self.poly.coeffs, self.offset))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.poly!r}, offset={self.offset})"
-
-    def __add__(self, other):
-        if isinstance(other, _Scalar):
-            other = LaurentPoly(Polynomial.constant(other))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        off = min(self.offset, other.offset)
-        a = Polynomial.monomial(self.offset - off) * self.poly
-        b = Polynomial.monomial(other.offset - off) * other.poly
-        return LaurentPoly(a + b, off)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(-self.poly, self.offset)
-
-    def __sub__(self, other):
-        if isinstance(other, _Scalar):
-            other = LaurentPoly(Polynomial.constant(other))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, _Scalar):
-            return LaurentPoly(self.poly * other, self.offset)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly(self.poly * other.poly, self.offset + other.offset)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, _Scalar):
-            return NotImplemented
-        return LaurentPoly(self.poly / scalar, self.offset)
-
-    def multiplicative_inverse(self) -> "LaurentPoly":
-        if self.poly.degree == 0:
-            return LaurentPoly(Polynomial.constant(1 / self.poly.coeffs[0]), -self.offset)
-        raise ZeroDivisionError("only monomials are invertible in the Laurent ring")
-
-    def to_polynomial(self) -> Polynomial:
-        """Convert back to a plain polynomial; fails on true negative powers."""
-        if self.is_zero():
-            return Polynomial.zero()
-        if self.offset < 0:
-            raise ValueError("value has negative powers of the variable")
-        return Polynomial.monomial(self.offset) * self.poly

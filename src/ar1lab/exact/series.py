@@ -1,10 +1,14 @@
 """Truncated formal power series with exact coefficients.
 
 Coefficients live in any exact commutative ring that supports ``+``, ``-``,
-``*``, division by integers, and scalar mixing with ``int``/``Fraction``:
-in practice ``Fraction``, ``Polynomial`` or ``LaurentPoly``.  All operations
-propagate exactly up to the stored order; products and quotients of series
-of different orders are truncated to the smaller order.
+``*``, division by integers, exact division by its own elements, and scalar
+mixing with ``int``/``Fraction``: in practice ``Fraction`` or ``Polynomial``
+(whose ``/`` is ``divexact``), not ``int`` (whose ``/`` is a float).  All
+operations propagate exactly up to the stored order; products and quotients
+of series of different orders are truncated to the smaller order.  A
+quotient needs the divisor's constant term to divide every coefficient it
+meets, not to be a unit: over polynomials, a ratio of two series that share
+a factor th^s divides exactly.
 
 Coefficients are stored against the plain basis z^n.  Exponential generating
 functions are handled through the ``from_egf`` / ``egf_coefficient``
@@ -127,22 +131,29 @@ class TruncatedSeries:
                 out[i + j] = out[i + j] + ci * other.coeffs[j]
         return TruncatedSeries(out, order)
 
+    def __truediv__(self, other):
+        """The series q with q * other = self up to the smaller order.
+
+        q_n = (a_n - sum_{k>=1} b_k q_{n-k}) / b_0, each division exact in
+        the coefficient ring; raises ``NonInvertibleError`` when b_0 is zero.
+        """
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        b0 = other.coeffs[0]
+        if _is_zero_coeff(b0):
+            raise NonInvertibleError("constant term of the divisor is zero")
+        order = min(self.order, other.order)
+        out = []
+        for n in range(order + 1):
+            acc = self.coeffs[n]
+            for k in range(1, n + 1):
+                acc = acc - other.coeffs[k] * out[n - k]
+            out.append(acc / b0)
+        return TruncatedSeries(out, order)
+
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse: returns t with self*t = 1 up to order N."""
-        c0 = self.coeffs[0]
-        if _is_zero_coeff(c0):
-            raise NonInvertibleError("constant term is zero; series is not a unit")
-        if isinstance(c0, Fraction) or isinstance(c0, int):
-            inv0 = Fraction(1) / c0
-        else:
-            inv0 = c0.multiplicative_inverse()
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = self._zero
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-(inv0 * acc))
-        return TruncatedSeries(out, self.order)
+        return TruncatedSeries([self._one], self.order) / self
 
     def log(self) -> "TruncatedSeries":
         """Series logarithm; requires constant term equal to 1."""

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from ar1lab.errors import InvariantError
-from ar1lab.exact.polynomial import LaurentPoly, Polynomial
+from ar1lab.exact.polynomial import Polynomial
 from ar1lab.exact.series import TruncatedSeries, cos_series, sin_series
 
 _LOCK = threading.RLock()
@@ -69,42 +69,39 @@ def _j_via_log(nmax: int) -> list[Polynomial | None]:
 
 
 def _ratio_series_pair(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Numerator and denominator of the ratio form of sum J_{n+1} z^n/n!.
+    """Numerator and denominator of the ratio form of sum J_{n+1} z^n/n!, times th^s.
 
     Numerator term n>=2:   (th+...+th^(n-1))^n / th^(n(n-1)/2),
-    denominator term n>=3: (th+...+th^(n-2))^n / th^(n(n-1)/2); both are
-    Laurent polynomials since the powers of th need not clear.
+    denominator term n>=3: (th+...+th^(n-2))^n / th^(n(n-1)/2).  Both series
+    are multiplied by th^s, s = order(order-1)/2, which clears every negative
+    power of th and changes neither the ratio nor J * denominator = numerator.
     """
-    one = LaurentPoly(Polynomial.one())
-    zero = LaurentPoly(Polynomial.zero())
-    num = [one, zero]
-    den = [one, LaurentPoly(Polynomial.constant(-1)), zero]
+    s = order * (order - 1) // 2
+    scale = Polynomial.monomial(s)
+    num = [scale, Polynomial.zero()]
+    den = [scale, -scale, Polynomial.zero()]
     for n in range(2, order + 1):
-        p = Polynomial.geometric(n - 1) ** n
-        num.append(LaurentPoly(p, n - n * (n - 1) // 2) * Fraction(1, factorial(n)))
-    for n in range(3, order + 1):
-        p = Polynomial.geometric(n - 2) ** n
-        den.append(LaurentPoly(p, n - n * (n - 1) // 2) * Fraction(1, factorial(n)))
+        shift = Polynomial.monomial(s + n - n * (n - 1) // 2) * Fraction(1, factorial(n))
+        num.append(shift * Polynomial.geometric(n - 1) ** n)
+        if n >= 3:
+            den.append(shift * Polynomial.geometric(n - 2) ** n)
     return TruncatedSeries(num, order), TruncatedSeries(den, order)
 
 
 def _j_via_ratio(nmax: int) -> list[Polynomial | None]:
     order = max(nmax - 1, 0)
     num, den = _ratio_series_pair(order)
-    ratio = num * den.invert()
+    ratio = num / den
     out: list[Polynomial | None] = [None] * (nmax + 1)
     for n in range(0, nmax):
-        out[n + 1] = (ratio.coefficient(n) * factorial(n)).to_polynomial()
+        out[n + 1] = ratio.coefficient(n) * factorial(n)
     return out
 
 
 def _j_egf(order: int) -> TruncatedSeries:
-    """sum J_{n+1} z^n/n! through z^order, over the Laurent ring."""
+    """sum J_{n+1} z^n/n! through z^order."""
     j = _POLY.grow_j(order + 1)
-    return TruncatedSeries(
-        [LaurentPoly.from_polynomial(j[n + 1]) * Fraction(1, factorial(n)) for n in range(order + 1)],
-        order,
-    )
+    return TruncatedSeries([j[n + 1] * Fraction(1, factorial(n)) for n in range(order + 1)], order)
 
 
 def kreweras_recurrence_holds(nmax: int) -> bool:
@@ -117,7 +114,7 @@ def kreweras_recurrence_holds(nmax: int) -> bool:
     pair of ``_ratio_series_pair``, which is how it is checked.
     """
     num, den = _ratio_series_pair(nmax)
-    return (_j_egf(nmax) * den).agrees_with(num, nmax)
+    return (den * _j_egf(nmax)).agrees_with(num, nmax)
 
 
 def gessel_identity_holds(order: int) -> bool:
@@ -125,17 +122,19 @@ def gessel_identity_holds(order: int) -> bool:
 
     sum J_{n+1} z^n/n! = [sum (1+...+th^n)^n/th^(n(n+1)/2) z^n/n!]
                        / [sum (1+...+th^(n-1))^n/th^(n(n+1)/2) z^n/n!]
-    checked as J * denominator = numerator, coefficientwise.
+    checked as J * denominator = numerator, coefficientwise, with both sums
+    multiplied by th^s, s = order(order+1)/2, so that no power of th is negative.
     """
-    u = [LaurentPoly(Polynomial.one())]
-    v = [LaurentPoly(Polynomial.one())]
+    s = order * (order + 1) // 2
+    u = [Polynomial.monomial(s)]
+    v = [Polynomial.monomial(s)]
     for n in range(1, order + 1):
-        off = -(n * (n + 1) // 2)
-        u.append(LaurentPoly(Polynomial.geometric(n + 1) ** n, off) * Fraction(1, factorial(n)))
-        v.append(LaurentPoly(Polynomial.geometric(n) ** n, off) * Fraction(1, factorial(n)))
+        shift = Polynomial.monomial(s - n * (n + 1) // 2) * Fraction(1, factorial(n))
+        u.append(shift * Polynomial.geometric(n + 1) ** n)
+        v.append(shift * Polynomial.geometric(n) ** n)
     num = TruncatedSeries(u, order)
     den = TruncatedSeries(v, order)
-    return (_j_egf(order) * den).agrees_with(num, order)
+    return (den * _j_egf(order)).agrees_with(num, order)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def zigzag(n: int) -> int:
         if len(_ZIGZAG) <= n:
             order = max(n, 2 * len(_ZIGZAG), 8)
             one = TruncatedSeries.one(order)
-            ser = (one + sin_series(order)) * cos_series(order).invert()
+            ser = (one + sin_series(order)) / cos_series(order)
             vals = []
             for k in range(order + 1):
                 a = ser.egf_coefficient(k)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ar1lab.errors import DomainError, NonInvertibleError
 from ar1lab.exact.piecewise import PiecewisePoly, piecewise_pushforward
-from ar1lab.exact.polynomial import LaurentPoly, Polynomial
+from ar1lab.exact.polynomial import Polynomial
 from ar1lab.exact.rational import format_rational, parse_rational
 from ar1lab.exact.series import TruncatedSeries, cos_series, sin_series
 
@@ -94,8 +94,21 @@ class TestPolynomial:
     def test_divexact(self):
         p = Polynomial((-1, 0, 1))
         assert p.divexact(Polynomial((-1, 1))) == Polynomial((1, 1))
+        assert p / Polynomial((-1, 1)) == p.divexact(Polynomial((-1, 1)))
+        assert Polynomial((0, 0, 6, 3)) / Polynomial.monomial(2) == Polynomial((6, 3))
         with pytest.raises(ValueError):
             Polynomial((1, 1)).divexact(Polynomial((0, 1)))
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            Polynomial((1, 1)) / Polynomial((0, 1))
+
+    def test_hash_agrees_with_scalar_equality(self):
+        three = Polynomial.constant(3)
+        assert three == 3 and hash(three) == hash(3)
+        assert 3 in {three} and len({three, 3}) == 1
+        assert F(1, 2) in {Polynomial.constant(F(1, 2))}
+        zero = Polynomial.zero()
+        assert zero == 0 and hash(zero) == hash(0)
+        assert 0 in {zero} and len({zero, 0}) == 1
 
     def test_valuation(self):
         assert Polynomial((0, 0, 3, 1)).valuation == 2
@@ -140,28 +153,6 @@ class TestPolynomial:
         assert (p * q).divexact(q) == p
 
 
-class TestLaurent:
-    def test_normalization(self):
-        v = LaurentPoly(Polynomial((0, 0, 3)), -1)
-        assert v.offset == 1 and v.poly == Polynomial((3,))
-
-    def test_monomial_inverse(self):
-        m = LaurentPoly.monomial(-3, F(2))
-        assert m * m.multiplicative_inverse() == 1
-
-    def test_add_aligns_offsets(self):
-        a = LaurentPoly.monomial(-2)
-        b = LaurentPoly.monomial(1, 3)
-        total = a + b
-        assert total.offset == -2
-        assert total.poly == Polynomial((1, 0, 0, 3))
-
-    def test_to_polynomial_guards(self):
-        with pytest.raises(ValueError):
-            LaurentPoly.monomial(-1).to_polynomial()
-        assert LaurentPoly.monomial(2, 5).to_polynomial() == Polynomial((0, 0, 5))
-
-
 class TestTruncatedSeries:
     def test_geometric_inversion(self):
         s = TruncatedSeries([F(1), F(-1)], order=8)
@@ -174,6 +165,51 @@ class TestTruncatedSeries:
     def test_invert_requires_unit(self):
         with pytest.raises(NonInvertibleError):
             TruncatedSeries([F(0), F(1)], order=4).invert()
+
+    def test_fraction_division(self):
+        # (1 + z)/(1 - z) = 1 + 2z + 2z^2 + ...; a constant term other than 1
+        quotient = TruncatedSeries([F(1), F(1)], order=6) / TruncatedSeries([F(1), F(-1)], order=6)
+        assert quotient.coeffs == (F(1),) + (F(2),) * 6
+        halves = TruncatedSeries([F(1)], order=3) / TruncatedSeries([F(2), F(-1)], order=3)
+        assert halves.coeffs == (F(1, 2), F(1, 4), F(1, 8), F(1, 16))
+        assert (halves / halves) == TruncatedSeries.one(3)
+
+    def test_division_over_polynomials_needs_no_unit(self):
+        # the divisor's constant term th^3 is not a unit of Q[th], yet divides exactly
+        th = Polynomial.x()
+        a = TruncatedSeries([Polynomial((1, 2)), Polynomial((0, F(1, 3))), Polynomial((-1,))], order=4)
+        s = TruncatedSeries([th**3, Polynomial((0, 1, 1)), Polynomial((5,)), th], order=4)
+        assert (a * s) / s == a
+
+    def test_division_by_zero_constant_term(self):
+        with pytest.raises(NonInvertibleError):
+            TruncatedSeries([F(1)], order=4) / TruncatedSeries([F(0), F(1)], order=4)
+        with pytest.raises(NonInvertibleError):
+            TruncatedSeries.one(2) / TruncatedSeries([F(0)], order=2)
+        polys = TruncatedSeries([Polynomial.one()], order=3)
+        with pytest.raises(NonInvertibleError):
+            polys / TruncatedSeries([Polynomial.zero(), Polynomial.one()], order=3)
+
+    def test_constant_term_that_does_not_divide(self):
+        # th does not divide 1 in Q[th]: the exact division refuses
+        # (ValueError, not NonInvertibleError; inverting raised ZeroDivisionError before)
+        s = TruncatedSeries([Polynomial.x(), Polynomial.one()], order=3)
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            s.invert()
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            TruncatedSeries([Polynomial.one()], order=3) / s
+
+    @given(
+        st.lists(st.lists(small_fractions, max_size=3), min_size=1, max_size=4),
+        st.lists(st.lists(small_fractions, max_size=3), min_size=1, max_size=4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_product_quotient_round_trip(self, a, b):
+        a = TruncatedSeries([Polynomial(c) for c in a], order=3)
+        b = TruncatedSeries([Polynomial(c) for c in b], order=3)
+        if b.coefficient(0).is_zero():
+            return
+        assert (a * b) / b == a
 
     def test_exp_log_preconditions(self):
         with pytest.raises(DomainError):

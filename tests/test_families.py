@@ -10,6 +10,7 @@ import pytest
 from ar1lab import families as fam
 from ar1lab import identities
 from ar1lab.exact.polynomial import Polynomial
+from ar1lab.exact.series import TruncatedSeries
 
 PRINTED_J = {
     1: (1,),
@@ -171,6 +172,30 @@ class TestRoutes:
 
     def test_kreweras_recurrence(self):
         assert fam.kreweras_recurrence_holds(10)
+
+    def test_ratio_form_checks_fail_on_a_wrong_numerator(self, monkeypatch):
+        # N + D z^4 over D is J + z^4: the ratio route's J_5 is off by 4!
+        pair = fam._ratio_series_pair
+
+        def perturbed(order):
+            num, den = pair(order)
+            z4 = TruncatedSeries([Polynomial.zero()] * 4 + [Polynomial.one()], order)
+            return num + den * z4, den
+
+        monkeypatch.setattr(fam, "_ratio_series_pair", perturbed)
+        assert fam.route_disagreement(10) == "route disagreement for J_5"
+        assert not fam.kreweras_recurrence_holds(10)
+        assert identities.check_kreweras(10) == (False, "n<=10")
+
+    def test_gessel_ratio_fails_on_a_wrong_j(self, monkeypatch):
+        j_egf = fam._j_egf
+
+        def perturbed(order):
+            z3 = TruncatedSeries([Polynomial.zero()] * 3 + [Polynomial.one()], order)
+            return j_egf(order) + z3
+
+        monkeypatch.setattr(fam, "_j_egf", perturbed)
+        assert not fam.gessel_identity_holds(10)
 
 
 def brute_force_dichromatic(n: int) -> list[Polynomial]:
