@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--trials", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=20240901)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=mc.usable_cpus(),
+                   help="threads (default: usable CPUs; capped at CPUs and blocks; same counts at any value)")
     add_common(p, fmt=False)
     p.set_defaults(func=_cmd_simulate)
 

@@ -3,13 +3,17 @@
 Paths are laid out in fixed-size blocks; block b of an operation draws from
 a Philox counter-based stream keyed by (seed, stream id, b), so results are
 bit-identical for any worker count and any trials count, and every estimate
-inside a composite check owns an independent substream.
+inside a composite check owns an independent substream.  Blocks run on a
+thread pool of at most the usable CPU count (the draws release the GIL), and
+a law that draws twice per block takes its second draw in chunks of rows
+from the same generator, which yields the same numbers as one full draw.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -23,6 +27,7 @@ from ar1lab.families import mallows_riordan, tutte_modified_eval, zigzag
 from ar1lab.persistence import persistence_exact
 
 BLOCK_SIZE = 1 << 15
+SIGN_CHUNK = 1 << 12  # rows per chunk of the biexponential sign draw
 Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 
 
@@ -70,9 +75,13 @@ class InnovationLaw:
         if self.kind == "gaussian":
             return rng.standard_normal(shape)
         if self.kind == "biexponential":
+            # same numbers as one full sign draw, without block-sized temporaries
             mag = rng.standard_exponential(shape)
-            signs = rng.integers(0, 2, shape)
-            return np.where(signs == 1, mag, -mag)
+            for start in range(0, len(mag), SIGN_CHUNK):
+                part = mag[start : start + SIGN_CHUNK]
+                signs = rng.integers(0, 2, part.shape)
+                np.negative(part, out=part, where=signs != 1)
+            return mag
         u = rng.random(shape)
         neg = rng.standard_exponential(shape)
         return np.where(u < self.c, -neg, 0.0)
@@ -155,22 +164,57 @@ def _block_rng(seed: int, stream: int, block: int) -> Generator:
 
 
 def _draw_block(draw, seed: int, stream: int, block: int, rows: int, n: int) -> np.ndarray:
-    # the full block is drawn then cut, so a partial block draws what a full one does
+    # the full block is drawn then cut, so a partial block draws what a full one
+    # does; a law may draw in chunks of rows, as chunked draws from one generator
+    # equal the full draw bit for bit
     return draw(_block_rng(seed, stream, block), (BLOCK_SIZE, n))[:rows]
 
 
 def _alive(theta: float, x: np.ndarray) -> np.ndarray:
-    """Survival mask of the paths from Y_0 = 0 whose innovations are the rows of x."""
+    """Survival mask of the paths from Y_0 = 0 whose innovations are the rows of x.
+
+    Only living paths are updated, each by the same float operations as in a
+    full-width loop, so the mask is the same bits; the loop ends when all die.
+    """
+    idx = np.arange(len(x))
     y = np.zeros(len(x))
-    alive = np.ones(len(x), dtype=bool)
     for k in range(x.shape[1]):
-        y = theta * y + x[:, k]
-        alive &= y >= 0.0
+        y = theta * y + x[idx, k]
+        keep = y >= 0.0
+        idx, y = idx[keep], y[keep]
+        if not len(idx):
+            break
+    alive = np.zeros(len(x), dtype=bool)
+    alive[idx] = True
     return alive
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
     return [(b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE)) for b in range(-(-trials // BLOCK_SIZE))]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS reports one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_count(requested: int, blocks: int) -> int:
+    """Threads for `blocks` blocks: the request capped at the usable CPUs and the
+    block count, so no more blocks are in flight than there are cores."""
+    return max(1, min(requested, usable_cpus(), blocks))
+
+
+def _map_blocks(run, trials: int, workers: int) -> list:
+    """run((block, rows)) for every block of `trials` paths, in block order."""
+    items = _blocks(trials)
+    workers = _worker_count(workers, len(items))
+    if workers == 1:
+        return list(map(run, items))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, items))
 
 
 def estimate_persistence(
@@ -192,19 +236,15 @@ def estimate_persistence(
         raise DomainError("need at least one trial")
     if n < 0:
         raise DomainError("horizon must be >= 0")
+    if workers < 1:
+        raise DomainError("need at least one worker")
     if n == 0:
         return _make_estimate(trials, trials, seed)
 
     def run(item: tuple[int, int]) -> int:
         return int(_alive(theta, _draw_block(law.sample, seed, stream, *item, n)).sum())
 
-    items = _blocks(trials)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(run, items))
-    else:
-        successes = sum(map(run, items))
-    return _make_estimate(successes, trials, seed)
+    return _make_estimate(sum(_map_blocks(run, trials, workers)), trials, seed)
 
 
 def survival_indicators(
@@ -215,12 +255,13 @@ def survival_indicators(
     For drifts 0 <= t1 <= t2 the indicator for t1 never exceeds that for t2
     path by path, which is the exact coupling monotonicity statement.
     """
-    out = {th: [] for th in thetas}
-    for block, rows in _blocks(trials):
-        x = _draw_block(law.sample, seed, 0, block, rows, n)
-        for th in thetas:
-            out[th].append(_alive(th, x))
-    return {th: np.concatenate(parts) for th, parts in out.items()}
+
+    def run(item: tuple[int, int]) -> list[np.ndarray]:
+        x = _draw_block(law.sample, seed, 0, *item, n)
+        return [_alive(th, x) for th in thetas]
+
+    per_block = _map_blocks(run, trials, usable_cpus())
+    return {th: np.concatenate([masks[i] for masks in per_block]) for i, th in enumerate(thetas)}
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +463,12 @@ def polytope_volume_mc(spec: PolytopeSpec, trials: int, seed: int) -> MCEstimate
         if w <= 0:
             raise DomainError("degenerate bounding box")
         box_volume *= w
-    hits = 0
-    for block, rows in _blocks(trials):
-        u = _draw_block(Generator.random, seed, 0, block, rows, spec.n)
-        pts = u * np.array(widths) + np.array(los)
-        hits += int(_membership(spec, pts).sum())
+
+    def run(item: tuple[int, int]) -> int:
+        pts = _draw_block(Generator.random, seed, 0, *item, spec.n) * np.array(widths) + np.array(los)
+        return int(_membership(spec, pts).sum())
+
+    hits = sum(_map_blocks(run, trials, usable_cpus()))
     return _make_estimate(hits, trials, seed).scaled(box_volume)
 
 

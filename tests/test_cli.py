@@ -4,13 +4,16 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from ar1lab import families as fam
-from ar1lab.cli import main
+from ar1lab import montecarlo as mc
+from ar1lab.cli import build_parser, main
 from ar1lab.errors import InvariantError
 from ar1lab.exact.polynomial import Polynomial
 from ar1lab.exact.rational import parse_rational
@@ -327,6 +330,51 @@ def test_simulate_json(capsys):
     assert payload["exact"] == 0.03125
     assert abs(payload["z_score"]) < 5
     assert payload["seed"] == 3
+
+
+def test_simulate_workers_default_to_the_usable_cpus():
+    assert build_parser().parse_args(["simulate"]).workers == mc.usable_cpus()
+
+
+@pytest.mark.parametrize("law", ["gaussian", "biexponential"])
+def test_simulate_output_is_identical_at_one_worker_and_the_default(capsys, law):
+    argv = ["simulate", "--law", law, "--theta", "1/2", "--n", "10",
+            "--trials", str(3 * mc.BLOCK_SIZE + 5), "--seed", "7"]
+    rc_default, default = run_cli(capsys, argv)
+    rc_one, one = run_cli(capsys, argv + ["--workers", "1"])
+    assert rc_default == rc_one == 0
+    assert default == one
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_refuses_fewer_than_one_worker(capsys, workers):
+    rc = main(["simulate", "--n", "3", "--trials", "100", "--workers", workers])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: need at least one worker\n"
+
+
+def test_biexponential_simulate_peak_rss_stays_lean():
+    # A wrapper process runs the command, so RUSAGE_CHILDREN sees only that
+    # child.  Each of the 7 blocks holds its (32768, 20) float64 draw (5.2 MB).
+    # Measured on Linux with numpy 2.4 (ru_maxrss / 1024): 47.2 MB at 1 worker
+    # and 54.3-55.5 MB at 2 with the chunked sign draw; a full-block sign draw
+    # through np.where read 61.7 MB at 1 worker and 77.8-82.6 MB at 2.  The
+    # ceiling, 44 MB plus 11 MB per worker, leaves the lean draw 8-11 MB of
+    # margin and fails the full-block draw at either count.
+    workers = mc._worker_count(mc.usable_cpus(), 7)
+    wrapper = (
+        "import resource, subprocess, sys; "
+        "subprocess.run([sys.executable, '-m', 'ar1lab.cli', *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL); "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    argv = "simulate --law biexponential --theta 1/2 --n 20 --trials 200000 --seed 1".split()
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 44 + 11 * workers, f"{peak_mb:.1f} MB at {workers} workers"
 
 
 def test_rates_csv(capsys):

@@ -73,13 +73,74 @@ class TestDeterminism:
         assert a.successes != b.successes
 
     def test_trial_count_prefix_property(self):
-        # a longer run reuses the identical per-path indicators, block by block
-        law = mc.uniform_law()
-        small = mc.estimate_persistence(0.0, law, 3, mc.BLOCK_SIZE, SEED)
-        large = mc.estimate_persistence(0.0, law, 3, 2 * mc.BLOCK_SIZE, SEED)
-        tail = mc.estimate_persistence(0.0, law, 3, 2 * mc.BLOCK_SIZE, SEED)
-        assert large.successes == tail.successes
-        assert large.successes >= small.successes
+        # a longer run reuses the identical per-path indicators, block by block,
+        # and a partial block holds the first rows of the full one
+        thetas = [0.0, 0.5]
+        large = mc.survival_indicators(thetas, mc.uniform_law(), 3, 2 * mc.BLOCK_SIZE, SEED)
+        for trials in (mc.BLOCK_SIZE, mc.BLOCK_SIZE + 100):
+            small = mc.survival_indicators(thetas, mc.uniform_law(), 3, trials, SEED)
+            for th in thetas:
+                assert len(large[th]) == 2 * mc.BLOCK_SIZE
+                assert np.array_equal(small[th], large[th][:trials])
+
+    def test_nonpositive_workers_refused(self):
+        for workers in (0, -3):
+            for n in (0, 3):
+                with pytest.raises(DomainError):
+                    mc.estimate_persistence(0.5, mc.uniform_law(), n, 100, SEED, workers=workers)
+
+
+def _alive_reference(theta, x):
+    """The full-width survival loop: every path updated at every step."""
+    y = np.zeros(len(x))
+    alive = np.ones(len(x), dtype=bool)
+    for k in range(x.shape[1]):
+        y = theta * y + x[:, k]
+        alive &= y >= 0.0
+    return alive
+
+
+class TestBlockKernel:
+    LAWS = [mc.uniform_law(), mc.gaussian_law(), mc.biexponential_law(), mc.atomic_negative_law(0.4)]
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+    @pytest.mark.parametrize("theta", [-1.7, 0.0, 0.5, 1.0, 2.0])
+    def test_compacted_survival_matches_the_full_width_loop(self, law, theta):
+        x = law.sample(mc._block_rng(SEED, 5, 0), (3000, 12))
+        assert np.array_equal(mc._alive(theta, x), _alive_reference(theta, x))
+
+    def test_every_path_dead_before_the_horizon(self):
+        # all innovations negative: every path dies at step 1 of 8
+        x = mc.atomic_negative_law(1.0).sample(mc._block_rng(SEED, 6, 0), (500, 8))
+        alive = mc._alive(0.5, x)
+        assert alive.shape == (500,) and not alive.any()
+        assert np.array_equal(alive, _alive_reference(0.5, x))
+
+    def test_biexponential_sample_matches_the_full_sign_draw(self):
+        shape = (3 * mc.SIGN_CHUNK + 123, 7)
+        got = mc.biexponential_law().sample(mc._block_rng(SEED, 2, 1), shape)
+        rng = mc._block_rng(SEED, 2, 1)
+        mag = rng.standard_exponential(shape)
+        signs = rng.integers(0, 2, shape)
+        expected = np.where(signs == 1, mag, -mag)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_worker_clamp(self):
+        cpus = mc.usable_cpus()
+        assert cpus >= 1
+        assert mc._worker_count(10**9, 10**6) == cpus
+        assert mc._worker_count(10**9, 1) == 1
+        assert mc._worker_count(1, 100) == 1
+        assert mc._worker_count(cpus + 1, 100) == cpus
+        assert mc._worker_count(2, 0) == 1
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        assert mc.usable_cpus() == (mc.os.cpu_count() or 1)
+
+    def test_block_map_keeps_block_order(self):
+        trials = 3 * mc.BLOCK_SIZE + 1
+        assert mc._map_blocks(lambda item: item, trials, 4) == mc._blocks(trials)
 
 
 class TestEstimates:
