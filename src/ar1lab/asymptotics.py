@@ -16,12 +16,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import factorial, lgamma
+from math import factorial
 
 import mpmath as mp
 
 from ar1lab.errors import DomainError, InvariantError, RootSearchError
-from ar1lab.families import j_tilde, scalar_j
+from ar1lab.families import ELL_EXPANSION_COEFFS, ell_expansion_coefficients, scalar_j
 from ar1lab.persistence import PersistenceQuery, persistence_closed_form, persistence_prefix
 
 
@@ -30,77 +30,41 @@ from ar1lab.persistence import PersistenceQuery, persistence_closed_form, persis
 # ---------------------------------------------------------------------------
 
 
-def _truncation_order(theta: float, z: float, tol: float) -> int:
-    """Smallest N whose analytic tail bound is below tol.
+def _plan(theta: float, z: float, tol: float) -> tuple[int, float]:
+    """(order, peak): the truncation order of E(th, z) for absolute error tol,
+    and log10 of its largest term, from one walk over log|term_n|.
 
-    For moderate |z| the tail after N terms is bounded by
-    |th|^(N(N-1)/2) |z|^N/N! e^|z| (plain exponential tail at |th| = 1).
-    For large |z| that bound forces N ~ sqrt(|z|), so once the term ratio
-    |th|^n |z|/(n+1) has dropped below 1/2 the geometric remainder
-    2*term_{N+1} is used instead; it is valid and far tighter there.
+    For |th| <= 1 the term ratio |th|^n |z|/(n+1) only falls, so the terms
+    rise to one peak and then fall.  Once that ratio is below 1/2 the tail
+    after term_n is below term_n; the order is the first such n where
+    2 term_n < tol, and by then the running maximum is the peak.
     """
-    at = min(abs(theta), 1.0)
-    az = abs(z)
-    if at == 0.0:
-        return 2  # E(0, z) = 1 + z exactly
-    if az == 0.0:
-        return 1
-    logtol = math.log(max(tol, 1e-300))
-    if az <= 50.0:
-        n = 1
-        while n < 100000:
-            logtail = az + n * math.log(az) - lgamma(n + 1)
-            if at < 1.0:
-                logtail += (n * (n - 1) / 2) * math.log(at)
-            if logtail < logtol:
-                return n
-            n += 1
-        raise RuntimeError("truncation order search did not terminate")
-    logterm = 0.0
-    lat = math.log(at)
-    n = 0
-    while n < 200000:
-        n += 1
-        logterm += (n - 1) * lat + math.log(az) - math.log(n)
-        ratio = (n) * lat + math.log(az) - math.log(n + 1)
-        if ratio < math.log(0.5) and logterm + math.log(2.0) < logtol:
-            return n
-    raise RuntimeError("truncation order search did not terminate")
-
-
-def _max_term_log10(theta: float, z: float) -> float:
     at, az = abs(theta), abs(z)
-    if az == 0.0:
-        return 0.0
-    best = 0.0
-    logterm = 0.0
-    n = 0
-    while n < 100000:
-        n += 1
-        logterm += math.log10(az) - math.log10(n)
-        if at > 0:
-            logterm += (n - 1) * math.log10(at)
-        if logterm > best:
-            best = logterm
-        if logterm < best - 40:
-            break
-    return best
+    if at == 0.0 or az == 0.0:
+        return 2, math.log10(max(az, 1.0))  # E(0, z) = 1 + z exactly
+    lat, laz, logtol = math.log(at), math.log(az), math.log(max(tol, 1e-300))
+    logterm = peak = 0.0
+    for n in range(1, 200000):
+        logterm += (n - 1) * lat + laz - math.log(n)
+        peak = max(peak, logterm)
+        if n * lat + laz - math.log(n + 1) < math.log(0.5) and logterm + math.log(2.0) < logtol:
+            return n, peak / math.log(10.0)
+    raise RuntimeError("truncation order search did not terminate")
 
 
 def deformed_exp(theta: float, z: float, tol: float = 1e-12) -> float:
     """E(th, z) with absolute error at most tol; requires |th| <= 1.
 
-    The truncation order is chosen from the analytic tail bound.  If the
-    terms grow large enough that double precision would lose the target
-    accuracy to cancellation, the sum is done in mpmath at a precision set
-    by the largest term.
+    The truncation order and the largest term come from one walk over the
+    term sizes (``_plan``).  If the terms grow large enough that double
+    precision would lose the target accuracy to cancellation, the sum is
+    done in mpmath at a precision set by the largest term.
     """
     if abs(theta) > 1:
         raise DomainError("series diverges for |theta| > 1")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    order = _truncation_order(theta, z, tol / 10)
-    peak = _max_term_log10(theta, z)
+    order, peak = _plan(theta, z, tol / 10)
     if peak - 16 > math.log10(tol) - 1:
         return float(_deformed_exp_mp(theta, z, order, max(30, int(peak) + 30)))
     return math.fsum(_deformed_exp_terms(theta, z, order))
@@ -312,35 +276,6 @@ def decay_rate(theta: float | Fraction) -> RateBundle:
 # The positive limit of p_n for drift > 1
 # ---------------------------------------------------------------------------
 
-# 1/theta expansion of the limit: ell = 1/2 - (1/(8 th) + 1/(16 th^2) + ...)
-ELL_EXPANSION_COEFFS: tuple[Fraction, ...] = (
-    Fraction(1, 2),
-    Fraction(-1, 8),
-    Fraction(-1, 16),
-    Fraction(-5, 96),
-    Fraction(-1, 24),
-    Fraction(-5, 128),
-    Fraction(-7, 192),
-    Fraction(-9, 256),
-    Fraction(-107, 3072),
-    Fraction(-641, 18432),
-)
-
-
-def ell_expansion_coefficients(kmax: int) -> list[Fraction]:
-    """Expansion coefficients a_k derived exactly from the J~ family.
-
-    a_k is the coefficient of th^k in sum_{j<=k+1} (-1)^j J~_{j+1}(th)/(2^j j!).
-    """
-    out = []
-    for k in range(kmax + 1):
-        a_k = Fraction(0)
-        for j in range(k + 2):
-            a_k += j_tilde(j + 1).coefficient(k) * Fraction((-1) ** j, 2**j * factorial(j))
-        out.append(a_k)
-    return out
-
-
 def ell_expansion(theta: float, kmax: int = 9) -> float:
     """Evaluate the 1/theta expansion of the limit, sum_{k<=kmax} a_k th^-k.
 
@@ -418,7 +353,8 @@ def ell_mp(theta, dps: int = 60):
     E_z(r, z) = E(r, rz), and sum_m J_{m+1} w^m/m! = E_z/E at (r - 1)z = w,
     so sum_n p_n(r) = sum_n J_{n+1}(r)/(2^n n!) is E(r, rz)/E(r, z).
     Needed for stabilization checks of p_n - ell, whose scale drops far
-    below double precision by n = 30.
+    below double precision by n = 30; rounded, it is the ell that
+    ``rate_bundle`` reports.
     """
     th = Fraction(theta)
     if th < 2:
@@ -426,7 +362,7 @@ def ell_mp(theta, dps: int = 60):
     with mp.workdps(dps + 10):
         r = mp.mpf(th.denominator) / th.numerator
         z = -1 / (2 * (1 - r))
-        order = _truncation_order(float(r), float(z), 10.0 ** -(dps + 10))
+        order, _ = _plan(float(r), float(z), 10.0 ** -(dps + 10))
         num, den = (_deformed_exp_mp(r, w, order, dps + 10) for w in (z, r * z))
         return num / den
 
@@ -496,10 +432,12 @@ def rate_bundle(theta: float | Fraction) -> RateBundle:
     if theta <= 1:
         raise DomainError("no rate formula for drift in (1/2, 1]")
     _refuse_window_limit(theta)
-    res = nu_root(t)  # refuses a drift too large for its roots before any exact term is summed
-    ell, _, _, _ = ell_with_tail(theta, 1e-12)
+    res = nu_root(t)  # refuses a drift too large for its roots before the limit or any exact term
     zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / t))  # recover a_1(1/theta)
     lm = ell_mp(theta, dps=50)
+    ell = float(lm)
+    if not 0.0 < ell <= 0.5:
+        raise InvariantError(f"limit {ell} escapes (0, 1/2] at drift {t}")
     p = persistence_prefix(30, Fraction(theta))
     kappa = None
     with mp.workdps(60):
@@ -629,28 +567,3 @@ def tutte_poisson_pmf(t: float, theta: float, n: int) -> float:
 def tutte_poisson_mgf_limit(t: float, z: float) -> float:
     """E[z^X(t)] at the boundary drift -2: ((1 - sin 1)/(1 - sin z))^t."""
     return ((1.0 - math.sin(1.0)) / (1.0 - math.sin(z))) ** t
-
-
-# ---------------------------------------------------------------------------
-# Log-convexity (infinite-divisibility diagnostics)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogConvexityVerdict:
-    holds: bool
-    first_violation: int | None
-
-
-def log_convexity_check(seq) -> LogConvexityVerdict:
-    """Check x_{n+1} x_{n-1} >= x_n^2 at every interior index.
-
-    Exact when the entries are rationals; positive entries required.
-    """
-    items = list(seq)
-    if any(x <= 0 for x in items):
-        raise DomainError("log-convexity check needs positive entries")
-    for n in range(1, len(items) - 1):
-        if items[n + 1] * items[n - 1] < items[n] * items[n]:
-            return LogConvexityVerdict(False, n)
-    return LogConvexityVerdict(True, None)

@@ -185,6 +185,7 @@ def _make_law(args) -> mc.InnovationLaw:
 
 
 def _cmd_simulate(args) -> int:
+    mc.check_run_arguments(args.n, args.trials, args.workers)
     law = _make_law(args)
     theta = parse_rational(args.theta[0]) if args.theta else Fraction(0)
     exact = mc.exact_persistence_target(theta, law, args.n)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from ar1lab.errors import DomainError
 from ar1lab.exact.polynomial import Polynomial
-from ar1lab.exact.rational import format_rational, parse_rational
+from ar1lab.exact.rational import format_rational
 
 
 class PiecewisePoly:
@@ -118,13 +118,6 @@ class PiecewisePoly:
             "breakpoints": [format_rational(b) for b in self.breakpoints],
             "pieces": [p.to_strings() for p in self.pieces],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PiecewisePoly":
-        return cls(
-            tuple(parse_rational(s) for s in data["breakpoints"]),
-            tuple(Polynomial.from_strings(p) for p in data["pieces"]),
-        )
 
 
 def _canonicalize(bps: Sequence[Fraction], pcs: Sequence[Polynomial]):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from ar1lab.exact.rational import format_rational, parse_rational
+from ar1lab.exact.rational import format_rational
 
 _Scalar = (int, Fraction)
 
@@ -271,8 +271,3 @@ class Polynomial:
     # -- serialization ------------------------------------------------
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls(tuple(parse_rational(s) for s in items))
-

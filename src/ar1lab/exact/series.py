@@ -11,15 +11,14 @@ meets, not to be a unit: over polynomials, a ratio of two series that share
 a factor th^s divides exactly.
 
 Coefficients are stored against the plain basis z^n.  Exponential generating
-functions are handled through the ``from_egf`` / ``egf_coefficient``
-conversions, never implicitly.
+functions are read through ``egf_coefficient``, never implicitly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ar1lab.errors import DomainError, NonInvertibleError
 
@@ -52,14 +51,6 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def from_egf(cls, egf_coeffs: Sequence, order: int | None = None) -> "TruncatedSeries":
-        """Build from coefficients a_n of sum a_n z^n / n!."""
-        if order is None:
-            order = len(egf_coeffs) - 1
-        cs = [c * Fraction(1, factorial(n)) for n, c in enumerate(egf_coeffs[: order + 1])]
-        return cls(cs, order)
-
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([Fraction(1)], order)

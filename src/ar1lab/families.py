@@ -11,8 +11,9 @@ routes that must agree coefficientwise:
 * the large-drift family J^_n, a partial-sum transform of the J~_n.
 
 Also here: Euler zigzag numbers, dichromatic polynomials of complete graphs,
-the nested-integral volume polynomial, and the exact one-sided derivative
-data of the persistence probability at drift -1.
+the nested-integral volume polynomial, the exact one-sided derivative
+data of the persistence probability at drift -1, and the coefficients of
+the 1/th expansion of the large-drift limit, derived from the J~_n.
 
 Each family recurrence is written once, generic over the ring:
 ``scalar_j``, ``scalar_jt`` and ``scalar_jh``.  One ``FamilyTables`` class
@@ -213,6 +214,39 @@ def _jh_via_partial_sums(nmax: int) -> list[Polynomial | None]:
     for k in range(0, nmax):
         acc = acc + jt[k + 1] * Fraction((-1) ** k, 2**k * factorial(k))
         out[k + 1] = acc * (2**k * factorial(k))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The 1/th expansion of the large-drift limit
+# ---------------------------------------------------------------------------
+
+# printed coefficients a_k of ell = sum_k a_k th^-k = 1/2 - 1/(8 th) - 1/(16 th^2) - ...
+ELL_EXPANSION_COEFFS: tuple[Fraction, ...] = (
+    Fraction(1, 2),
+    Fraction(-1, 8),
+    Fraction(-1, 16),
+    Fraction(-5, 96),
+    Fraction(-1, 24),
+    Fraction(-5, 128),
+    Fraction(-7, 192),
+    Fraction(-9, 256),
+    Fraction(-107, 3072),
+    Fraction(-641, 18432),
+)
+
+
+def ell_expansion_coefficients(kmax: int) -> list[Fraction]:
+    """Expansion coefficients a_k derived exactly from the J~ family.
+
+    a_k is the coefficient of th^k in sum_{j<=k+1} (-1)^j J~_{j+1}(th)/(2^j j!).
+    """
+    out = []
+    for k in range(kmax + 1):
+        a_k = Fraction(0)
+        for j in range(k + 2):
+            a_k += j_tilde(j + 1).coefficient(k) * Fraction((-1) ** j, 2**j * factorial(j))
+        out.append(a_k)
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from ar1lab import families as fam
 from ar1lab import persistence as pers
-from ar1lab.asymptotics import ELL_EXPANSION_COEFFS, ell_expansion_coefficients, log_convexity_check
+from ar1lab.errors import DomainError
 from ar1lab.exact.polynomial import Polynomial
 
 
@@ -257,8 +257,8 @@ def check_coefficient_stability(nmax: int) -> tuple[bool, str]:
                 ref = coeffs
             elif coeffs != ref:
                 return False, f"k={k}, n={n}"
-    derived = ell_expansion_coefficients(9)
-    if derived != list(ELL_EXPANSION_COEFFS):
+    derived = fam.ell_expansion_coefficients(9)
+    if derived != list(fam.ELL_EXPANSION_COEFFS):
         return False, "limit expansion coefficients"
     return True, f"k<={kmax}, n<={nmax}, + limit expansion"
 
@@ -296,6 +296,26 @@ def check_super_sub_additivity(nmax: int) -> tuple[bool, str]:
                 if p[n + m] > p[n] * p[m]:
                     return False, f"sub at theta={th}"
     return True, "positive/negative drift grids"
+
+
+@dataclass(frozen=True)
+class LogConvexityVerdict:
+    holds: bool
+    first_violation: int | None
+
+
+def log_convexity_check(seq) -> LogConvexityVerdict:
+    """Check x_{n+1} x_{n-1} >= x_n^2 at every interior index.
+
+    Exact when the entries are rationals; positive entries required.
+    """
+    items = list(seq)
+    if any(x <= 0 for x in items):
+        raise DomainError("log-convexity check needs positive entries")
+    for n in range(1, len(items) - 1):
+        if items[n + 1] * items[n - 1] < items[n] * items[n]:
+            return LogConvexityVerdict(False, n)
+    return LogConvexityVerdict(True, None)
 
 
 def check_log_convexity(nmax: int) -> tuple[bool, str]:

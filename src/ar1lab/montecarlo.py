@@ -217,6 +217,16 @@ def _map_blocks(run, trials: int, workers: int) -> list:
         return list(pool.map(run, items))
 
 
+def check_run_arguments(n: int, trials: int, workers: int) -> None:
+    """DomainError for a run that cannot start, raised before any target or draw."""
+    if trials < 1:
+        raise DomainError("need at least one trial")
+    if n < 0:
+        raise DomainError("horizon must be >= 0")
+    if workers < 1:
+        raise DomainError("need at least one worker")
+
+
 def estimate_persistence(
     theta: float,
     law: InnovationLaw,
@@ -232,12 +242,7 @@ def estimate_persistence(
     pure function of the path index, so the successes count is independent
     of the worker count and of the block layout.
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    if n < 0:
-        raise DomainError("horizon must be >= 0")
-    if workers < 1:
-        raise DomainError("need at least one worker")
+    check_run_arguments(n, trials, workers)
     if n == 0:
         return _make_estimate(trials, trials, seed)
 

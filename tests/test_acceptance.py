@@ -191,7 +191,7 @@ def test_c11a_limit_expansion_agreement():
     expansion = asym.ell_expansion(4.0, 14)
     diff = abs(ell - expansion)
     gap9 = ell - asym.ell_expansion(4.0, 9)
-    higher = asym.ell_expansion_coefficients(14)
+    higher = fam.ell_expansion_coefficients(14)
     tail = sum(float(c) / 4.0**k for k, c in enumerate(higher) if k >= 10)
     print(
         f"ACCEPTANCE 11a: |diff| through order 14 = {diff:.3e} vs stated 1e-8; "
@@ -281,9 +281,9 @@ def test_c14_infinite_divisibility():
     for th in (F(0), F(1, 4), F(1, 2), F(1)):
         p = pers.persistence_prefix(21, th)
         pmf = [p[n] - p[n + 1] for n in range(21)]
-        assert asym.log_convexity_check(pmf).holds, f"theta={th}"
+        assert identities.log_convexity_check(pmf).holds, f"theta={th}"
     seq = [pers.persistence_exact(n, F(-2)) for n in range(21)]
-    verdict = asym.log_convexity_check(seq)
+    verdict = identities.log_convexity_check(seq)
     assert not verdict.holds
     print(
         f"ACCEPTANCE 14 PASS: log-convexity exact on [0,1], violation witness at "

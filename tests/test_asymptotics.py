@@ -6,8 +6,10 @@ from math import comb, factorial
 
 import pytest
 
-from ar1lab.errors import DomainError
+from ar1lab.errors import DomainError, InvariantError
 from ar1lab import asymptotics as asym
+from ar1lab import families as fam
+from ar1lab import identities
 from ar1lab.families import mallows_riordan, scalar_families
 from ar1lab.persistence import persistence_exact, persistence_prefix
 
@@ -33,6 +35,24 @@ class TestDeformedExp:
         # values at arguments far past the first roots stay finite and small
         val = asym.deformed_exp(0.3, -1000.0, tol=1e-10)
         assert math.isfinite(val)
+
+    @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.25, 0.5, 0.9, 1.0])
+    def test_plan_order_and_peak_against_brute_force(self, theta):
+        # the sum to the planned order is within tol of a sum 60 terms longer,
+        # and the planned peak is the largest term, all in independent mpmath terms
+        import mpmath as mp
+
+        for z in (0.5, -0.5, 5.0, -5.0, 40.0, -40.0, 60.0, -60.0, 300.0, -300.0):
+            for tol in (1e-12, 1e-15):
+                order, peak = asym._plan(theta, z, tol)
+                with mp.workdps(int(peak) + 40):
+                    terms = [
+                        mp.mpf(theta) ** (n * (n - 1) // 2) * mp.mpf(z) ** n / mp.factorial(n)
+                        for n in range(order + 61)
+                    ]
+                    assert abs(mp.fsum(terms[order + 1 :])) < tol, (theta, z, tol)
+                    largest = max(abs(t) for t in terms)
+                    assert abs(mp.log10(largest) - peak) < 1e-9, (theta, z)
 
     def test_derivative_identity(self):
         # d/dz E(th, z) = E(th, th z), via a central difference
@@ -125,7 +145,7 @@ class TestEvaluationCounts:
         calls = self.counting(monkeypatch)
         argv = "rates --theta -1 --theta 0 --theta 1/4 --theta -2 --theta 4"
         assert main(argv.split()) == 0
-        assert 0 < len(calls) <= 1385
+        assert 0 < len(calls) <= 1327
 
 
 class TestDecayRate:
@@ -172,11 +192,11 @@ class TestLimit:
         assert abs(ell - asym.ell_expansion(4.0)) < 1e-7
 
     def test_expansion_coefficients_derived(self):
-        assert asym.ell_expansion_coefficients(9) == list(asym.ELL_EXPANSION_COEFFS)
+        assert fam.ell_expansion_coefficients(9) == list(fam.ELL_EXPANSION_COEFFS)
 
     def test_expansion_beyond_printed_orders(self):
         for k in range(10, 15):
-            coeffs = asym.ell_expansion_coefficients(k)
+            coeffs = fam.ell_expansion_coefficients(k)
             expected = float(sum(float(c) / 4.0**i for i, c in enumerate(coeffs)))
             assert asym.ell_expansion(4.0, k) == expected
 
@@ -231,6 +251,22 @@ class TestLimit:
 
         with mp.workdps(70):
             assert abs(asym.ell_mp(theta, 60) - mp.mpf(self.ELL_PINS[theta])) < mp.mpf("1e-54")
+
+    @pytest.mark.parametrize("theta", sorted(ELL_PINS))
+    def test_rates_prints_the_correctly_rounded_limit(self, capsys, theta):
+        import json
+
+        from ar1lab.cli import main
+
+        assert main(["rates", "--theta", str(theta), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["ell"] == float(self.ELL_PINS[theta])
+
+    def test_rates_limit_keeps_its_invariant(self, monkeypatch):
+        import mpmath as mp
+
+        monkeypatch.setattr(asym, "ell_mp", lambda theta, dps: mp.mpf("0.5000000001"))
+        with pytest.raises(InvariantError, match=r"escapes \(0, 1/2\] at drift 4"):
+            asym.rate_bundle(F(4))
 
     @pytest.mark.parametrize("theta, terms", [(2.0, 43), (3.0, 34), (4.0, 31)])
     def test_partial_sum_is_the_exact_prefix(self, theta, terms):
@@ -337,22 +373,22 @@ class TestTuttePoisson:
 
 class TestLogConvexity:
     def test_geometric_holds_with_equality(self):
-        v = asym.log_convexity_check([F(1, 2**n) for n in range(12)])
+        v = identities.log_convexity_check([F(1, 2**n) for n in range(12)])
         assert v.holds and v.first_violation is None
 
     def test_catalan_sequence_holds(self):
         seq = [F(comb(2 * n, n), (n + 1) * 2 ** (2 * n + 1)) for n in range(21)]
-        assert asym.log_convexity_check(seq).holds
+        assert identities.log_convexity_check(seq).holds
 
     def test_violation_for_strong_negative_drift(self):
         seq = [persistence_exact(n, F(-2)) for n in range(21)]
-        verdict = asym.log_convexity_check(seq)
+        verdict = identities.log_convexity_check(seq)
         assert not verdict.holds
         assert verdict.first_violation == 1
 
     def test_positive_entries_required(self):
         with pytest.raises(DomainError):
-            asym.log_convexity_check([F(1), F(0), F(1)])
+            identities.log_convexity_check([F(1), F(0), F(1)])
 
 
 class TestFullExpansion:

@@ -183,8 +183,8 @@ def test_rates_fits_c_where_mu_to_the_n_overflows(capsys):
     [
         ("-1e16", "first_negative_root"),
         ("-1e300", "first_negative_root"),
-        ("1e26", "ell_with_tail"),
-        ("1e300", "ell_with_tail"),
+        ("1e26", "ell_mp"),
+        ("1e300", "ell_mp"),
     ],
 )
 def test_rates_past_the_float_range_exits_2_naming_the_drift(capsys, monkeypatch, value, skipped):
@@ -352,6 +352,26 @@ def test_simulate_refuses_fewer_than_one_worker(capsys, workers):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err == "error: need at least one worker\n"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["--workers", "0"], "need at least one worker"),
+        (["--trials", "0"], "need at least one trial"),
+        (["--n", "-1"], "horizon must be >= 0"),
+    ],
+)
+def test_simulate_refuses_bad_run_arguments_before_the_exact_target(capsys, monkeypatch, bad, message):
+    # at drift 3/2 and n = 20 the exact target alone takes seconds
+    def refused_first(*args):
+        raise AssertionError("the exact target ran before the refusal")
+
+    monkeypatch.setattr(mc, "exact_persistence_target", refused_first)
+    argv = ["simulate", "--theta", "3/2", "--law", "uniform", "--n", "20", "--trials", "10", *bad]
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_biexponential_simulate_peak_rss_stays_lean():
