@@ -21,7 +21,7 @@ from math import factorial
 import mpmath as mp
 
 from ar1lab.errors import DomainError, InvariantError, RootSearchError
-from ar1lab.families import ELL_EXPANSION_COEFFS, ell_expansion_coefficients, scalar_j
+from ar1lab.families import ELL_EXPANSION_COEFFS, FamilyTables, ell_expansion_coefficients
 from ar1lab.persistence import PersistenceQuery, persistence_closed_form, persistence_prefix
 
 
@@ -30,19 +30,21 @@ from ar1lab.persistence import PersistenceQuery, persistence_closed_form, persis
 # ---------------------------------------------------------------------------
 
 
-def _plan(theta: float, z: float, tol: float) -> tuple[int, float]:
-    """(order, peak): the truncation order of E(th, z) for absolute error tol,
-    and log10 of its largest term, from one walk over log|term_n|.
+def _plan(theta: float, z: float, logtol: float) -> tuple[int, float]:
+    """(order, peak): the truncation order of E(th, z) for absolute error
+    e^logtol, and log10 of its largest term, from one walk over log|term_n|.
+    The tolerance comes as a natural log so that a request below the float
+    range (``ell_mp`` at hundreds of digits) is honoured, not clamped.
 
     For |th| <= 1 the term ratio |th|^n |z|/(n+1) only falls, so the terms
     rise to one peak and then fall.  Once that ratio is below 1/2 the tail
     after term_n is below term_n; the order is the first such n where
-    2 term_n < tol, and by then the running maximum is the peak.
+    2 term_n < e^logtol, and by then the running maximum is the peak.
     """
     at, az = abs(theta), abs(z)
     if at == 0.0 or az == 0.0:
         return 2, math.log10(max(az, 1.0))  # E(0, z) = 1 + z exactly
-    lat, laz, logtol = math.log(at), math.log(az), math.log(max(tol, 1e-300))
+    lat, laz = math.log(at), math.log(az)
     logterm = peak = 0.0
     for n in range(1, 200000):
         logterm += (n - 1) * lat + laz - math.log(n)
@@ -64,7 +66,7 @@ def deformed_exp(theta: float, z: float, tol: float = 1e-12) -> float:
         raise DomainError("series diverges for |theta| > 1")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    order, peak = _plan(theta, z, tol / 10)
+    order, peak = _plan(theta, z, math.log(tol) - math.log(10.0))
     if peak - 16 > math.log10(tol) - 1:
         return float(_deformed_exp_mp(theta, z, order, max(30, int(peak) + 30)))
     return math.fsum(_deformed_exp_terms(theta, z, order))
@@ -362,7 +364,7 @@ def ell_mp(theta, dps: int = 60):
     with mp.workdps(dps + 10):
         r = mp.mpf(th.denominator) / th.numerator
         z = -1 / (2 * (1 - r))
-        order, _ = _plan(float(r), float(z), 10.0 ** -(dps + 10))
+        order, _ = _plan(float(r), float(z), -(dps + 10) * math.log(10.0))
         num, den = (_deformed_exp_mp(r, w, order, dps + 10) for w in (z, r * z))
         return num / den
 
@@ -553,7 +555,7 @@ def tutte_poisson_pmf(t: float, theta: float, n: int) -> float:
     mbar = theta * math.log(deformed_exp(x, 1.0 / theta, 1e-12))
     if n == 0:
         return math.exp(-t * mbar)
-    jv = scalar_j(x, 1, None, n)  # x in [-1, 0): stable in floats
+    jv = FamilyTables(x, 1).grow_j(n)  # x in [-1, 0): stable in floats
     s = [0.0] + [t * jv[k] / factorial(k) for k in range(1, n + 1)]
     e = [1.0]
     for m in range(1, n + 1):

@@ -185,6 +185,8 @@ def _make_law(args) -> mc.InnovationLaw:
 
 
 def _cmd_simulate(args) -> int:
+    if len(args.theta) > 1:
+        raise DomainError(f"simulate runs at one drift; got {len(args.theta)} --theta values")
     mc.check_run_arguments(args.n, args.trials, args.workers)
     law = _make_law(args)
     theta = parse_rational(args.theta[0]) if args.theta else Fraction(0)
@@ -248,6 +250,7 @@ def _cmd_volume(args) -> int:
     q = parse_rational(args.q) if args.q else None
     t = parse_rational(args.t) if args.t else None
     spec = mc.PolytopeSpec(args.kind, args.n, q=q, t=t)
+    mc.check_run_arguments(spec.n, args.trials, 1)
     target = mc.polytope_exact_target(spec)
     est = mc.polytope_volume_mc(spec, args.trials, args.seed)
     sigma = (est.ci_high - est.ci_low) / (2 * mc.Z95)

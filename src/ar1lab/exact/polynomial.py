@@ -47,7 +47,7 @@ class Polynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
+    def __init__(self, coeffs: Iterable):
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()

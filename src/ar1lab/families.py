@@ -15,13 +15,9 @@ the nested-integral volume polynomial, the exact one-sided derivative
 data of the persistence probability at drift -1, and the coefficients of
 the 1/th expansion of the large-drift limit, derived from the J~_n.
 
-Each family recurrence is written once, generic over the ring:
-``scalar_j``, ``scalar_jt`` and ``scalar_jh``.  One ``FamilyTables`` class
-grows them, over polynomials in th (``_POLY``) and, as ``ScalarFamilies``,
-at a fixed rational drift in pure integer arithmetic, which stays fast at
-depths (n in the hundreds) where building the full polynomials would be
-wasteful; ``scalar_j`` also serves the float consumer in the asymptotics
-layer.
+Each family recurrence is written once, generic over the ring, in the
+``FamilyTables`` class that grows its tables on demand; its docstring names
+the ring each use runs in.
 """
 
 from __future__ import annotations
@@ -427,77 +423,20 @@ def boundary_derivatives(n: int) -> BoundaryDerivatives:
 # ---------------------------------------------------------------------------
 
 
-def _dexp(n: int) -> int:
-    # degree of J_n, J~_n, J^_n alike: (n-1)(n-2)/2
-    return (n - 1) * (n - 2) // 2
-
-
-def scalar_j(p, q, lists: tuple[list, list] | None, nmax: int) -> list:
-    """J_n(p/q) q^((n-1)(n-2)/2) for n <= nmax, by the J convolution recurrence.
-
-    ``lists`` is a pair (g, j) extended in place, where g[i] is the
-    homogeneous sum G_i = sum_{k<=i} p^k q^(i-k) and j[n] the scaled J_n;
-    None starts from g = [1], j = [0, 1, 1].  Returns j.
-
-    The ring is that of p and q.  p = th and q = 1 give the polynomials
-    J_n themselves; integers give the exact scaled values of
-    ``ScalarFamilies``; q = 1 with a float or an mpmath p gives J_n(p) in
-    that arithmetic.  The float consumer, ``tutte_poisson_pmf``, takes p in
-    [-1, 0), where every G_i is nonnegative, so every recurrence term is
-    nonnegative and no sum cancels; the same holds for any p > 0.
-    """
-    g, j = lists if lists is not None else ([1], [0, 1, 1])
-    while len(g) <= nmax:
-        g.append(g[-1] * p + q ** len(g))
-    while len(j) <= nmax:
-        n = len(j) - 2
-        acc = 0
-        for i in range(n + 1):
-            acc += comb(n, i) * g[i] * j[i + 1] * j[n + 1 - i] * q ** ((n - i) * (i + 1))
-        j.append(acc)
-    return j
-
-
-def scalar_jt(q, j, jt: list, nmax: int) -> list:
-    """J~_n(p/q) q^((n-1)(n-2)/2) for n <= nmax, by the binomial recurrence
-
-    J~_{n+1} = sum_{k=1}^{n} (-1)^(k-1) C(n,k) J_{k+1} J~_{n+1-k}.
-
-    ``j`` holds the scaled J_n(p/q) of ``scalar_j`` through index nmax; ``jt``
-    (from [0, 1]) is extended in place and returned.  The power of q brings
-    each product to the common scale of J~_{n+1}.
-    """
-    while len(jt) <= nmax:
-        n = len(jt) - 1
-        acc = 0
-        for k in range(1, n + 1):
-            acc += (-1) ** (k - 1) * comb(n, k) * j[k + 1] * jt[n + 1 - k] * q ** (k * (n - k))
-        jt.append(acc)
-    return jt
-
-
-def scalar_jh(q, jt, jh: list, nmax: int) -> list:
-    """J^_n(p/q) q^((n-1)(n-2)/2) for n <= nmax, by J^_{n+1} = 2n J^_n + (-1)^n J~_{n+1}.
-
-    ``jt`` holds the scaled J~_n of ``scalar_jt`` through index nmax; ``jh``
-    (from [0, 1]) is extended in place and returned.
-    """
-    while len(jh) <= nmax:
-        n = len(jh) - 1
-        jh.append(2 * n * jh[n] * q ** (n - 1) + (-1) ** n * jt[n + 1])
-    return jh
-
-
 class FamilyTables:
     """Tables of J_n(p/q), J~_n(p/q) and J^_n(p/q), each scaled by
-    q^((n-1)(n-2)/2) and grown on demand by the recurrences above.
+    q^((n-1)(n-2)/2) (the degree of all three) and grown on demand by the
+    family recurrences; ``grow_j``, ``grow_jt`` and ``grow_jh`` extend a
+    table through index nmax and return it.
 
-    The ring is that of p and q: p = th and q = 1 give the polynomials
-    themselves (``_POLY``); the integers p, q of a rational drift give
-    ``ScalarFamilies``, exact at depths (n in the hundreds) where
-    Fraction normalization at every step would dominate.  ``grow_j``,
-    ``grow_jt`` and ``grow_jh`` extend a table through index nmax and
-    return it.
+    The ring is that of p and q.  p = th and q = 1 give the polynomials
+    themselves over Q[th] (``_POLY``); the integers p, q of a rational drift
+    give ``ScalarFamilies``, exact at depths (n in the hundreds) where
+    Fraction normalization at every step would dominate; q = 1 with a float
+    or an mpmath p gives J_n(p) in that arithmetic for the analytic layer.
+    The float consumer, ``tutte_poisson_pmf``, takes p in [-1, 0), where
+    every G_i is nonnegative, so every J recurrence term is nonnegative and
+    no sum cancels; the same holds for any p > 0.
     """
 
     def __init__(self, p, q):
@@ -510,16 +449,42 @@ class FamilyTables:
         self._lock = threading.RLock()
 
     def grow_j(self, nmax: int) -> list:
+        """J_{m+2} = sum_i C(m,i) G_i J_{i+1} J_{m+1-i}, each term brought to
+        the common scale by a power of q."""
+        p, q, g, j = self._p, self._q, self._g, self._j
         with self._lock:
-            return scalar_j(self._p, self._q, (self._g, self._j), nmax)
+            while len(g) <= nmax:
+                g.append(g[-1] * p + q ** len(g))
+            while len(j) <= nmax:
+                m = len(j) - 2
+                acc = 0
+                for i in range(m + 1):
+                    acc += comb(m, i) * g[i] * j[i + 1] * j[m + 1 - i] * q ** ((m - i) * (i + 1))
+                j.append(acc)
+            return j
 
     def grow_jt(self, nmax: int) -> list:
+        """J~_{m+1} = sum_{k=1}^{m} (-1)^(k-1) C(m,k) J_{k+1} J~_{m+1-k}."""
+        q, jt = self._q, self._jt
         with self._lock:
-            return scalar_jt(self._q, self.grow_j(nmax), self._jt, nmax)
+            j = self.grow_j(nmax)
+            while len(jt) <= nmax:
+                m = len(jt) - 1
+                acc = 0
+                for k in range(1, m + 1):
+                    acc += (-1) ** (k - 1) * comb(m, k) * j[k + 1] * jt[m + 1 - k] * q ** (k * (m - k))
+                jt.append(acc)
+            return jt
 
     def grow_jh(self, nmax: int) -> list:
+        """J^_{m+1} = 2m J^_m + (-1)^m J~_{m+1}."""
+        q, jh = self._q, self._jh
         with self._lock:
-            return scalar_jh(self._q, self.grow_jt(nmax), self._jh, nmax)
+            jt = self.grow_jt(nmax)
+            while len(jh) <= nmax:
+                m = len(jh) - 1
+                jh.append(2 * m * jh[m] * q ** (m - 1) + (-1) ** m * jt[m + 1])
+            return jh
 
 
 _POLY = FamilyTables(Polynomial.x(), 1)
@@ -532,20 +497,19 @@ class ScalarFamilies(FamilyTables):
         self.theta = Fraction(theta)
         super().__init__(self.theta.numerator, self.theta.denominator)
 
-    def j(self, n: int) -> Fraction:
+    def _scaled(self, grow, n: int) -> Fraction:
         if n < 1:
             raise IndexError("family index must be >= 1")
-        return Fraction(self.grow_j(n)[n], self._q ** _dexp(n))
+        return Fraction(grow(n)[n], self._q ** ((n - 1) * (n - 2) // 2))
+
+    def j(self, n: int) -> Fraction:
+        return self._scaled(self.grow_j, n)
 
     def j_tilde(self, n: int) -> Fraction:
-        if n < 1:
-            raise IndexError("family index must be >= 1")
-        return Fraction(self.grow_jt(n)[n], self._q ** _dexp(n))
+        return self._scaled(self.grow_jt, n)
 
     def j_hat(self, n: int) -> Fraction:
-        if n < 1:
-            raise IndexError("family index must be >= 1")
-        return Fraction(self.grow_jh(n)[n], self._q ** _dexp(n))
+        return self._scaled(self.grow_jh, n)
 
 
 _SCALAR_TABLES: dict[Fraction, ScalarFamilies] = {}

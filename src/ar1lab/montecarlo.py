@@ -4,9 +4,10 @@ Paths are laid out in fixed-size blocks; block b of an operation draws from
 a Philox counter-based stream keyed by (seed, stream id, b), so results are
 bit-identical for any worker count and any trials count, and every estimate
 inside a composite check owns an independent substream.  Blocks run on a
-thread pool of at most the usable CPU count (the draws release the GIL), and
-a law that draws twice per block takes its second draw in chunks of rows
-from the same generator, which yields the same numbers as one full draw.
+thread pool of at most the usable CPU count (the draws release the GIL).
+The biexponential law takes its second draw per block, the signs, in chunks
+of rows from the same generator, which yields the same numbers as one full
+draw; the atomic law still makes two full-block draws.
 """
 
 from __future__ import annotations
@@ -458,8 +459,7 @@ def _membership(spec: PolytopeSpec, pts: np.ndarray) -> np.ndarray:
 
 def polytope_volume_mc(spec: PolytopeSpec, trials: int, seed: int) -> MCEstimate:
     """Hit-or-miss volume estimate over the exact bounding box."""
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    check_run_arguments(spec.n, trials, 1)
     box = polytope_box(spec)
     widths = [float(hi - lo) for lo, hi in box]
     los = [float(lo) for lo, _ in box]

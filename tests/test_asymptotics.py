@@ -36,6 +36,10 @@ class TestDeformedExp:
         val = asym.deformed_exp(0.3, -1000.0, tol=1e-10)
         assert math.isfinite(val)
 
+    def test_subnormal_tolerance_is_honoured(self):
+        # tol/10 underflows to 0 here, so the planned tolerance is taken in logs
+        assert asym.deformed_exp(0.5, 1.0, tol=5e-324) == pytest.approx(asym.deformed_exp(0.5, 1.0), abs=1e-12)
+
     @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.25, 0.5, 0.9, 1.0])
     def test_plan_order_and_peak_against_brute_force(self, theta):
         # the sum to the planned order is within tol of a sum 60 terms longer,
@@ -44,7 +48,7 @@ class TestDeformedExp:
 
         for z in (0.5, -0.5, 5.0, -5.0, 40.0, -40.0, 60.0, -60.0, 300.0, -300.0):
             for tol in (1e-12, 1e-15):
-                order, peak = asym._plan(theta, z, tol)
+                order, peak = asym._plan(theta, z, math.log(tol))
                 with mp.workdps(int(peak) + 40):
                     terms = [
                         mp.mpf(theta) ** (n * (n - 1) // 2) * mp.mpf(z) ** n / mp.factorial(n)
@@ -251,6 +255,21 @@ class TestLimit:
 
         with mp.workdps(70):
             assert abs(asym.ell_mp(theta, 60) - mp.mpf(self.ELL_PINS[theta])) < mp.mpf("1e-54")
+
+    def test_high_precision_limit_holds_past_the_float_range(self):
+        # 600 digits need the E sums truncated at 1e-610, below the smallest
+        # float; the reference is ell(2) = E(1/2, -1)/E(1/2, -1/2) summed to
+        # 90 terms at 700 digits (term 90 is below 1e-1300)
+        import mpmath as mp
+
+        with mp.workdps(700):
+            r = mp.mpf(1) / 2
+
+            def e(w):
+                return mp.fsum(r ** (n * (n - 1) // 2) * w**n / mp.factorial(n) for n in range(90))
+
+            reference = e(mp.mpf(-1)) / e(-r)
+            assert abs(asym.ell_mp(F(2), 600) - reference) < mp.mpf(10) ** -600
 
     @pytest.mark.parametrize("theta", sorted(ELL_PINS))
     def test_rates_prints_the_correctly_rounded_limit(self, capsys, theta):

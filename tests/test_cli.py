@@ -374,6 +374,29 @@ def test_simulate_refuses_bad_run_arguments_before_the_exact_target(capsys, monk
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_simulate_refuses_a_second_drift(capsys, monkeypatch):
+    def refused_first(*args, **kwargs):
+        raise AssertionError("ran before the refusal")
+
+    monkeypatch.setattr(mc, "exact_persistence_target", refused_first)
+    monkeypatch.setattr(mc, "estimate_persistence", refused_first)
+    rc = main("simulate --theta 1/2 --theta -3 --n 4 --trials 10".split())
+    assert rc == 2
+    assert capsys.readouterr().err == "error: simulate runs at one drift; got 2 --theta values\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_volume_refuses_bad_trials_before_the_exact_target(capsys, monkeypatch, trials):
+    # the exact cayley target at n = 45 alone takes seconds
+    def refused_first(*args):
+        raise AssertionError("the exact target ran before the refusal")
+
+    monkeypatch.setattr(mc, "polytope_exact_target", refused_first)
+    rc = main(["volume", "--kind", "cayley", "--n", "45", "--trials", trials])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: need at least one trial\n"
+
+
 def test_biexponential_simulate_peak_rss_stays_lean():
     # A wrapper process runs the command, so RUSAGE_CHILDREN sees only that
     # child.  Each of the 7 blocks holds its (32768, 20) float64 draw (5.2 MB).

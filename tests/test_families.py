@@ -371,7 +371,7 @@ class TestScalarFamilies:
         r = F(1, 4)
         table = fam.scalar_families(r)
         with mp.workdps(80):
-            jv = fam.scalar_j(mp.mpf(r.numerator) / r.denominator, 1, None, 40)
+            jv = fam.FamilyTables(mp.mpf(r.numerator) / r.denominator, 1).grow_j(40)
             for n in range(1, 41):
                 exact = table.j(n)
                 want = mp.mpf(exact.numerator) / exact.denominator
@@ -381,7 +381,7 @@ class TestScalarFamilies:
         # x in [-1, 0): every recurrence term is nonnegative, so floats hold
         x = F(-1, 2)
         table = fam.scalar_families(x)
-        jv = fam.scalar_j(float(x), 1, None, 60)
+        jv = fam.FamilyTables(float(x), 1).grow_j(60)
         for n in range(1, 61):
             want = float(table.j(n))
             assert jv[n] == pytest.approx(want, rel=1e-12, abs=0)
