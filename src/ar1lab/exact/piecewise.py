@@ -5,42 +5,61 @@ breakpoints b_0 < ... < b_m and m polynomial pieces, piece i valid on
 [b_i, b_{i+1}].  Values at shared breakpoints are taken from the left piece;
 densities may be discontinuous at breakpoints.
 
+The density is stored in integer form.  The breakpoints are integer
+numerators B_0 < ... < B_m over one positive denominator E, with
+gcd(E, B_0, ..., B_m) = 1.  Each piece is a pair (nums, den): integer
+coefficients in ascending degree over a positive denominator, with no
+trailing zero and gcd(den, *nums) = 1; the zero piece is ((), 1).  The form
+is canonical, so equal densities are equal tuples.  ``breakpoints`` and
+``pieces`` build the ``Fraction`` and ``Polynomial`` views on first read and
+keep them.
+
 ``piecewise_pushforward`` performs one autoregressive step with uniform
 innovations: it maps the sub-density of Y to that of (theta*Y + X) killed on
 the negative half-line, reading each piece off Y's cumulative, so the total
-mass after n steps is the survival probability itself.
+mass after n steps is the survival probability itself.  It reads and writes
+the integer form only: the cell ends share one denominator, a cell finds its
+piece by an integer floor, and the cumulative table, its compositions and
+their differences are integer numerators, with one ``Fraction`` per piece
+for the running mass.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from ar1lab.errors import DomainError
-from ar1lab.exact.polynomial import Polynomial
+from ar1lab.exact.polynomial import Polynomial, _compose, _horner, _integer_form
 from ar1lab.exact.rational import format_rational
+
+_ZERO = ((), 1)  # the zero piece
 
 
 class PiecewisePoly:
     """Finitely supported piecewise-polynomial density, exact everywhere."""
 
-    __slots__ = ("breakpoints", "pieces", "_cumulative")
+    __slots__ = ("_den", "_nums", "_pcs", "_breakpoints", "_pieces", "_cumulative")
 
     def __init__(self, breakpoints: Iterable, pieces: Iterable[Polynomial]):
-        bps = tuple(Fraction(b) for b in breakpoints)
-        pcs = tuple(pieces)
-        if len(bps) != len(pcs) + 1:
+        nums, den = _integer_form([Fraction(b) for b in breakpoints])
+        # the lcm of reduced denominators leaves each piece's numerators and denominator coprime
+        pcs = [(tuple(n), d) for n, d in (_integer_form(p.coeffs) for p in pieces)]
+        if len(nums) != len(pcs) + 1:
             raise ValueError("need exactly one more breakpoint than pieces")
         if not pcs:
             raise ValueError("need at least one piece")
-        for lo, hi in zip(bps, bps[1:]):
+        for lo, hi in zip(nums, nums[1:]):
             if not lo < hi:
                 raise ValueError("breakpoints must be strictly increasing")
-        bps, pcs = _canonicalize(bps, pcs)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "pieces", pcs)
-        object.__setattr__(self, "_cumulative", None)
+        self._assign(den, nums, pcs)
+
+    def _assign(self, den: int, nums: Sequence[int], pcs: Sequence[tuple]) -> None:
+        state = (*_canonicalize(den, nums, pcs), None, None, None)
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("PiecewisePoly is immutable")
@@ -54,17 +73,41 @@ class PiecewisePoly:
     def constant(cls, lo, hi, value) -> "PiecewisePoly":
         return cls((Fraction(lo), Fraction(hi)), (Polynomial.constant(value),))
 
+    @classmethod
+    def _from_integer_form(cls, den: int, nums: Sequence[int], pcs: Sequence[tuple]) -> "PiecewisePoly":
+        """The density on breakpoints nums/den with canonical (numerators,
+        denominator) pieces; equal neighbours merge, zero edges go and the
+        breakpoints are reduced here."""
+        f = cls.__new__(cls)
+        f._assign(den, nums, pcs)
+        return f
+
+    # -- read-only views ----------------------------------------------------
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        if self._breakpoints is None:
+            object.__setattr__(self, "_breakpoints", tuple(Fraction(n, self._den) for n in self._nums))
+        return self._breakpoints
+
+    @property
+    def pieces(self) -> tuple[Polynomial, ...]:
+        if self._pieces is None:
+            pieces = tuple(Polynomial([Fraction(n, den) for n in nums]) for nums, den in self._pcs)
+            object.__setattr__(self, "_pieces", pieces)
+        return self._pieces
+
     # -- basic queries ----------------------------------------------------
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.pieces)
+        return all(not nums for nums, _ in self._pcs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        return self.breakpoints == other.breakpoints and self.pieces == other.pieces
+        return (self._den, self._nums, self._pcs) == (other._den, other._nums, other._pcs)
 
     def __repr__(self) -> str:
-        return f"PiecewisePoly({len(self.pieces)} pieces on [{self.breakpoints[0]}, {self.breakpoints[-1]}])"
+        lo, hi = Fraction(self._nums[0], self._den), Fraction(self._nums[-1], self._den)
+        return f"PiecewisePoly({len(self._pcs)} pieces on [{lo}, {hi}])"
 
     def evaluate(self, x) -> Fraction:
         """Density value at x; shared breakpoints resolve to the left piece."""
@@ -78,30 +121,41 @@ class PiecewisePoly:
         return self.pieces[i](x)
 
     def mass(self) -> Fraction:
-        return self._cumulative_polys()[1]
+        return self._cumulative_table()[1]
 
-    def _cumulative_polys(self) -> tuple[tuple[Polynomial, ...], Fraction]:
-        """(A_i, mass) with A_i(x) = integral of the density from b_0 to x on piece i.
+    def _cumulative_table(self) -> tuple[list[tuple[list[int], int]], Fraction]:
+        """(table, mass): table[i] = (T, t) with T(x)/t the integral of the
+        density from b_0 to x on piece i, T integer coefficients.
 
-        Built once per density and kept, so ``mass`` and the next
-        pushforward share one integration; the mass is the running total.
+        Piece P/d has the antiderivative Q/(C*d) with integer Q, where
+        C = lcm(1..k) and k - 1 is the largest degree.  Its values at the
+        piece's ends are integer Horner sums, and the running mass is the one
+        ``Fraction`` per piece.  Built once per density and kept, so ``mass``
+        and the next pushforward share one integration.
         """
         if self._cumulative is None:
-            out = []
+            den, bps = self._den, self._nums
+            clear = lcm(*range(1, max(len(nums) for nums, _ in self._pcs) + 1))
+            table = []
             acc = Fraction(0)
-            for (lo, hi), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-                anti = p.antiderivative()
-                cum = anti + (acc - anti(lo))
-                out.append(cum)
-                acc = cum(hi)
-            object.__setattr__(self, "_cumulative", (tuple(out), acc))
+            for lo, hi, (nums, d) in zip(bps, bps[1:], self._pcs):
+                anti = [0, *[c * (clear // k) for k, c in enumerate(nums, 1)]]
+                anti_den = clear * d
+                h_lo, scale = _horner(anti, lo, den)
+                start = acc - Fraction(h_lo, anti_den * scale)  # the cumulative's constant term
+                t = lcm(anti_den, start.denominator)
+                cum = [c * (t // anti_den) for c in anti]
+                cum[0] = start.numerator * (t // start.denominator)
+                table.append((cum, t))
+                acc = start + Fraction(_horner(anti, hi, den)[0], anti_den * scale)
+            object.__setattr__(self, "_cumulative", (table, acc))
         return self._cumulative
 
     def cumulative_at(self, x) -> Fraction:
         """Integral of the density from b_0 to x.
 
-        Sums each piece's antiderivative up to x and shares no code with
-        ``_cumulative_polys``.
+        Sums each materialized piece's antiderivative up to x and shares no
+        code with ``_cumulative_table``.
         """
         x = Fraction(x)
         total = Fraction(0)
@@ -120,31 +174,60 @@ class PiecewisePoly:
         }
 
 
-def _canonicalize(bps: Sequence[Fraction], pcs: Sequence[Polynomial]):
-    # merge adjacent identical pieces, then trim zero pieces at the edges
-    mb: list[Fraction] = [bps[0]]
-    mp: list[Polynomial] = []
-    for i, p in enumerate(pcs):
+def _canonicalize(den: int, nums: Sequence[int], pcs: Sequence[tuple]):
+    # merge adjacent identical pieces, trim zero pieces at the edges, then
+    # reduce the breakpoints that are left by one gcd
+    mb = [nums[0]]
+    mp = []
+    for hi, p in zip(nums[1:], pcs):
         if mp and mp[-1] == p:
-            mb[-1] = bps[i + 1]
+            mb[-1] = hi
         else:
             mp.append(p)
-            mb.append(bps[i + 1])
+            mb.append(hi)
     lo = 0
     hi = len(mp)
-    while lo < hi and mp[lo].is_zero():
+    while lo < hi and not mp[lo][0]:
         lo += 1
-    while hi > lo and mp[hi - 1].is_zero():
+    while hi > lo and not mp[hi - 1][0]:
         hi -= 1
     if lo == hi:
-        return (Fraction(0), Fraction(1)), (Polynomial.zero(),)
-    return tuple(mb[lo : hi + 1]), tuple(mp[lo:hi])
+        return 1, (0, 1), (_ZERO,)
+    mb = mb[lo : hi + 1]
+    g = gcd(den, *mb)
+    return den // g, tuple(n // g for n in mb), tuple(mp[lo:hi])
 
 
-def cell_ends(breakpoints: Iterable[Fraction], theta: Fraction, a: Fraction, b: Fraction) -> set[Fraction]:
+def cell_ends(den: int, nums: Iterable[int], theta: Fraction, a: Fraction, b: Fraction) -> tuple[int, set[int]]:
     """Where one pushforward cuts [0, inf) besides 0: every theta*c - a and
-    theta*c + b above 0, c over the input's breakpoints."""
-    return {y for tc in (theta * c for c in breakpoints) for y in (tc - a, tc + b) if y > 0}
+    theta*c + b above 0, c = n/den over the input's breakpoint numerators.
+
+    Returns (D, ends): the ends are integer numerators over the one
+    denominator D = q*den*lcm(den a, den b), q the denominator of theta.
+    """
+    w = lcm(a.denominator, b.denominator)
+    q = theta.denominator
+    t = theta.numerator * w
+    sa = a.numerator * (w // a.denominator) * q * den
+    sb = b.numerator * (w // b.denominator) * q * den
+    return q * den * w, {y for tc in (t * n for n in nums) for y in (tc - sa, tc + sb) if y > 0}
+
+
+def _difference(u: Sequence[int], du: int, l: Sequence[int], dl: int, width: Fraction) -> tuple:
+    """The canonical piece (u/du - l/dl)/width, one gcd for the whole piece."""
+    g = gcd(du, dl)
+    fu, fl = dl // g * width.denominator, du // g * width.denominator
+    nums = [c * fu for c in u]
+    nums += [0] * (len(l) - len(nums))
+    for k, c in enumerate(l):
+        nums[k] -= c * fl
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _ZERO
+    den = du // g * dl * width.numerator
+    g = gcd(den, *nums)
+    return tuple(c // g for c in nums), den // g
 
 
 def piecewise_pushforward(f: PiecewisePoly, theta, a, b) -> PiecewisePoly:
@@ -158,30 +241,41 @@ def piecewise_pushforward(f: PiecewisePoly, theta, a, b) -> PiecewisePoly:
     theta, a, b = Fraction(theta), Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
         raise DomainError("uniform innovation half-widths must be positive")
-    bps = f.breakpoints
-    cum, mass = f._cumulative_polys()
+    cum, mass = f._cumulative_table()
     if mass == 0:
         return PiecewisePoly.zero()
     if theta == 0:
         return PiecewisePoly.constant(0, b, mass / (a + b))
-    inv = 1 / theta
-    upper, lower = (a, -b) if theta > 0 else (-b, a)
-    ends = cell_ends(bps, theta, a, b)
+    den, ends = cell_ends(f._den, f._nums, theta, a, b)
     if not ends:
         return PiecewisePoly.zero()
-    cells = [Fraction(0)] + sorted(ends)
-    table = [Polynomial.zero(), *cum, Polynomial.constant(mass)]  # F below, on and above f's support
+    cells = [0, *sorted(ends)]
+    bps, bden = f._nums, f._den
+    table = [_ZERO, *cum, ((mass.numerator,), mass.denominator)]  # F below, on and above f's support
+    inv = 1 / theta
+    upper, lower = (a, -b) if theta > 0 else (-b, a)
 
     def side(shift: Fraction):
-        # F((t + shift)/theta) cell by cell.  No midpoint maps onto a breakpoint of f (each
-        # shifted one is a cell end) and the index is monotone, so each piece is composed once.
-        inner, index = Polynomial((shift * inv, inv)), None
+        # F((y + shift)/theta) cell by cell, the inner map being (i0 + i1*y)/c.  At the
+        # midpoint y = (lo + hi)/(2*den) of a cell it lands at N/D in units of 1/bden, and
+        # bisecting f's integer breakpoints at floor(N/D) places it: no midpoint maps onto
+        # a breakpoint of f (each shifted one is a cell end).  The index is monotone, so
+        # each piece is composed once.
+        inner, c = _integer_form([shift * inv, inv])
+        step, offset, scale = inner[1] * bden, 2 * den * inner[0] * bden, 2 * den * c
+        index = None
         for lo, hi in zip(cells, cells[1:]):
-            i = bisect_right(bps, ((lo + hi) / 2 + shift) * inv)
+            i = bisect_right(bps, ((lo + hi) * step + offset) // scale)
             if i != index:
-                index, poly = i, table[i].compose(inner)
-            yield poly
+                index = i
+                nums, d = table[i]
+                if nums:
+                    composed, s = _compose(nums, inner, c)
+                    piece = composed, d * s
+                else:
+                    piece = _ZERO
+            yield piece
 
-    inv_width = 1 / (a + b)
-    pieces = [(u - l) * inv_width for u, l in zip(side(upper), side(lower))]
-    return PiecewisePoly(cells, pieces)
+    width = a + b
+    pieces = [_difference(u, du, l, dl, width) for (u, du), (l, dl) in zip(side(upper), side(lower))]
+    return PiecewisePoly._from_integer_form(den, cells, pieces)

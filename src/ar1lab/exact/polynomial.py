@@ -33,13 +33,37 @@ def _integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two nonempty integer polynomials."""
+    """Coefficients of the product of two nonempty integer polynomials.
+
+    Zero terms of ``a`` are skipped, so the sparser factor goes first.
+    """
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
+
+
+def _horner(nums: Sequence[int], p: int, q: int) -> tuple[int, int]:
+    """(N, S) with sum nums[k] (p/q)^k == N/S: the integer Horner sum
+    nums[k] p^k q^(d-k) over S = q^d, for nonempty nums of degree d."""
+    acc, scale = nums[-1], 1
+    for c in reversed(nums[:-1]):
+        scale *= q
+        acc = acc * p + c * scale
+    return acc, scale
+
+
+def _compose(nums: Sequence[int], inums: Sequence[int], iden: int) -> tuple[list[int], int]:
+    """(M, S) with (sum nums[k] I^k/iden^k) == M/S, I the polynomial ``inums``:
+    the integer sum nums[k] I^k iden^(d-k) over S = iden^d, for nonempty nums."""
+    acc, scale = [nums[-1]], 1
+    for c in reversed(nums[:-1]):
+        scale *= iden
+        acc = _convolve(acc, inums)
+        acc[0] += c * scale
+    return acc, scale
 
 
 class Polynomial:
@@ -175,6 +199,8 @@ class Polynomial:
             return Polynomial.zero()
         a, da = _integer_form(self.coeffs)
         b, db = _integer_form(other.coeffs)
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a  # the factor with fewer nonzero terms outside
         den = da * db
         return Polynomial(Fraction(n, den) for n in _convolve(a, b))
 
@@ -217,11 +243,7 @@ class Polynomial:
         """
         if isinstance(x, _Scalar) and self.coeffs:
             nums, den = _integer_form(self.coeffs)
-            p, q = x.numerator, x.denominator
-            acc, scale = nums[-1], 1
-            for c in reversed(nums[:-1]):
-                scale *= q
-                acc = acc * p + c * scale
+            acc, scale = _horner(nums, x.numerator, x.denominator)
             return Fraction(acc, den * scale)
         result = x * 0
         for c in reversed(self.coeffs):
@@ -234,11 +256,7 @@ class Polynomial:
             return Polynomial.zero()
         nums, den = _integer_form(self.coeffs)
         inums, iden = _integer_form(inner.coeffs or (Fraction(0),))
-        acc, scale = [nums[-1]], 1
-        for c in reversed(nums[:-1]):
-            scale *= iden
-            acc = _convolve(acc, inums)
-            acc[0] += c * scale
+        acc, scale = _compose(nums, inums, iden)
         den *= scale
         return Polynomial(Fraction(n, den) for n in acc)
 

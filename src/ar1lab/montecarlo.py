@@ -5,9 +5,10 @@ a Philox counter-based stream keyed by (seed, stream id, b), so results are
 bit-identical for any worker count and any trials count, and every estimate
 inside a composite check owns an independent substream.  Blocks run on a
 thread pool of at most the usable CPU count (the draws release the GIL).
-The biexponential law takes its second draw per block, the signs, in chunks
-of rows from the same generator, which yields the same numbers as one full
-draw; the atomic law still makes two full-block draws.
+The biexponential and atomic laws take their second draw per block (the
+signs, the negative magnitudes) in chunks of rows from the same generator,
+which yields the same numbers as one full draw, and fill the first draw's
+array in place.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ar1lab.families import mallows_riordan, tutte_modified_eval, zigzag
 from ar1lab.persistence import persistence_exact
 
 BLOCK_SIZE = 1 << 15
-SIGN_CHUNK = 1 << 12  # rows per chunk of the biexponential sign draw
+SIGN_CHUNK = 1 << 12  # rows per chunk of a law's second draw
 Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 
 
@@ -83,9 +84,15 @@ class InnovationLaw:
                 signs = rng.integers(0, 2, part.shape)
                 np.negative(part, out=part, where=signs != 1)
             return mag
+        # np.where(u < c, -neg, 0.0) with neg drawn in chunks after all of u
         u = rng.random(shape)
-        neg = rng.standard_exponential(shape)
-        return np.where(u < self.c, -neg, 0.0)
+        for start in range(0, len(u), SIGN_CHUNK):
+            part = u[start : start + SIGN_CHUNK]
+            neg = rng.standard_exponential(part.shape)
+            hit = part < self.c
+            part.fill(0.0)
+            np.negative(neg, out=part, where=hit)
+        return u
 
 
 def uniform_law(a: float | Fraction = 1.0, b: float | Fraction = 1.0) -> InnovationLaw:

@@ -175,13 +175,15 @@ def _piece_counts(query: PersistenceQuery) -> Iterator[int]:
     from breakpoints alone.
 
     f_1 lives on {0, b}; a pushforward cuts [0, inf) at 0 and at the
-    ``cell_ends`` of the input's breakpoints, the rule the kernel itself uses.
+    ``cell_ends`` of the input's breakpoints, the rule the kernel itself uses,
+    here on integer numerators over one denominator.
     """
     th, a, b = query.theta, query.a, query.b
-    ends = {Fraction(0), b}
+    den, ends = b.denominator, {0, b.numerator}
     while True:
         yield len(ends) - 1
-        ends = {Fraction(0)} | cell_ends(ends, th, a, b)
+        den, ends = cell_ends(den, ends, th, a, b)
+        ends.add(0)
 
 
 def _reflected_is_cheaper(query: PersistenceQuery, reflected: PersistenceQuery) -> bool:

@@ -1,7 +1,11 @@
-"""Every command line the benchmark runs parses with the current CLI, and the
-oracle-window commands still print their pinned outputs."""
+"""Every command line the benchmark runs parses with the current CLI, the
+oracle-window commands still print their pinned outputs, and a traced run
+still reports each oracle step's size."""
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +47,24 @@ def test_oracle_window_outputs_match_the_pinned_references(monkeypatch, capsys):
     for command in commands:
         assert main(list(command.argv)) == 0
         assert check.compare(refs[command.key], capsys.readouterr().out) is None, command.key
+
+
+# pieces, degree and coefficient bits of f_2..f_12 for `persist --nmax 12 --theta 4/5`
+TRACED_STEPS = [
+    (2, 1, 5), (4, 2, 13), (7, 3, 24), (12, 4, 45), (21, 5, 67), (35, 6, 96),
+    (58, 7, 126), (98, 8, 166), (164, 9, 206), (273, 10, 255), (458, 11, 305),
+]
+
+
+def test_traced_oracle_window_command_reports_every_step():
+    # the benchmark's tracer reads `.pieces` of each pushforward result after the command ends
+    argv = ["persist", "--nmax", "12", "--theta", "4/5"]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), str(PERFBENCH.parent / "src"), "1", json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["exit"] == 0, report["error"]
+    steps = [s[4] for s in report["spans"] if s[0] == "exact.piecewise_pushforward"]
+    assert [(s["pieces"], s["degree"], s["coeff_bits"]) for s in steps] == TRACED_STEPS

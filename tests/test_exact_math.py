@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ar1lab.errors import DomainError, NonInvertibleError
+from ar1lab.exact import piecewise as piecewise_module
 from ar1lab.exact.piecewise import PiecewisePoly, piecewise_pushforward
 from ar1lab.exact.polynomial import Polynomial
 from ar1lab.exact.rational import format_rational, parse_rational
@@ -17,6 +18,8 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 # zeros, negative coefficients and large denominators
 coefficients = st.one_of(small_fractions, st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**15))
 rational_points = st.one_of(st.integers(min_value=-50, max_value=50), coefficients)
+# mostly zero terms, so the factors' sparsity differs
+sparse_coefficients = st.one_of(st.just(F(0)), st.just(F(0)), coefficients)
 
 
 # Plain-Fraction references for the integer polynomial kernels: one Fraction
@@ -122,6 +125,12 @@ class TestPolynomial:
     @settings(max_examples=60, deadline=None)
     def test_product_matches_fraction_loop(self, a, b):
         assert Polynomial(a) * Polynomial(b) == Polynomial(ref_product(a, b))
+
+    @given(st.lists(sparse_coefficients, max_size=8), st.lists(sparse_coefficients, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_product_is_the_same_in_either_order(self, a, b):
+        # __mul__ puts the factor with fewer nonzero terms in the kernel's outer loop
+        assert Polynomial(a) * Polynomial(b) == Polynomial(b) * Polynomial(a) == Polynomial(ref_product(a, b))
 
     @given(st.lists(coefficients, max_size=6), rational_points)
     @settings(max_examples=60, deadline=None)
@@ -320,6 +329,27 @@ class TestPiecewisePoly:
         assert f.breakpoints == (F(0), F(2))
         assert len(f.pieces) == 1
 
+    def test_canonical_form(self):
+        # the Fraction views rebuild the same density
+        f = PiecewisePoly((F(-1, 3), F(1, 2), F(7, 4)), (Polynomial((F(1, 2), F(2, 3))), Polynomial((F(5, 6),))))
+        assert PiecewisePoly(f.breakpoints, f.pieces) == f
+        g = piecewise_pushforward(f, F(-5, 3), F(1, 2), F(3, 4))
+        assert PiecewisePoly(g.breakpoints, g.pieces) == g
+        # one density spelled over the breakpoint denominators 6 and 1, with two equal pieces
+        spelled = PiecewisePoly._from_integer_form(6, (0, 3, 6), (((1,), 2), ((1,), 2)))
+        assert spelled == PiecewisePoly.constant(0, 1, F(1, 2))
+        assert spelled != PiecewisePoly.constant(0, 1, F(1, 3))
+        assert spelled != PiecewisePoly.constant(0, 2, F(1, 2))
+        # trimming zero edge pieces re-reduces the breakpoint denominator 3 to 1
+        trimmed = PiecewisePoly((F(1, 3), 1, 2, F(7, 3)), (Polynomial.zero(), Polynomial((1, 1)), Polynomial.zero()))
+        assert (trimmed._den, trimmed._nums) == (1, (1, 2))
+        assert trimmed == PiecewisePoly((1, 2), (Polynomial((1, 1)),))
+        # the views are Fraction and Polynomial tuples, built once
+        assert type(g.breakpoints) is tuple and all(type(x) is F for x in g.breakpoints)
+        assert type(g.pieces) is tuple and all(type(p) is Polynomial for p in g.pieces)
+        assert all(type(c) is F for p in g.pieces for c in p.coeffs)
+        assert g.breakpoints is g.breakpoints and g.pieces is g.pieces
+
     def test_serialization_round_trip(self):
         f = PiecewisePoly((F(0), F(1, 2), F(2)), (Polynomial((1, 1)), Polynomial((F(1, 3),))))
         data = f.to_dict()
@@ -376,16 +406,30 @@ class TestPiecewisePoly:
             piecewise_pushforward(f, 1, 0, 0)
 
     @given(
-        st.lists(st.fractions(min_value=0, max_value=2, max_denominator=4), min_size=1, max_size=3),
-        st.fractions(min_value=-2, max_value=2, max_denominator=4),
-        st.fractions(min_value=-2, max_value=2, max_denominator=4),
-        st.fractions(min_value="1/2", max_value=2, max_denominator=4),
-        st.fractions(min_value="1/2", max_value=2, max_denominator=4),
+        st.lists(
+            st.tuples(
+                st.fractions(min_value="1/5", max_value=2, max_denominator=6),
+                st.lists(st.fractions(min_value=0, max_value=2, max_denominator=5), min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.fractions(min_value=-2, max_value=2, max_denominator=6),
+        st.fractions(min_value=-2, max_value=2, max_denominator=7),
+        st.fractions(min_value="1/3", max_value=2, max_denominator=5),
+        st.fractions(min_value="1/3", max_value=2, max_denominator=5),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_pushforward_is_the_cumulative_difference(self, values, start, theta, a, b):
-        # g(y) = P(y - b <= theta*Y <= y + a)/(a + b) for y >= 0
-        f = PiecewisePoly([start + k for k in range(len(values) + 1)], [Polynomial((v,)) for v in values])
+    @settings(max_examples=60, deadline=None)
+    def test_pushforward_is_the_cumulative_difference(self, cells, start, theta, a, b):
+        # g(y) = P(y - b <= theta*Y <= y + a)/(a + b) for y >= 0.  f has rational
+        # breakpoints and pieces of degree up to 2, sum c_k (x - lo)^k with c_k >= 0,
+        # so it is a density; theta takes either sign, a and b differ, and all three may
+        # have denominators above 1.
+        bps, pieces = [start], []
+        for width, coeffs in cells:
+            pieces.append(Polynomial(ref_compose(coeffs, [-bps[-1], F(1)])))
+            bps.append(bps[-1] + width)
+        f = PiecewisePoly(bps, pieces)
         g = piecewise_pushforward(f, theta, a, b)
         bps = g.breakpoints
         points = list(bps) + [(lo + hi) / 2 for lo, hi in zip(bps, bps[1:])] + [bps[-1] + 1]
@@ -417,13 +461,13 @@ class TestPiecewisePoly:
         f = oracle_density(PersistenceQuery(8, theta))
         assert len(f.pieces) == pieces
         calls = []
-        real = Polynomial.compose
+        real = piecewise_module._compose
 
-        def counted(self, inner):
-            calls.append(self)
-            return real(self, inner)
+        def counted(nums, inums, iden):
+            calls.append(nums)
+            return real(nums, inums, iden)
 
-        monkeypatch.setattr(Polynomial, "compose", counted)
+        monkeypatch.setattr(piecewise_module, "_compose", counted)
         piecewise_pushforward(f, theta, 1, 1)
         assert calls
         assert len(calls) <= 2 * (pieces + 2)

@@ -100,6 +100,13 @@ def _alive_reference(theta, x):
     return alive
 
 
+def _atomic_full_draw(law, rng, shape):
+    # the atomic law's two draws, each over the whole shape
+    u = rng.random(shape)
+    neg = rng.standard_exponential(shape)
+    return np.where(u < law.c, -neg, 0.0)
+
+
 class TestBlockKernel:
     LAWS = [mc.uniform_law(), mc.gaussian_law(), mc.biexponential_law(), mc.atomic_negative_law(0.4)]
 
@@ -124,6 +131,23 @@ class TestBlockKernel:
         signs = rng.integers(0, 2, shape)
         expected = np.where(signs == 1, mag, -mag)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_atomic_sample_matches_the_full_magnitude_draw(self):
+        shape = (3 * mc.SIGN_CHUNK + 123, 7)
+        law = mc.atomic_negative_law(0.4)
+        got = law.sample(mc._block_rng(SEED, 3, 1), shape)
+        assert np.array_equal(got.view(np.uint64), _atomic_full_draw(law, mc._block_rng(SEED, 3, 1), shape).view(np.uint64))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_atomic_successes_match_the_full_magnitude_draw(self, workers):
+        # two blocks, the second one partial: each drawn whole, then cut.  Survival reads
+        # only where the atoms fall; the test above checks the magnitudes bit for bit.
+        law, theta, n, trials = mc.atomic_negative_law(0.3), 0.8, 6, mc.BLOCK_SIZE + 5000
+        want = 0
+        for block, rows in mc._blocks(trials):
+            x = _atomic_full_draw(law, mc._block_rng(SEED, 4, block), (mc.BLOCK_SIZE, n))[:rows]
+            want += int(_alive_reference(theta, x).sum())
+        assert mc.estimate_persistence(theta, law, n, trials, SEED, stream=4, workers=workers).successes == want
 
     def test_worker_clamp(self):
         cpus = mc.usable_cpus()
