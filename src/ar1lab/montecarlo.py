@@ -5,10 +5,16 @@ a Philox counter-based stream keyed by (seed, stream id, b), so results are
 bit-identical for any worker count and any trials count, and every estimate
 inside a composite check owns an independent substream.  Blocks run on a
 thread pool of at most the usable CPU count (the draws release the GIL).
-The biexponential and atomic laws take their second draw per block (the
-signs, the negative magnitudes) in chunks of rows from the same generator,
-which yields the same numbers as one full draw, and fill the first draw's
-array in place.
+
+Each block is drawn and consumed in chunks of CHUNK_ROWS rows: the survival
+kernel (or the polytope membership test) reads each chunk as it is drawn,
+through map(), which drops a chunk before the next is drawn.  Chunked draws
+from one generator equal one full draw bit for bit, so a single-draw law
+(uniform, gaussian, the volume sampler) holds one chunk at a time, and a
+partial last block draws only its own rows.  The biexponential and atomic
+laws take a second draw (the signs, the negative magnitudes) that starts
+after the block's whole first draw, so they hold that first draw and fill it
+in place one chunk at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from ar1lab.families import mallows_riordan, tutte_modified_eval, zigzag
 from ar1lab.persistence import persistence_exact
 
 BLOCK_SIZE = 1 << 15
-SIGN_CHUNK = 1 << 12  # rows per chunk of a law's second draw
+CHUNK_ROWS = 1 << 12  # rows of a block drawn and consumed at a time
 Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 
 
@@ -71,28 +77,51 @@ class InnovationLaw:
     def continuous(self) -> bool:
         return self.kind != "atomic_negative"
 
-    def sample(self, rng: Generator, shape) -> np.ndarray:
+    def chunks(self, rng: Generator, shape, rows: int):
+        """Rows [0, rows) of this law's draw of `shape` from rng, as arrays of at most
+        CHUNK_ROWS rows, each bit-identical to those rows of one full draw."""
         if self.kind == "uniform":
-            return rng.uniform(-self.a, self.b, shape)
+            low, high = -float(self.a), float(self.b)  # what numpy reads from a Fraction
+            yield from _drawn_in_chunks(lambda s: rng.uniform(low, high, s), shape, rows)
+            return
         if self.kind == "gaussian":
-            return rng.standard_normal(shape)
-        if self.kind == "biexponential":
-            # same numbers as one full sign draw, without block-sized temporaries
-            mag = rng.standard_exponential(shape)
-            for start in range(0, len(mag), SIGN_CHUNK):
-                part = mag[start : start + SIGN_CHUNK]
+            yield from _drawn_in_chunks(rng.standard_normal, shape, rows)
+            return
+        # the second draw (signs, negative magnitudes) starts after the whole first
+        # draw, which is held and filled in place one chunk at a time
+        biexp = self.kind == "biexponential"
+        first = rng.standard_exponential(shape) if biexp else rng.random(shape)
+        for start, stop in _spans(rows):
+            part = first[start:stop]
+            if biexp:
                 signs = rng.integers(0, 2, part.shape)
-                np.negative(part, out=part, where=signs != 1)
-            return mag
-        # np.where(u < c, -neg, 0.0) with neg drawn in chunks after all of u
-        u = rng.random(shape)
-        for start in range(0, len(u), SIGN_CHUNK):
-            part = u[start : start + SIGN_CHUNK]
-            neg = rng.standard_exponential(part.shape)
-            hit = part < self.c
-            part.fill(0.0)
-            np.negative(neg, out=part, where=hit)
-        return u
+                signs <<= 1
+                signs -= 1
+                part *= signs  # negated where the sign is 0, so a zero becomes -0.0
+            else:  # np.where(u < c, -neg, 0.0)
+                neg = rng.standard_exponential(part.shape)
+                hit = part < self.c
+                part.fill(0.0)
+                np.negative(neg, out=part, where=hit)
+            yield part
+
+    def sample(self, rng: Generator, shape) -> np.ndarray:
+        """One draw of `shape`: the concatenation of the law's chunks."""
+        shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        parts = list(self.chunks(rng, shape, shape[0]))
+        return np.concatenate(parts) if parts else np.empty(shape)
+
+
+def _spans(rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of rows [0, rows)."""
+    return [(start, min(start + CHUNK_ROWS, rows)) for start in range(0, rows, CHUNK_ROWS)]
+
+
+def _drawn_in_chunks(draw, shape, rows: int):
+    """draw(chunk shape) for each chunk of rows [0, rows) of a single draw of `shape`,
+    in order; a row never feeds an earlier one, so later rows are never drawn."""
+    for start, stop in _spans(rows):
+        yield draw((stop - start, *shape[1:]))
 
 
 def uniform_law(a: float | Fraction = 1.0, b: float | Fraction = 1.0) -> InnovationLaw:
@@ -171,27 +200,25 @@ def _block_rng(seed: int, stream: int, block: int) -> Generator:
     return Generator(Philox(key=seed, counter=[0, 0, stream, block]))
 
 
-def _draw_block(draw, seed: int, stream: int, block: int, rows: int, n: int) -> np.ndarray:
-    # the full block is drawn then cut, so a partial block draws what a full one
-    # does; a law may draw in chunks of rows, as chunked draws from one generator
-    # equal the full draw bit for bit
-    return draw(_block_rng(seed, stream, block), (BLOCK_SIZE, n))[:rows]
-
-
 def _alive(theta: float, x: np.ndarray) -> np.ndarray:
     """Survival mask of the paths from Y_0 = 0 whose innovations are the rows of x.
 
     Only living paths are updated, each by the same float operations as in a
     full-width loop, so the mask is the same bits; the loop ends when all die.
+    The first step reads the first column whole, as every path is alive at Y_0.
     """
-    idx = np.arange(len(x))
-    y = np.zeros(len(x))
-    for k in range(x.shape[1]):
-        y = theta * y + x[idx, k]
-        keep = y >= 0.0
-        idx, y = idx[keep], y[keep]
+    if not x.shape[1]:
+        return np.ones(len(x), dtype=bool)
+    y = theta * 0.0 + x[:, 0]
+    idx = np.flatnonzero(y >= 0.0)
+    y = y[idx]
+    for k in range(1, x.shape[1]):
         if not len(idx):
             break
+        y *= theta
+        y += x[idx, k]
+        keep = y >= 0.0
+        idx, y = idx[keep], y[keep]
     alive = np.zeros(len(x), dtype=bool)
     alive[idx] = True
     return alive
@@ -255,7 +282,9 @@ def estimate_persistence(
         return _make_estimate(trials, trials, seed)
 
     def run(item: tuple[int, int]) -> int:
-        return int(_alive(theta, _draw_block(law.sample, seed, stream, *item, n)).sum())
+        block, rows = item
+        chunks = law.chunks(_block_rng(seed, stream, block), (BLOCK_SIZE, n), rows)
+        return sum(map(lambda x: int(_alive(theta, x).sum()), chunks))
 
     return _make_estimate(sum(_map_blocks(run, trials, workers)), trials, seed)
 
@@ -269,12 +298,13 @@ def survival_indicators(
     path by path, which is the exact coupling monotonicity statement.
     """
 
-    def run(item: tuple[int, int]) -> list[np.ndarray]:
-        x = _draw_block(law.sample, seed, 0, *item, n)
-        return [_alive(th, x) for th in thetas]
+    def run(item: tuple[int, int]) -> list[list[np.ndarray]]:
+        block, rows = item
+        chunks = law.chunks(_block_rng(seed, 0, block), (BLOCK_SIZE, n), rows)
+        return list(map(lambda x: [_alive(th, x) for th in thetas], chunks))
 
-    per_block = _map_blocks(run, trials, usable_cpus())
-    return {th: np.concatenate([masks[i] for masks in per_block]) for i, th in enumerate(thetas)}
+    per_chunk = [masks for block in _map_blocks(run, trials, usable_cpus()) for masks in block]
+    return {th: np.concatenate([masks[i] for masks in per_chunk]) for i, th in enumerate(thetas)}
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +506,16 @@ def polytope_volume_mc(spec: PolytopeSpec, trials: int, seed: int) -> MCEstimate
             raise DomainError("degenerate bounding box")
         box_volume *= w
 
-    def run(item: tuple[int, int]) -> int:
-        pts = _draw_block(Generator.random, seed, 0, *item, spec.n) * np.array(widths) + np.array(los)
+    scale, shift = np.array(widths), np.array(los)
+
+    def chunk_hits(pts: np.ndarray) -> int:
+        pts *= scale  # the float operations of pts * widths + los, in place
+        pts += shift
         return int(_membership(spec, pts).sum())
+
+    def run(item: tuple[int, int]) -> int:
+        block, rows = item
+        return sum(map(chunk_hits, _drawn_in_chunks(_block_rng(seed, 0, block).random, (BLOCK_SIZE, spec.n), rows)))
 
     hits = sum(_map_blocks(run, trials, usable_cpus()))
     return _make_estimate(hits, trials, seed).scaled(box_volume)
@@ -498,11 +535,24 @@ def exact_persistence_target(theta: float | Fraction, law: InnovationLaw, n: int
         return float(persistence_exact(n, theta, law.a, law.b))
     if law.symmetric and law.continuous:
         if theta == 1:
-            return math.comb(2 * n, n) / 4.0**n
+            return math.comb(2 * n, n) / 4**n  # correctly rounded, and no overflow
         if theta == 0:
             return 0.5**n
     if law.kind == "biexponential":
         if theta <= 0:
             return float(biexp_persistence_nonpositive(theta, n))
-        return qseries_biexp_coeffs(t, n)[n]
+        return _qseries_target(t, n)
+    return None
+
+
+def _qseries_target(theta: float, n: int) -> float | None:
+    """p_n from the q-series extraction, or None past its reach: where it cannot
+    serve n, or where p_0..p_n are not all positive and non-increasing, as every
+    persistence sequence is."""
+    try:
+        ps = qseries_biexp_coeffs(theta, n)
+    except DomainError:
+        return None
+    if ps[0] > 0 and all(0 < b <= a for a, b in zip(ps, ps[1:])):
+        return ps[n]
     return None

@@ -1,6 +1,6 @@
 """Every command line the benchmark runs parses with the current CLI, the
-oracle-window commands still print their pinned outputs, and a traced run
-still reports each oracle step's size."""
+oracle-window commands and the Monte Carlo commands of closed-mc still print
+their pinned outputs, and a traced run still reports each oracle step's size."""
 
 import importlib.util
 import json
@@ -44,6 +44,17 @@ def test_oracle_window_outputs_match_the_pinned_references(monkeypatch, capsys):
     refs = check.load_refs()
     commands = workloads.WORKLOADS["oracle-window"](0)
     assert commands
+    for command in commands:
+        assert main(list(command.argv)) == 0
+        assert check.compare(refs[command.key], capsys.readouterr().out) is None, command.key
+
+
+def test_closed_mc_sampling_outputs_match_the_pinned_references(monkeypatch, capsys):
+    # a changed success count or volume hit count fails here before it fails the benchmark
+    workloads, check = _load("workloads", monkeypatch), _load("check", monkeypatch)
+    refs = check.load_refs()
+    commands = [c for c in workloads.WORKLOADS["closed-mc"](0) if c.argv[0] in ("simulate", "volume")]
+    assert len(commands) == 5
     for command in commands:
         assert main(list(command.argv)) == 0
         assert check.compare(refs[command.key], capsys.readouterr().out) is None, command.key

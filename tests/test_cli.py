@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -459,10 +460,32 @@ def test_simulate_without_target_fails_before_sampling(capsys, monkeypatch):
         raise AssertionError("sampled before the exact target was checked")
 
     monkeypatch.setattr(mc, "estimate_persistence", no_sampling)
-    rc = main("simulate --law biexponential --theta 1/2 --n 64 --trials 1000000".split())
+    # a drift past the float range has no target
+    rc = main(["simulate", "--law", "biexponential", "--theta", "1" + "0" * 400, "--n", "4", "--trials", "1000000"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith("error: ")
+    assert captured.err == "error: drift 1.0e+400 has no float value\n"
+
+
+@pytest.mark.parametrize("n", [45, 64])
+def test_simulate_biexponential_past_the_extraction_reach_prints_no_target(capsys, n):
+    # the 128-point q-series extraction gives a negative p_45 and cannot serve n = 64
+    rc, out = run_cli(capsys, ["simulate", "--law", "biexponential", "--theta", "1/2", "--n", str(n),
+                               "--trials", "1000", "--seed", "1"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["exact"] is None and payload["z_score"] is None
+    assert payload["successes"] == 0
+
+
+@pytest.mark.parametrize("n", [512, 2000])
+def test_simulate_random_walk_past_where_four_to_the_n_overflows(capsys, n):
+    rc, out = run_cli(capsys, ["simulate", "--law", "gaussian", "--theta", "1", "--n", str(n),
+                               "--trials", "300", "--seed", "1"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["exact"] == float(Fraction(math.comb(2 * n, n), 4**n))
+    assert abs(payload["z_score"]) < 5
 
 
 def test_figure_reference_values(capsys):

@@ -1,11 +1,13 @@
 """Monte Carlo engine: determinism, coupling, identity checks, volumes."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from ar1lab.asymptotics import qseries_biexp_coeffs
 from ar1lab.errors import DomainError
 from ar1lab import montecarlo as mc
 
@@ -107,6 +109,23 @@ def _atomic_full_draw(law, rng, shape):
     return np.where(u < law.c, -neg, 0.0)
 
 
+def _full_draw(law, rng, shape):
+    """The law's innovations from draws over the whole shape, none of them chunked."""
+    if law.kind == "uniform":
+        return rng.uniform(-law.a, law.b, shape)
+    if law.kind == "gaussian":
+        return rng.standard_normal(shape)
+    if law.kind == "biexponential":
+        mag = rng.standard_exponential(shape)
+        return np.where(rng.integers(0, 2, shape) == 1, mag, -mag)
+    return _atomic_full_draw(law, rng, shape)
+
+
+def _full_blocks(draw, stream, trials, n):
+    """Each block of `trials` rows drawn whole by draw(rng, (BLOCK_SIZE, n)), then cut."""
+    return [draw(mc._block_rng(SEED, stream, block), (mc.BLOCK_SIZE, n))[:rows] for block, rows in mc._blocks(trials)]
+
+
 class TestBlockKernel:
     LAWS = [mc.uniform_law(), mc.gaussian_law(), mc.biexponential_law(), mc.atomic_negative_law(0.4)]
 
@@ -124,7 +143,7 @@ class TestBlockKernel:
         assert np.array_equal(alive, _alive_reference(0.5, x))
 
     def test_biexponential_sample_matches_the_full_sign_draw(self):
-        shape = (3 * mc.SIGN_CHUNK + 123, 7)
+        shape = (3 * mc.CHUNK_ROWS + 123, 7)
         got = mc.biexponential_law().sample(mc._block_rng(SEED, 2, 1), shape)
         rng = mc._block_rng(SEED, 2, 1)
         mag = rng.standard_exponential(shape)
@@ -133,21 +152,82 @@ class TestBlockKernel:
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_atomic_sample_matches_the_full_magnitude_draw(self):
-        shape = (3 * mc.SIGN_CHUNK + 123, 7)
+        shape = (3 * mc.CHUNK_ROWS + 123, 7)
         law = mc.atomic_negative_law(0.4)
         got = law.sample(mc._block_rng(SEED, 3, 1), shape)
         assert np.array_equal(got.view(np.uint64), _atomic_full_draw(law, mc._block_rng(SEED, 3, 1), shape).view(np.uint64))
 
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+    def test_partial_block_chunks_are_the_rows_of_the_full_draw(self, law):
+        # bit for bit, magnitudes included, which no survival count reads
+        shape, rows = (mc.BLOCK_SIZE, 5), mc.CHUNK_ROWS + 904
+        chunks = list(law.chunks(mc._block_rng(SEED, 7, 0), shape, rows))
+        assert [len(x) for x in chunks] == [mc.CHUNK_ROWS, 904]
+        want = _full_draw(law, mc._block_rng(SEED, 7, 0), shape)[:rows]
+        assert np.array_equal(np.concatenate(chunks).view(np.uint64), want.view(np.uint64))
+
+    def test_uniform_chunks_read_rational_half_widths_as_numpy_does(self):
+        law, shape = mc.uniform_law(F(1, 3), F(2, 7)), (mc.CHUNK_ROWS + 77, 4)
+        got = law.sample(mc._block_rng(SEED, 8, 0), shape)
+        want = mc._block_rng(SEED, 8, 0).uniform(-F(1, 3), F(2, 7), shape)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_atomic_successes_match_the_full_magnitude_draw(self, workers):
-        # two blocks, the second one partial: each drawn whole, then cut.  Survival reads
-        # only where the atoms fall; the test above checks the magnitudes bit for bit.
-        law, theta, n, trials = mc.atomic_negative_law(0.3), 0.8, 6, mc.BLOCK_SIZE + 5000
-        want = 0
-        for block, rows in mc._blocks(trials):
-            x = _atomic_full_draw(law, mc._block_rng(SEED, 4, block), (mc.BLOCK_SIZE, n))[:rows]
-            want += int(_alive_reference(theta, x).sum())
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+    def test_successes_match_the_full_block_draw(self, law, workers):
+        # two blocks of 8 and 2 chunks, the second block partial
+        theta, n, trials = 0.8, 6, mc.BLOCK_SIZE + 5000
+        blocks = _full_blocks(lambda rng, shape: _full_draw(law, rng, shape), 4, trials, n)
+        want = sum(int(_alive_reference(theta, x).sum()) for x in blocks)
+        assert want > 0
         assert mc.estimate_persistence(theta, law, n, trials, SEED, stream=4, workers=workers).successes == want
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+    def test_survival_masks_match_the_full_block_draw(self, law):
+        thetas, n, trials = [0.0, 0.8], 6, mc.BLOCK_SIZE + 5000
+        blocks = _full_blocks(lambda rng, shape: _full_draw(law, rng, shape), 0, trials, n)
+        got = mc.survival_indicators(thetas, law, n, trials, SEED)
+        for th in thetas:
+            assert np.array_equal(got[th], np.concatenate([_alive_reference(th, x) for x in blocks]))
+
+    @pytest.mark.parametrize("spec", [mc.PolytopeSpec("cayley", 4), mc.PolytopeSpec("zigzag", 3)], ids=lambda s: s.kind)
+    def test_volume_hits_match_the_full_block_draw(self, spec):
+        trials = mc.BLOCK_SIZE + 5000
+        box = mc.polytope_box(spec)
+        widths = np.array([float(hi - lo) for lo, hi in box])
+        los = np.array([float(lo) for lo, _ in box])
+        blocks = _full_blocks(lambda rng, shape: rng.random(shape), 0, trials, spec.n)
+        want = sum(int(mc._membership(spec, pts * widths + los).sum()) for pts in blocks)
+        assert mc.polytope_volume_mc(spec, trials, SEED).successes == want
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n: mc.estimate_persistence(0.5, mc.gaussian_law(), n, 8192, SEED, workers=1),
+            lambda n: mc.survival_indicators([0.5], mc.uniform_law(), n, 8192, SEED),
+            lambda n: mc.polytope_volume_mc(mc.PolytopeSpec("zigzag", n), 8192, SEED),
+        ],
+        ids=["estimate", "indicators", "volume"],
+    )
+    def test_a_long_horizon_block_is_held_one_chunk_at_a_time(self, run):
+        # one (BLOCK_SIZE, 1000) float64 block is 262 MB, a chunk of it 32.8 MB;
+        # the 8192 rows make two chunks, and the first is dropped before the second
+        n = 1000
+        tracemalloc.start()
+        try:
+            run(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * mc.CHUNK_ROWS * n * 8
+
+    @pytest.mark.parametrize("theta", [0.8, -2.0])
+    def test_negative_zero_innovations_survive(self, theta):
+        # a zero magnitude gives the innovation -0.0, and theta*0.0 + (-0.0) >= 0 holds;
+        # the least negative float kills its path
+        x = np.array([[-0.0] * 4, [-0.0, -0.0, -5e-324, -0.0]])
+        assert mc._alive(theta, x).tolist() == [True, False]
+        assert np.array_equal(mc._alive(theta, x), _alive_reference(theta, x))
 
     def test_worker_clamp(self):
         cpus = mc.usable_cpus()
@@ -274,3 +354,19 @@ class TestExactTargets:
         assert mc.exact_persistence_target(-1.0, mc.biexponential_law(), 4) == pytest.approx(1 / 128)
         assert mc.exact_persistence_target(0.0, mc.gaussian_law(), 7) == pytest.approx(2**-7)
         assert mc.exact_persistence_target(-0.3, mc.gaussian_law(), 4) is None
+
+    @pytest.mark.parametrize("law", [mc.gaussian_law(), mc.biexponential_law()], ids=lambda law: law.kind)
+    def test_random_walk_target_past_where_four_to_the_n_overflows(self, law):
+        for n in (511, 512, 2000):
+            assert mc.exact_persistence_target(1, law, n) == float(F(math.comb(2 * n, n), 4**n))
+
+    def test_biexponential_target_within_the_extraction_reach(self):
+        law = mc.biexponential_law()
+        assert mc.exact_persistence_target(0.5, law, 20) == qseries_biexp_coeffs(0.5, 20)[20] == 0.000730935827959911
+        assert mc.exact_persistence_target(0.5, law, 33) == qseries_biexp_coeffs(0.5, 33)[33]
+
+    @pytest.mark.parametrize("n", [34, 45, 64])
+    def test_biexponential_target_refused_past_the_extraction_reach(self, n):
+        # at drift 1/2 the extracted p_34 and p_45 are negative, and the 128-point
+        # extraction cannot serve n = 64 at all
+        assert mc.exact_persistence_target(0.5, mc.biexponential_law(), n) is None
