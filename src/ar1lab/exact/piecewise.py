@@ -20,8 +20,9 @@ the negative half-line, reading each piece off Y's cumulative, so the total
 mass after n steps is the survival probability itself.  It reads and writes
 the integer form only: the cell ends share one denominator, a cell finds its
 piece by an integer floor, and the cumulative table, its compositions and
-their differences are integer numerators, with one ``Fraction`` per piece
-for the running mass.
+their differences are integer numerators.  The running mass is an integer
+pair too, and one ``Fraction`` per density holds the mass.  Each composition
+has a linear inner, so it is an integer Taylor shift.
 """
 
 from __future__ import annotations
@@ -129,26 +130,35 @@ class PiecewisePoly:
 
         Piece P/d has the antiderivative Q/(C*d) with integer Q, where
         C = lcm(1..k) and k - 1 is the largest degree.  Its values at the
-        piece's ends are integer Horner sums, and the running mass is the one
-        ``Fraction`` per piece.  Built once per density and kept, so ``mass``
-        and the next pushforward share one integration.
+        piece's ends are integer Horner sums over C*d*E^j, j the degree of Q
+        and E the breakpoint denominator.  The running mass is an integer pair
+        an/ad, reduced once per piece; each constant term is built from it on
+        integers, and the mass is the one ``Fraction`` per density.  Built once
+        per density and kept, so ``mass`` and the next pushforward share one
+        integration.
         """
         if self._cumulative is None:
             den, bps = self._den, self._nums
             clear = lcm(*range(1, max(len(nums) for nums, _ in self._pcs) + 1))
             table = []
-            acc = Fraction(0)
+            an, ad = 0, 1
             for lo, hi, (nums, d) in zip(bps, bps[1:], self._pcs):
                 anti = [0, *[c * (clear // k) for k, c in enumerate(nums, 1)]]
                 anti_den = clear * d
                 h_lo, scale = _horner(anti, lo, den)
-                start = acc - Fraction(h_lo, anti_den * scale)  # the cumulative's constant term
-                t = lcm(anti_den, start.denominator)
+                full = anti_den * scale
+                # the cumulative's constant term sn/sd = an/ad - h_lo/full, reduced
+                sn, sd = an * full - h_lo * ad, ad * full
+                g = gcd(sn, sd)
+                sn, sd = sn // g, sd // g
+                t = lcm(anti_den, sd)
                 cum = [c * (t // anti_den) for c in anti]
-                cum[0] = start.numerator * (t // start.denominator)
+                cum[0] = sn * (t // sd)
                 table.append((cum, t))
-                acc = start + Fraction(_horner(anti, hi, den)[0], anti_den * scale)
-            object.__setattr__(self, "_cumulative", (table, acc))
+                an, ad = sn * full + _horner(anti, hi, den)[0] * sd, sd * full
+                g = gcd(an, ad)
+                an, ad = an // g, ad // g
+            object.__setattr__(self, "_cumulative", (table, Fraction(an, ad)))
         return self._cumulative
 
     def cumulative_at(self, x) -> Fraction:

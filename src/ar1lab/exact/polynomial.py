@@ -57,7 +57,30 @@ def _horner(nums: Sequence[int], p: int, q: int) -> tuple[int, int]:
 
 def _compose(nums: Sequence[int], inums: Sequence[int], iden: int) -> tuple[list[int], int]:
     """(M, S) with (sum nums[k] I^k/iden^k) == M/S, I the polynomial ``inums``:
-    the integer sum nums[k] I^k iden^(d-k) over S = iden^d, for nonempty nums."""
+    the integer sum nums[k] I^k iden^(d-k) over S = iden^d, for nonempty nums.
+
+    A linear inner I = i0 + i1*y is a Taylor shift over the integers: scale
+    nums[k] by iden^(d-k), shift by i0 in place (Ruffini, d^2/2 multiply-adds)
+    and multiply coefficient k by i1^k.  Only an inner of degree other than 1
+    runs the Horner loop of ``_convolve`` products.
+    """
+    if len(inums) == 2:
+        i0, i1 = inums
+        d = len(nums) - 1
+        acc, scale = list(nums), 1
+        for k in range(d - 1, -1, -1):
+            scale *= iden
+            acc[k] *= scale
+        for lo in range(d):
+            run = acc[d]
+            for k in range(d - 1, lo - 1, -1):
+                run = acc[k] = acc[k] + i0 * run
+        if i1 != 1:
+            power = 1
+            for k in range(1, d + 1):
+                power *= i1
+                acc[k] *= power
+        return acc, scale
     acc, scale = [nums[-1]], 1
     for c in reversed(nums[:-1]):
         scale *= iden

@@ -4,13 +4,13 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ar1lab.errors import DomainError, NonInvertibleError
 from ar1lab.exact import piecewise as piecewise_module
 from ar1lab.exact.piecewise import PiecewisePoly, piecewise_pushforward
-from ar1lab.exact.polynomial import Polynomial
+from ar1lab.exact.polynomial import Polynomial, _compose
 from ar1lab.exact.rational import format_rational, parse_rational
 from ar1lab.exact.series import TruncatedSeries, cos_series, sin_series
 
@@ -146,6 +146,26 @@ class TestPolynomial:
         # inner of degree 0, 1 and 2, and the zero inner
         composed = Polynomial(coeffs).compose(Polynomial(inner))
         assert composed == Polynomial(ref_compose(coeffs, inner))
+
+    @given(
+        st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=15),
+        st.one_of(st.just(0), st.integers(min_value=-40, max_value=40)),
+        st.one_of(st.sampled_from([1, -1]), st.integers(min_value=-40, max_value=40).filter(bool)),
+        st.one_of(st.just(1), st.integers(min_value=1, max_value=10**15)),
+        st.booleans(),
+    )
+    @example([5], 3, 1, 1, False)  # constant nums
+    @example([1, -2, 0, 4], 0, -1, 10**15, False)  # no shift, negative i1, large c
+    @example(list(range(1, 16)), -7, -3, 6, False)  # degree 14
+    @example([2, 0, -3], 4, 1, 9, True)  # constant inner [i0]
+    @settings(max_examples=80, deadline=None)
+    def test_compose_by_a_linear_integer_inner(self, nums, i0, i1, c, constant):
+        # the integer Taylor shift (and the convolution loop for a constant inner) against the
+        # per-term Fraction loop: sum nums[k] ((i0 + i1*y)/c)^k == M/S with S = c^d
+        inner = [i0] if constant else [i0, i1]
+        composed, scale = _compose(nums, inner, c)
+        assert scale == c ** (len(nums) - 1)
+        assert [F(m, scale) for m in composed] == ref_compose([F(n) for n in nums], [F(i, c) for i in inner])
 
     def test_value_types(self):
         assert type(Polynomial.zero()(3)) is int and Polynomial.zero()(3) == 0
@@ -321,6 +341,37 @@ class TestPiecewisePoly:
         assert f.mass() == 2
         assert f.cumulative_at(F(1)) == F(1, 2)
         assert f.cumulative_at(F(5)) == 2
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=-30, max_value=10),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=9),
+                st.one_of(st.just([]), st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5)),
+                st.integers(min_value=1, max_value=30),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(3, -4, [(2, [1], 1), (1, [], 1), (5, [0, 3, -1], 7)])  # an interior zero piece, below 0
+    @settings(max_examples=60, deadline=None)
+    def test_cumulative_table_matches_the_reference_loop(self, den, start, cells):
+        # breakpoints numerator/den (so not integers when den > 1), pieces of integer
+        # numerators over their own denominator, some zero, the support starting below 0
+        bps, pieces = [F(start, den)], []
+        for width, nums, d in cells:
+            bps.append(bps[-1] + F(width, den))
+            pieces.append(Polynomial(F(n, d) for n in nums))
+        f = PiecewisePoly(bps, pieces)
+        table, mass = f._cumulative_table()
+        assert len(table) == len(f.pieces)
+        for (cum, t), lo, hi in zip(table, f.breakpoints, f.breakpoints[1:]):
+            for x in (lo, hi):
+                assert ref_value([F(c, t) for c in cum], x) == f.cumulative_at(x)
+        assert mass == f.mass() == f.cumulative_at(f.breakpoints[-1])
+        assert type(mass) is F
 
     def test_merge_and_trim(self):
         f = PiecewisePoly(

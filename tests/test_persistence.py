@@ -155,16 +155,21 @@ class TestOracle:
             (11, F(2, 3), 1, 1, 133, "166b7cf67146651db3a117b3ba95e5238b4f4f5a8ec459aef39a6497bfd15133"),
             (6, F(-3, 2), 1, 1, 1, "2aa86210a26bf26f9975cc5de5d1036b6c16b900677a05d2975ded789fa687c4"),
             (6, F(7, 5), 3, 1, 21, "49171d000d2119e6b0425d95974ffb693ee86be392a5af905fb1885a5643c825"),
+            (9, F(5, 4), 1, 2, 479, "8cfeebcc771c77d6d2537231bc26add987e06980e2f86f8031cef9de7ed69e5d"),
+            (7, F(-1, 3), F(1, 2), 2, 7, "b647dc57166630a1db97c9682fe4e017909065c68b10d1b4c547bf0fc7e4a09e"),
         ],
         ids=[
             "4/5", "3/2", "4/5,a=2", "6/5,b=3", "-1/2", "-4/5,b=3", "-2/3,a=2",
             "n=12,4/5", "n=11,2/3", "n=6,-3/2", "n=6,7/5,a=3",
+            "n=9,5/4,b=2", "n=7,-1/3,a=1/2,b=2",
         ],
     )
     def test_window_densities_are_pinned(self, n, theta, a, b, pieces, digest):
         # every breakpoint and coefficient of the density, bit for bit; the digests were
         # recorded with per-term Fraction arithmetic, before the polynomial kernels moved
-        # to integers over one common denominator
+        # to integers over one common denominator.  The last two were recorded before
+        # composition by a linear inner became a Taylor shift: 5/4 composes over the
+        # denominator c = 5, and -1/3 by a negative slope
         g = oracle_density(PersistenceQuery(n, theta, a, b))
         assert len(g.pieces) == pieces
         assert hashlib.sha256(json.dumps(g.to_dict()).encode()).hexdigest() == digest
