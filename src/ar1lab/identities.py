@@ -224,9 +224,13 @@ def check_phase_transition(nmax: int) -> tuple[bool, str]:
 
 
 def check_hitting_law(nmax: int) -> tuple[bool, str]:
+    # P[T = n] = p_{n-1} - p_n against (-1)^(n-1) J~_{n+1}(1/theta) / (2^n n!)
     for th in (Fraction(2), Fraction(3)):
+        p = pers.persistence_prefix(nmax, th)
+        j_tilde = fam.scalar_families(1 / th).j_tilde
         for n in range(1, nmax + 1):
-            pers.hitting_pmf(pers.PersistenceQuery(n, th))  # internal cross-check raises
+            if p[n - 1] - p[n] != Fraction((-1) ** (n - 1)) * j_tilde(n + 1) / (2**n * factorial(n)):
+                return False, f"closed form at n={n}, theta={th}"
     if pers.hitting_pmf(pers.PersistenceQuery(3, Fraction(3))) != Fraction(5, 648):
         return False, "reference value at drift 3"
     for th in (Fraction(0), Fraction(-2), Fraction(3)):

@@ -10,11 +10,10 @@ Each block is drawn and consumed in chunks of CHUNK_ROWS rows: the survival
 kernel (or the polytope membership test) reads each chunk as it is drawn,
 through map(), which drops a chunk before the next is drawn.  Chunked draws
 from one generator equal one full draw bit for bit, so a single-draw law
-(uniform, gaussian, the volume sampler) holds one chunk at a time, and a
-partial last block draws only its own rows.  The biexponential and atomic
-laws take a second draw (the signs, the negative magnitudes) that starts
-after the block's whole first draw, so they hold that first draw and fill it
-in place one chunk at a time.
+(uniform, gaussian, atomic, the volume sampler) holds one chunk at a time,
+and a partial last block draws only its own rows.  The biexponential law
+draws its signs after the block's whole magnitude draw, so it holds that
+draw and signs it in place one chunk at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -47,7 +46,11 @@ Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 @dataclass(frozen=True)
 class InnovationLaw:
     """Innovation distribution: uniform[-a,b], biexponential, gaussian,
-    or the atomic counterexample law (mass 1-c at zero, c on negatives)."""
+    or the atomic counterexample law (mass 1-c at zero, c on negatives).
+
+    The atomic law is u - c where u < c, else +0.0, for u uniform on [0, 1), so
+    its negative part is uniform on [-c, 0); survival counts read only its zeros.
+    """
 
     kind: str
     a: float | Fraction = 1.0
@@ -87,22 +90,21 @@ class InnovationLaw:
         if self.kind == "gaussian":
             yield from _drawn_in_chunks(rng.standard_normal, shape, rows)
             return
-        # the second draw (signs, negative magnitudes) starts after the whole first
-        # draw, which is held and filled in place one chunk at a time
-        biexp = self.kind == "biexponential"
-        first = rng.standard_exponential(shape) if biexp else rng.random(shape)
+        if self.kind == "atomic_negative":
+            for u in _drawn_in_chunks(rng.random, shape, rows):
+                u -= self.c  # negative exactly where u < c
+                yield np.minimum(u, 0.0, out=u)
+                del u  # drop this chunk before the next is drawn
+            return
+        # the signs are drawn after the whole magnitude draw, which is held and
+        # signed in place one chunk at a time
+        mag = rng.standard_exponential(shape)
         for start, stop in _spans(rows):
-            part = first[start:stop]
-            if biexp:
-                signs = rng.integers(0, 2, part.shape)
-                signs <<= 1
-                signs -= 1
-                part *= signs  # negated where the sign is 0, so a zero becomes -0.0
-            else:  # np.where(u < c, -neg, 0.0)
-                neg = rng.standard_exponential(part.shape)
-                hit = part < self.c
-                part.fill(0.0)
-                np.negative(neg, out=part, where=hit)
+            part = mag[start:stop]
+            signs = rng.integers(0, 2, part.shape)
+            signs <<= 1
+            signs -= 1
+            part *= signs  # negated where the sign is 0, so a zero becomes -0.0
             yield part
 
     def sample(self, rng: Generator, shape) -> np.ndarray:
@@ -152,7 +154,6 @@ class MCEstimate:
     point: float
     ci_low: float
     ci_high: float
-    seed: int
 
     def scaled(self, factor: float) -> "MCEstimate":
         return MCEstimate(
@@ -161,7 +162,6 @@ class MCEstimate:
             self.point * factor,
             self.ci_low * factor,
             self.ci_high * factor,
-            self.seed,
         )
 
     def contains(self, target: float) -> bool:
@@ -180,9 +180,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _make_estimate(successes: int, trials: int, seed: int) -> MCEstimate:
+def _make_estimate(successes: int, trials: int) -> MCEstimate:
     lo, hi = wilson_interval(successes, trials)
-    return MCEstimate(successes, trials, successes / trials, lo, hi, seed)
+    return MCEstimate(successes, trials, successes / trials, lo, hi)
 
 
 def _binomial_sigma(successes: int, trials: int) -> float:
@@ -279,32 +279,14 @@ def estimate_persistence(
     """
     check_run_arguments(n, trials, workers)
     if n == 0:
-        return _make_estimate(trials, trials, seed)
+        return _make_estimate(trials, trials)
 
     def run(item: tuple[int, int]) -> int:
         block, rows = item
         chunks = law.chunks(_block_rng(seed, stream, block), (BLOCK_SIZE, n), rows)
         return sum(map(lambda x: int(_alive(theta, x).sum()), chunks))
 
-    return _make_estimate(sum(_map_blocks(run, trials, workers)), trials, seed)
-
-
-def survival_indicators(
-    thetas: list[float], law: InnovationLaw, n: int, trials: int, seed: int
-) -> dict[float, np.ndarray]:
-    """Per-path survival indicators under common random innovations.
-
-    For drifts 0 <= t1 <= t2 the indicator for t1 never exceeds that for t2
-    path by path, which is the exact coupling monotonicity statement.
-    """
-
-    def run(item: tuple[int, int]) -> list[list[np.ndarray]]:
-        block, rows = item
-        chunks = law.chunks(_block_rng(seed, 0, block), (BLOCK_SIZE, n), rows)
-        return list(map(lambda x: [_alive(th, x) for th in thetas], chunks))
-
-    per_chunk = [masks for block in _map_blocks(run, trials, usable_cpus()) for masks in block]
-    return {th: np.concatenate([masks[i] for masks in per_chunk]) for i, th in enumerate(thetas)}
+    return _make_estimate(sum(_map_blocks(run, trials, workers)), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +294,12 @@ def survival_indicators(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityCheckReport:
-    theta: float
-    law: InnovationLaw
-    n_max: int
-    trials: int
-    seed: int
-    alternating: bool
-    estimates_theta: list[MCEstimate] = field(default_factory=list)
-    estimates_inverse: list[MCEstimate] = field(default_factory=list)
-    targets: list[float] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
-    sigmas: list[float] = field(default_factory=list)
-    z_scores: list[float] = field(default_factory=list)
-    flagged: list[int] = field(default_factory=list)
+    """One z-score per checked horizon n, against the factorization's target."""
+
+    targets: list[float]
+    z_scores: list[float]
 
     @property
     def max_abs_z(self) -> float:
@@ -334,7 +307,7 @@ class IdentityCheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.flagged
+        return not any(abs(z) > 4.0 for z in self.z_scores)
 
 
 def _alternating_target(law: InnovationLaw, n: int) -> float:
@@ -356,51 +329,38 @@ def mc_identity_check(
     For theta < 0 the alternating sum over p_k(theta) p_{n-k}(1/theta) is
     compared to 0 (or to its atomic-law value for the counterexample law);
     for theta > 0 the plain sum is compared to 1.  Every estimate uses its
-    own substream; residuals are flagged beyond 4 propagated standard
-    errors.
+    own substream; the check fails where a residual is beyond 4 propagated
+    standard errors.
     """
     if theta == 0.0:
         raise DomainError("duality checks need nonzero drift")
+    if n_max < 1:
+        raise DomainError("duality checks need n_max >= 1")
     alternating = theta < 0.0
-    report = IdentityCheckReport(theta, law, n_max, trials, seed, alternating)
-    sides = []
+    sides = []  # per drift, (value, standard error) of p_0..p_n_max
     for side, th in enumerate((theta, 1.0 / theta)):
-        ests = [None]  # p_0 = 1 exactly
+        values = [(1.0, 0.0)]  # p_0 = 1 exactly
         for k in range(1, n_max + 1):
-            ests.append(
-                estimate_persistence(th, law, k, trials, seed, stream=side * 64 + k)
-            )
-        sides.append(ests)
-    report.estimates_theta = sides[0][1:]
-    report.estimates_inverse = sides[1][1:]
-
-    def value(side: int, k: int) -> tuple[float, float]:
-        if k == 0:
-            return 1.0, 0.0
-        e = sides[side][k]
-        return e.point, _binomial_sigma(e.successes, e.trials)
-
-    n_start = 1 if alternating else 0
-    for n in range(n_start, n_max + 1):
+            e = estimate_persistence(th, law, k, trials, seed, stream=side * 64 + k)
+            values.append((e.point, _binomial_sigma(e.successes, e.trials)))
+        sides.append(values)
+    ps, qs = sides
+    targets, z_scores = [], []
+    for n in range(1 if alternating else 0, n_max + 1):
         acc = 0.0
         var = 0.0
         for k in range(n + 1):
-            p, sp = value(0, k)
-            q, sq = value(1, n - k)
+            p, sp = ps[k]
+            q, sq = qs[n - k]
             sign = -1.0 if (alternating and k % 2 == 1) else 1.0
             acc += sign * p * q
             var += (q * sp) ** 2 + (p * sq) ** 2
         target = _alternating_target(law, n) if alternating else 1.0
         resid = acc - target
         sigma = math.sqrt(var)
-        zval = resid / sigma if sigma > 0 else (0.0 if resid == 0 else math.inf)
-        report.targets.append(target)
-        report.residuals.append(resid)
-        report.sigmas.append(sigma)
-        report.z_scores.append(zval)
-        if abs(zval) > 4.0:
-            report.flagged.append(n)
-    return report
+        targets.append(target)
+        z_scores.append(resid / sigma if sigma > 0 else (0.0 if resid == 0 else math.inf))
+    return IdentityCheckReport(targets, z_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +478,7 @@ def polytope_volume_mc(spec: PolytopeSpec, trials: int, seed: int) -> MCEstimate
         return sum(map(chunk_hits, _drawn_in_chunks(_block_rng(seed, 0, block).random, (BLOCK_SIZE, spec.n), rows)))
 
     hits = sum(_map_blocks(run, trials, usable_cpus()))
-    return _make_estimate(hits, trials, seed).scaled(box_volume)
+    return _make_estimate(hits, trials).scaled(box_volume)
 
 
 # ---------------------------------------------------------------------------

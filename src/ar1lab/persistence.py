@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
-from ar1lab.errors import DomainError, InvariantError, NoClosedFormError
+from ar1lab.errors import DomainError, NoClosedFormError
 from ar1lab.exact.piecewise import PiecewisePoly, cell_ends, piecewise_pushforward
 from ar1lab.families import scalar_families
 
@@ -260,25 +260,11 @@ def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
 
 
 def hitting_pmf(query: PersistenceQuery) -> Fraction:
-    """P[T = n] = p_{n-1} - p_n for the first passage time below zero.
-
-    For drift >= 2 with symmetric support the value is cross-checked against
-    the closed form (-1)^(n-1) J~_{n+1}(1/theta)/(2^n n!).
-    """
+    """P[T = n] = p_{n-1} - p_n for the first passage time below zero."""
     if query.n < 1:
         raise IndexError("hitting time starts at n = 1")
-    n, th = query.n, query.theta
-    p = persistence_prefix(n, th, query.a, query.b)
-    value = p[n - 1] - p[n]
-    if th >= 2 and query.symmetric:
-        direct = (
-            Fraction((-1) ** (n - 1))
-            * scalar_families(1 / th).j_tilde(n + 1)
-            / (2**n * factorial(n))
-        )
-        if direct != value:
-            raise InvariantError(f"hitting-law closed form mismatch at n={n}, theta={th}")
-    return value
+    p = persistence_prefix(query.n, query.theta, query.a, query.b)
+    return p[query.n - 1] - p[query.n]
 
 
 def duality_residuals(nmax: int, theta) -> list[Fraction]:

@@ -321,6 +321,24 @@ def test_route_disagreement_fails_verify_and_poly(capsys, monkeypatch):
         main(["poly", "--family", "Jh", "--nmax", "3", "--check-routes"])
 
 
+def test_hitting_law_mismatch_fails_verify(capsys, monkeypatch):
+    import ar1lab.persistence as pers
+
+    prefix = pers.persistence_prefix
+
+    def perturbed(n, theta, *support):
+        p = list(prefix(n, theta, *support))
+        if theta == 2 and n >= 3:
+            p[3] += Fraction(1, 10**9)
+        return p
+
+    monkeypatch.setattr(pers, "persistence_prefix", perturbed)
+    rc, out = run_cli(capsys, ["verify"])
+    assert rc == 1
+    assert "hitting-law                FAIL       closed form at n=3, theta=2" in out.splitlines()
+    assert out.endswith("FAILED: hitting-law\n")
+
+
 def test_simulate_json(capsys):
     rc, out = run_cli(
         capsys,

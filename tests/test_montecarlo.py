@@ -74,17 +74,6 @@ class TestDeterminism:
         b = mc.estimate_persistence(0.3, law, 5, 50000, SEED, stream=1)
         assert a.successes != b.successes
 
-    def test_trial_count_prefix_property(self):
-        # a longer run reuses the identical per-path indicators, block by block,
-        # and a partial block holds the first rows of the full one
-        thetas = [0.0, 0.5]
-        large = mc.survival_indicators(thetas, mc.uniform_law(), 3, 2 * mc.BLOCK_SIZE, SEED)
-        for trials in (mc.BLOCK_SIZE, mc.BLOCK_SIZE + 100):
-            small = mc.survival_indicators(thetas, mc.uniform_law(), 3, trials, SEED)
-            for th in thetas:
-                assert len(large[th]) == 2 * mc.BLOCK_SIZE
-                assert np.array_equal(small[th], large[th][:trials])
-
     def test_nonpositive_workers_refused(self):
         for workers in (0, -3):
             for n in (0, 3):
@@ -103,7 +92,8 @@ def _alive_reference(theta, x):
 
 
 def _atomic_full_draw(law, rng, shape):
-    # the atomic law's two draws, each over the whole shape
+    # the atomic law as first defined, by two draws over the whole shape: its
+    # negative magnitudes were exponential, and a survival count never read them
     u = rng.random(shape)
     neg = rng.standard_exponential(shape)
     return np.where(u < law.c, -neg, 0.0)
@@ -118,7 +108,8 @@ def _full_draw(law, rng, shape):
     if law.kind == "biexponential":
         mag = rng.standard_exponential(shape)
         return np.where(rng.integers(0, 2, shape) == 1, mag, -mag)
-    return _atomic_full_draw(law, rng, shape)
+    u = rng.random(shape)
+    return np.where(u < law.c, u - law.c, 0.0)
 
 
 def _full_blocks(draw, stream, trials, n):
@@ -155,7 +146,7 @@ class TestBlockKernel:
         shape = (3 * mc.CHUNK_ROWS + 123, 7)
         law = mc.atomic_negative_law(0.4)
         got = law.sample(mc._block_rng(SEED, 3, 1), shape)
-        assert np.array_equal(got.view(np.uint64), _atomic_full_draw(law, mc._block_rng(SEED, 3, 1), shape).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), _full_draw(law, mc._block_rng(SEED, 3, 1), shape).view(np.uint64))
 
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
     def test_partial_block_chunks_are_the_rows_of_the_full_draw(self, law):
@@ -182,13 +173,16 @@ class TestBlockKernel:
         assert want > 0
         assert mc.estimate_persistence(theta, law, n, trials, SEED, stream=4, workers=workers).successes == want
 
-    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
-    def test_survival_masks_match_the_full_block_draw(self, law):
-        thetas, n, trials = [0.0, 0.8], 6, mc.BLOCK_SIZE + 5000
-        blocks = _full_blocks(lambda rng, shape: _full_draw(law, rng, shape), 0, trials, n)
-        got = mc.survival_indicators(thetas, law, n, trials, SEED)
-        for th in thetas:
-            assert np.array_equal(got[th], np.concatenate([_alive_reference(th, x) for x in blocks]))
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("theta", [-1.7, 0.8])
+    def test_atomic_successes_match_the_two_draw_law(self, theta, workers):
+        # a path from Y_0 = 0 survives while its innovations are 0, and the zeros
+        # (u >= c) are the same in both laws, so the negative magnitudes are unread
+        law, n, trials = mc.atomic_negative_law(0.4), 6, mc.BLOCK_SIZE + 5000
+        blocks = _full_blocks(lambda rng, shape: _atomic_full_draw(law, rng, shape), 9, trials, n)
+        want = sum(int(_alive_reference(theta, x).sum()) for x in blocks)
+        assert want > 0
+        assert mc.estimate_persistence(theta, law, n, trials, SEED, stream=9, workers=workers).successes == want
 
     @pytest.mark.parametrize("spec", [mc.PolytopeSpec("cayley", 4), mc.PolytopeSpec("zigzag", 3)], ids=lambda s: s.kind)
     def test_volume_hits_match_the_full_block_draw(self, spec):
@@ -204,10 +198,10 @@ class TestBlockKernel:
         "run",
         [
             lambda n: mc.estimate_persistence(0.5, mc.gaussian_law(), n, 8192, SEED, workers=1),
-            lambda n: mc.survival_indicators([0.5], mc.uniform_law(), n, 8192, SEED),
+            lambda n: mc.estimate_persistence(0.5, mc.atomic_negative_law(0.3), n, 8192, SEED, workers=1),
             lambda n: mc.polytope_volume_mc(mc.PolytopeSpec("zigzag", n), 8192, SEED),
         ],
-        ids=["estimate", "indicators", "volume"],
+        ids=["estimate", "atomic", "volume"],
     )
     def test_a_long_horizon_block_is_held_one_chunk_at_a_time(self, run):
         # one (BLOCK_SIZE, 1000) float64 block is 262 MB, a chunk of it 32.8 MB;
@@ -268,10 +262,12 @@ class TestEstimates:
 
 class TestCoupling:
     def test_pathwise_monotone_in_nonnegative_drift(self):
-        thetas = [0.0, 0.4, 1.1, 2.0]
-        surv = mc.survival_indicators(thetas, mc.uniform_law(), 6, 60000, SEED)
-        for lo, hi in zip(thetas, thetas[1:]):
-            assert np.all(surv[lo] <= surv[hi])
+        # common innovations: for drifts 0 <= t1 <= t2 a path alive at t1 is alive at t2
+        x = mc.uniform_law().sample(mc._block_rng(SEED, 0, 0), (mc.BLOCK_SIZE, 6))
+        surv = [mc._alive(th, x) for th in (0.0, 0.4, 1.1, 2.0)]
+        for lo, hi in zip(surv, surv[1:]):
+            assert np.all(lo <= hi)
+        assert surv[0].sum() < surv[-1].sum()
 
 
 class TestIdentityChecks:
@@ -293,6 +289,12 @@ class TestIdentityChecks:
     def test_zero_drift_rejected(self):
         with pytest.raises(DomainError):
             mc.mc_identity_check(0.0, mc.gaussian_law(), 3, 100, SEED)
+
+    @pytest.mark.parametrize("theta", [-2.0, 1.5])
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_horizon_below_one_rejected(self, theta, n_max):
+        with pytest.raises(DomainError):
+            mc.mc_identity_check(theta, mc.gaussian_law(), n_max, 100, SEED)
 
 
 class TestPolytopes:

@@ -3,7 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -11,6 +11,7 @@ from ar1lab.errors import DomainError, NoClosedFormError
 from ar1lab import identities
 from ar1lab import persistence as pers
 from ar1lab.exact.piecewise import PiecewisePoly
+from ar1lab.families import scalar_families
 from ar1lab.persistence import (
     PersistenceQuery,
     Region,
@@ -303,9 +304,11 @@ class TestHitting:
 
     @pytest.mark.parametrize("theta", [F(2), F(3)])
     def test_closed_form_cross_check_runs(self, theta):
-        # the internal consistency assertion must stay silent through n = 10
+        # (-1)^(n-1) J~_{n+1}(1/theta) / (2^n n!) through n = 10
+        j_tilde = scalar_families(1 / theta).j_tilde
         for n in range(1, 11):
-            hitting_pmf(PersistenceQuery(n, theta))
+            direct = F((-1) ** (n - 1)) * j_tilde(n + 1) / (2**n * factorial(n))
+            assert hitting_pmf(PersistenceQuery(n, theta)) == direct
 
     @pytest.mark.parametrize("theta", [F(0), F(-3, 2), F(4, 5), F(3)])
     def test_telescoping(self, theta):
