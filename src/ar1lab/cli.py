@@ -45,9 +45,12 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
-        with open(target, "w") as fh:
-            fh.write(text)
+        try:
+            os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
+            with open(target, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {target!r}: {exc.strerror or exc}") from None
 
 
 def _json_dump(obj) -> str:

@@ -7,12 +7,9 @@ densities may be discontinuous at breakpoints.
 
 The density is stored in integer form.  The breakpoints are integer
 numerators B_0 < ... < B_m over one positive denominator E, with
-gcd(E, B_0, ..., B_m) = 1.  Each piece is a pair (nums, den): integer
-coefficients in ascending degree over a positive denominator, with no
-trailing zero and gcd(den, *nums) = 1; the zero piece is ((), 1).  The form
-is canonical, so equal densities are equal tuples.  ``breakpoints`` and
-``pieces`` build the ``Fraction`` and ``Polynomial`` views on first read and
-keep them.
+gcd(E, B_0, ..., B_m) = 1, and each piece is a ``Polynomial``, itself in the
+canonical integer form of ``ar1lab.exact.polynomial``.  Equal neighbours are
+merged and zero edge pieces trimmed, so equal densities are equal.
 
 ``piecewise_pushforward`` performs one autoregressive step with uniform
 innovations: it maps the sub-density of Y to that of (theta*Y + X) killed on
@@ -36,29 +33,26 @@ from ar1lab.errors import DomainError
 from ar1lab.exact.polynomial import Polynomial, _compose, _horner, _integer_form
 from ar1lab.exact.rational import format_rational
 
-_ZERO = ((), 1)  # the zero piece
-
 
 class PiecewisePoly:
     """Finitely supported piecewise-polynomial density, exact everywhere."""
 
-    __slots__ = ("_den", "_nums", "_pcs", "_breakpoints", "_pieces", "_cumulative")
+    __slots__ = ("_den", "_nums", "pieces", "_breakpoints", "_cumulative")
 
     def __init__(self, breakpoints: Iterable, pieces: Iterable[Polynomial]):
         nums, den = _integer_form([Fraction(b) for b in breakpoints])
-        # the lcm of reduced denominators leaves each piece's numerators and denominator coprime
-        pcs = [(tuple(n), d) for n, d in (_integer_form(p.coeffs) for p in pieces)]
-        if len(nums) != len(pcs) + 1:
+        pieces = tuple(pieces)
+        if len(nums) != len(pieces) + 1:
             raise ValueError("need exactly one more breakpoint than pieces")
-        if not pcs:
+        if not pieces:
             raise ValueError("need at least one piece")
         for lo, hi in zip(nums, nums[1:]):
             if not lo < hi:
                 raise ValueError("breakpoints must be strictly increasing")
-        self._assign(den, nums, pcs)
+        self._assign(den, nums, pieces)
 
-    def _assign(self, den: int, nums: Sequence[int], pcs: Sequence[tuple]) -> None:
-        state = (*_canonicalize(den, nums, pcs), None, None, None)
+    def _assign(self, den: int, nums: Sequence[int], pieces: Sequence[Polynomial]) -> None:
+        state = (*_canonicalize(den, nums, pieces), None, None)
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
 
@@ -75,40 +69,34 @@ class PiecewisePoly:
         return cls((Fraction(lo), Fraction(hi)), (Polynomial.constant(value),))
 
     @classmethod
-    def _from_integer_form(cls, den: int, nums: Sequence[int], pcs: Sequence[tuple]) -> "PiecewisePoly":
-        """The density on breakpoints nums/den with canonical (numerators,
-        denominator) pieces; equal neighbours merge, zero edges go and the
-        breakpoints are reduced here."""
+    def _from_integer_form(
+        cls, den: int, nums: Sequence[int], pieces: Sequence[Polynomial]
+    ) -> "PiecewisePoly":
+        """The density on breakpoints nums/den; equal neighbours merge, zero
+        edges go and the breakpoints are reduced here."""
         f = cls.__new__(cls)
-        f._assign(den, nums, pcs)
+        f._assign(den, nums, pieces)
         return f
 
-    # -- read-only views ----------------------------------------------------
+    # -- read-only view ----------------------------------------------------
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         if self._breakpoints is None:
             object.__setattr__(self, "_breakpoints", tuple(Fraction(n, self._den) for n in self._nums))
         return self._breakpoints
 
-    @property
-    def pieces(self) -> tuple[Polynomial, ...]:
-        if self._pieces is None:
-            pieces = tuple(Polynomial([Fraction(n, den) for n in nums]) for nums, den in self._pcs)
-            object.__setattr__(self, "_pieces", pieces)
-        return self._pieces
-
     # -- basic queries ----------------------------------------------------
     def is_zero(self) -> bool:
-        return all(not nums for nums, _ in self._pcs)
+        return not any(self.pieces)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        return (self._den, self._nums, self._pcs) == (other._den, other._nums, other._pcs)
+        return (self._den, self._nums, self.pieces) == (other._den, other._nums, other.pieces)
 
     def __repr__(self) -> str:
         lo, hi = Fraction(self._nums[0], self._den), Fraction(self._nums[-1], self._den)
-        return f"PiecewisePoly({len(self._pcs)} pieces on [{lo}, {hi}])"
+        return f"PiecewisePoly({len(self.pieces)} pieces on [{lo}, {hi}])"
 
     def evaluate(self, x) -> Fraction:
         """Density value at x; shared breakpoints resolve to the left piece."""
@@ -139,12 +127,12 @@ class PiecewisePoly:
         """
         if self._cumulative is None:
             den, bps = self._den, self._nums
-            clear = lcm(*range(1, max(len(nums) for nums, _ in self._pcs) + 1))
+            clear = lcm(*range(1, max(len(p._nums) for p in self.pieces) + 1))
             table = []
             an, ad = 0, 1
-            for lo, hi, (nums, d) in zip(bps, bps[1:], self._pcs):
-                anti = [0, *[c * (clear // k) for k, c in enumerate(nums, 1)]]
-                anti_den = clear * d
+            for lo, hi, p in zip(bps, bps[1:], self.pieces):
+                anti = [0, *[c * (clear // k) for k, c in enumerate(p._nums, 1)]]
+                anti_den = clear * p._den
                 h_lo, scale = _horner(anti, lo, den)
                 full = anti_den * scale
                 # the cumulative's constant term sn/sd = an/ad - h_lo/full, reduced
@@ -164,8 +152,8 @@ class PiecewisePoly:
     def cumulative_at(self, x) -> Fraction:
         """Integral of the density from b_0 to x.
 
-        Sums each materialized piece's antiderivative up to x and shares no
-        code with ``_cumulative_table``.
+        Sums each piece's antiderivative up to x and shares no code with
+        ``_cumulative_table``.
         """
         x = Fraction(x)
         total = Fraction(0)
@@ -184,12 +172,12 @@ class PiecewisePoly:
         }
 
 
-def _canonicalize(den: int, nums: Sequence[int], pcs: Sequence[tuple]):
+def _canonicalize(den: int, nums: Sequence[int], pieces: Sequence[Polynomial]):
     # merge adjacent identical pieces, trim zero pieces at the edges, then
     # reduce the breakpoints that are left by one gcd
     mb = [nums[0]]
     mp = []
-    for hi, p in zip(nums[1:], pcs):
+    for hi, p in zip(nums[1:], pieces):
         if mp and mp[-1] == p:
             mb[-1] = hi
         else:
@@ -197,12 +185,12 @@ def _canonicalize(den: int, nums: Sequence[int], pcs: Sequence[tuple]):
             mb.append(hi)
     lo = 0
     hi = len(mp)
-    while lo < hi and not mp[lo][0]:
+    while lo < hi and not mp[lo]:
         lo += 1
-    while hi > lo and not mp[hi - 1][0]:
+    while hi > lo and not mp[hi - 1]:
         hi -= 1
     if lo == hi:
-        return 1, (0, 1), (_ZERO,)
+        return 1, (0, 1), (Polynomial.zero(),)
     mb = mb[lo : hi + 1]
     g = gcd(den, *mb)
     return den // g, tuple(n // g for n in mb), tuple(mp[lo:hi])
@@ -223,21 +211,15 @@ def cell_ends(den: int, nums: Iterable[int], theta: Fraction, a: Fraction, b: Fr
     return q * den * w, {y for tc in (t * n for n in nums) for y in (tc - sa, tc + sb) if y > 0}
 
 
-def _difference(u: Sequence[int], du: int, l: Sequence[int], dl: int, width: Fraction) -> tuple:
-    """The canonical piece (u/du - l/dl)/width, one gcd for the whole piece."""
+def _difference(u: Sequence[int], du: int, l: Sequence[int], dl: int, width: Fraction) -> Polynomial:
+    """The piece (u/du - l/dl)/width, one gcd for the whole piece."""
     g = gcd(du, dl)
     fu, fl = dl // g * width.denominator, du // g * width.denominator
     nums = [c * fu for c in u]
     nums += [0] * (len(l) - len(nums))
     for k, c in enumerate(l):
         nums[k] -= c * fl
-    while nums and not nums[-1]:
-        nums.pop()
-    if not nums:
-        return _ZERO
-    den = du // g * dl * width.numerator
-    g = gcd(den, *nums)
-    return tuple(c // g for c in nums), den // g
+    return Polynomial._from_integer_form(nums, du // g * dl * width.numerator)
 
 
 def piecewise_pushforward(f: PiecewisePoly, theta, a, b) -> PiecewisePoly:
@@ -261,7 +243,7 @@ def piecewise_pushforward(f: PiecewisePoly, theta, a, b) -> PiecewisePoly:
         return PiecewisePoly.zero()
     cells = [0, *sorted(ends)]
     bps, bden = f._nums, f._den
-    table = [_ZERO, *cum, ((mass.numerator,), mass.denominator)]  # F below, on and above f's support
+    table = [((), 1), *cum, ((mass.numerator,), mass.denominator)]  # F below, on and above f's support
     inv = 1 / theta
     upper, lower = (a, -b) if theta > 0 else (-b, a)
 
@@ -278,12 +260,10 @@ def piecewise_pushforward(f: PiecewisePoly, theta, a, b) -> PiecewisePoly:
             i = bisect_right(bps, ((lo + hi) * step + offset) // scale)
             if i != index:
                 index = i
-                nums, d = table[i]
+                nums, d = piece = table[i]
                 if nums:
                     composed, s = _compose(nums, inner, c)
                     piece = composed, d * s
-                else:
-                    piece = _ZERO
             yield piece
 
     width = a + b

@@ -1,26 +1,23 @@
 """Dense univariate polynomials over exact rationals.
 
-``Polynomial`` stores coefficients in ascending degree with no trailing
-zeros, so equality of values is equality of representations.
+A ``Polynomial`` stores one canonical integer form: numerators in ascending
+degree with no trailing zero, over one positive denominator, with
+gcd(den, *nums) = 1; the zero polynomial is ((), 1).  Equality of values is
+therefore equality of representations.  Ring operations, evaluation at a
+rational and composition run on the integers, and ``coeffs`` builds the
+``Fraction`` coefficients only when read.  The pieces of a ``PiecewisePoly``
+are ``Polynomial``s in this form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from ar1lab.exact.rational import format_rational
 
 _Scalar = (int, Fraction)
-
-
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"polynomial coefficients must be exact rationals, got {type(c)!r}")
 
 
 def _integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -56,54 +53,68 @@ def _horner(nums: Sequence[int], p: int, q: int) -> tuple[int, int]:
 
 
 def _compose(nums: Sequence[int], inums: Sequence[int], iden: int) -> tuple[list[int], int]:
-    """(M, S) with (sum nums[k] I^k/iden^k) == M/S, I the polynomial ``inums``:
-    the integer sum nums[k] I^k iden^(d-k) over S = iden^d, for nonempty nums.
+    """(M, S) with (sum nums[k] I^k/iden^k) == M/S for the linear I = i0 + i1*y,
+    ``inums`` = (i0, i1): the integer sum nums[k] I^k iden^(d-k) over
+    S = iden^d, for nonempty nums.
 
-    A linear inner I = i0 + i1*y is a Taylor shift over the integers: scale
-    nums[k] by iden^(d-k), shift by i0 in place (Ruffini, d^2/2 multiply-adds)
-    and multiply coefficient k by i1^k.  Only an inner of degree other than 1
-    runs the Horner loop of ``_convolve`` products.
+    It is a Taylor shift over the integers: scale nums[k] by iden^(d-k), shift
+    by i0 in place (Ruffini, d^2/2 multiply-adds) and multiply coefficient k
+    by i1^k.
     """
-    if len(inums) == 2:
-        i0, i1 = inums
-        d = len(nums) - 1
-        acc, scale = list(nums), 1
-        for k in range(d - 1, -1, -1):
-            scale *= iden
-            acc[k] *= scale
-        for lo in range(d):
-            run = acc[d]
-            for k in range(d - 1, lo - 1, -1):
-                run = acc[k] = acc[k] + i0 * run
-        if i1 != 1:
-            power = 1
-            for k in range(1, d + 1):
-                power *= i1
-                acc[k] *= power
-        return acc, scale
-    acc, scale = [nums[-1]], 1
-    for c in reversed(nums[:-1]):
+    i0, i1 = inums
+    d = len(nums) - 1
+    acc, scale = list(nums), 1
+    for k in range(d - 1, -1, -1):
         scale *= iden
-        acc = _convolve(acc, inums)
-        acc[0] += c * scale
+        acc[k] *= scale
+    for lo in range(d):
+        run = acc[d]
+        for k in range(d - 1, lo - 1, -1):
+            run = acc[k] = acc[k] + i0 * run
+    if i1 != 1:
+        power = 1
+        for k in range(1, d + 1):
+            power *= i1
+            acc[k] *= power
     return acc, scale
 
 
 class Polynomial:
-    """Immutable dense polynomial with ``Fraction`` coefficients."""
+    """Immutable dense polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, _Scalar):
+                raise TypeError(f"polynomial coefficients must be exact rationals, got {type(c)!r}")
+        self._assign(*_integer_form(cs))
+
+    def _assign(self, nums: list[int], den: int) -> None:
+        # the canonical form: strip trailing zeros, then one gcd makes den > 0
+        # and coprime to the numerators
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den // g)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def _from_integer_form(cls, nums: list[int], den: int) -> "Polynomial":
+        """The polynomial sum nums[k] x^k/den, for any nonzero den."""
+        p = cls.__new__(cls)
+        p._assign(nums, den)
+        return p
+
     @classmethod
     def zero(cls) -> "Polynomial":
         return cls(())
@@ -133,39 +144,44 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in ascending degree, as ``Fraction``s."""
+        return tuple(Fraction(n, self._den) for n in self._nums)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def valuation(self) -> int | None:
         """Index of the lowest nonzero coefficient; None for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, c in enumerate(self._nums):
+            if c:
                 return i
         return None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self._nums[k], self._den) if 0 <= k < len(self._nums) else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self._den == other._den and self._nums == other._nums
         if isinstance(other, _Scalar):
             return self == Polynomial.constant(other)
         return NotImplemented
 
     def __hash__(self):
         # a polynomial of degree <= 0 equals its constant, so it hashes as one
-        if len(self.coeffs) <= 1:
+        if len(self._nums) <= 1:
             return hash(self.coefficient(0))
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -183,49 +199,46 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
     # -- ring operations ----------------------------------------------
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "Polynomial":
+        """self + sign*other over the lcm of the two denominators."""
         if isinstance(other, _Scalar):
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        g = gcd(self._den, other._den)
+        fa, fb = other._den // g, sign * (self._den // g)
+        out = [c * fa for c in self._nums]
+        out += [0] * (len(other._nums) - len(out))
+        for k, c in enumerate(other._nums):
+            out[k] += c * fb
+        return Polynomial._from_integer_form(out, self._den * fa)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial._from_integer_form([-c for c in self._nums], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, _Scalar):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, _Scalar):
-            if other == 0:
-                return Polynomial.zero()
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            nums = [c * other.numerator for c in self._nums]
+            return Polynomial._from_integer_form(nums, self._den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        a, b = self._nums, other._nums
+        if not a or not b:
             return Polynomial.zero()
-        a, da = _integer_form(self.coeffs)
-        b, db = _integer_form(other.coeffs)
         if len(a) - a.count(0) > len(b) - b.count(0):
             a, b = b, a  # the factor with fewer nonzero terms outside
-        den = da * db
-        return Polynomial(Fraction(n, den) for n in _convolve(a, b))
+        return Polynomial._from_integer_form(_convolve(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -235,7 +248,10 @@ class Polynomial:
             return self.divexact(other)
         if not isinstance(other, _Scalar):
             return NotImplemented
-        return Polynomial(tuple(c / other for c in self.coeffs))
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        nums = [c * other.denominator for c in self._nums]
+        return Polynomial._from_integer_form(nums, self._den * other.numerator)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -251,11 +267,14 @@ class Polynomial:
 
     # -- calculus -----------------------------------------------------
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        return Polynomial._from_integer_form([k * c for k, c in enumerate(self._nums[1:], 1)], self._den)
 
     def antiderivative(self) -> "Polynomial":
-        """The antiderivative with zero constant term."""
-        return Polynomial((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)))
+        """The antiderivative with zero constant term: nums[k] x^(k+1) C/(k+1) over
+        C*den, C = lcm(1..d+1)."""
+        clear = lcm(*range(1, len(self._nums) + 1))
+        nums = [0, *[c * (clear // k) for k, c in enumerate(self._nums, 1)]]
+        return Polynomial._from_integer_form(nums, clear * self._den)
 
     # -- evaluation ---------------------------------------------------
     def __call__(self, x):
@@ -264,24 +283,21 @@ class Polynomial:
         At a rational p/q the sum N_k p^k q^(d-k) runs over the integers and
         is divided once by D*q^d.
         """
-        if isinstance(x, _Scalar) and self.coeffs:
-            nums, den = _integer_form(self.coeffs)
-            acc, scale = _horner(nums, x.numerator, x.denominator)
-            return Fraction(acc, den * scale)
+        if isinstance(x, _Scalar) and self._nums:
+            acc, scale = _horner(self._nums, x.numerator, x.denominator)
+            return Fraction(acc, self._den * scale)
         result = x * 0
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner): with inner = I/C, the integer sum N_k I^k C^(d-k) over D*C^d."""
-        if not self.coeffs:
-            return Polynomial.zero()
-        nums, den = _integer_form(self.coeffs)
-        inums, iden = _integer_form(inner.coeffs or (Fraction(0),))
-        acc, scale = _compose(nums, inums, iden)
-        den *= scale
-        return Polynomial(Fraction(n, den) for n in acc)
+        """self(inner).  A linear inner I/C is an integer Taylor shift, the sum
+        N_k I^k C^(d-k) over D*C^d; any other inner runs the Horner loop."""
+        if inner.degree != 1 or not self._nums:
+            return self(inner)
+        acc, scale = _compose(self._nums, inner._nums, inner._den)
+        return Polynomial._from_integer_form(acc, self._den * scale)
 
     # -- exact division -----------------------------------------------
     def divexact(self, divisor: "Polynomial") -> "Polynomial":

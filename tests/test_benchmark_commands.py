@@ -1,6 +1,7 @@
-"""Every command line the benchmark runs parses with the current CLI, the
-oracle-window commands and the Monte Carlo commands of closed-mc still print
-their pinned outputs, and a traced run still reports each oracle step's size."""
+"""Every command line the benchmark runs parses with the current CLI, its
+exact commands (oracle-window, `verify`, and the `rates` and `persist` lines of
+closed-mc) and the Monte Carlo commands of closed-mc still print their pinned
+outputs, and a traced run still reports each oracle step's size."""
 
 import importlib.util
 import json
@@ -8,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from ar1lab.cli import build_parser, main
 
@@ -38,11 +41,12 @@ def test_every_benchmark_command_parses(monkeypatch):
     assert rejected == []
 
 
-def test_oracle_window_outputs_match_the_pinned_references(monkeypatch, capsys):
+@pytest.mark.parametrize("workload", ["oracle-window", "verify-suite", "closed-mc"])
+def test_exact_outputs_match_the_pinned_references(monkeypatch, capsys, workload):
     # a changed exact rational fails here before it fails the benchmark
     workloads, check = _load("workloads", monkeypatch), _load("check", monkeypatch)
     refs = check.load_refs()
-    commands = workloads.WORKLOADS["oracle-window"](0)
+    commands = [c for c in workloads.WORKLOADS[workload](0) if c.argv[0] in ("persist", "rates", "verify")]
     assert commands
     for command in commands:
         assert main(list(command.argv)) == 0

@@ -156,6 +156,22 @@ def test_bad_inputs_exit_2_with_an_error_line(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "out",
+    [lambda tmp: str(tmp), lambda tmp: "", lambda tmp: str(tmp / "file" / "table.csv")],
+    ids=["directory", "empty", "under-a-file"],
+)
+def test_unwritable_out_exits_2_naming_the_path(capsys, monkeypatch, tmp_path, out):
+    # the computation runs, then the write fails: no traceback and nothing on stdout
+    monkeypatch.delenv("AR1LAB_OUT", raising=False)
+    (tmp_path / "file").write_text("")
+    path = out(tmp_path)
+    rc = main(["persist", "--nmax", "1", "--out", path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {path!r}: ")
+
+
 @pytest.mark.parametrize("argv", ["rates --theta 1e400", "simulate --theta 1e400 --trials 10"])
 def test_drift_without_a_float_exits_2_naming_it(capsys, argv):
     rc = main(argv.split())
