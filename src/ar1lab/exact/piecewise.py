@@ -20,6 +20,11 @@ piece by an integer floor, and the cumulative table, its compositions and
 their differences are integer numerators.  The running mass is an integer
 pair too, and one ``Fraction`` per density holds the mass.  Each composition
 has a linear inner, so it is an integer Taylor shift.
+
+The sum of two densities, the scaling by a rational and ``inner_product``,
+the exact integral of a product, work cell by cell over the union of the
+two breakpoint sets (``_overlay``); the persistence layer's backward chain
+and its meeting with the forward chain are built from them.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from ar1lab.errors import DomainError
-from ar1lab.exact.polynomial import Polynomial, _compose, _horner, _integer_form
+from ar1lab.exact.polynomial import Polynomial, _compose, _convolve, _horner, _integer_form
 from ar1lab.exact.rational import format_rational
 
 
@@ -164,6 +169,19 @@ class PiecewisePoly:
             total += anti(min(x, hi)) - anti(lo)
         return total
 
+    # -- arithmetic ---------------------------------------------------------
+    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
+        """The pointwise sum, cell by cell over the union of the breakpoints."""
+        if not isinstance(other, PiecewisePoly):
+            return NotImplemented
+        den, cells, mine, theirs = _overlay(self, other)
+        return PiecewisePoly._from_integer_form(den, cells, [p + q for p, q in zip(mine, theirs)])
+
+    def scaled(self, c) -> "PiecewisePoly":
+        """The density times the rational c, on the same breakpoints."""
+        c = Fraction(c)
+        return PiecewisePoly._from_integer_form(self._den, self._nums, [p * c for p in self.pieces])
+
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -194,6 +212,46 @@ def _canonicalize(den: int, nums: Sequence[int], pieces: Sequence[Polynomial]):
     mb = mb[lo : hi + 1]
     g = gcd(den, *mb)
     return den // g, tuple(n // g for n in mb), tuple(mp[lo:hi])
+
+
+def _overlay(f: PiecewisePoly, g: PiecewisePoly):
+    """(E, cells, fs, gs): the union of f's and g's breakpoints as integer
+    numerators over E = lcm of their denominators, and the piece of f and of g
+    on each cell between them, the zero piece outside a support."""
+    den = lcm(f._den, g._den)
+    fn = [n * (den // f._den) for n in f._nums]
+    gn = [n * (den // g._den) for n in g._nums]
+    cells = sorted({*fn, *gn})
+    zero = Polynomial.zero()
+
+    def on_cells(nums, pieces):
+        idx = (bisect_right(nums, lo) for lo in cells[:-1])
+        return [pieces[i - 1] if 0 < i < len(nums) else zero for i in idx]
+
+    return den, cells, on_cells(fn, f.pieces), on_cells(gn, g.pieces)
+
+
+def inner_product(f: PiecewisePoly, g: PiecewisePoly) -> Fraction:
+    """The exact integral of f*g, over the union of their breakpoints.
+
+    Per cell, the product of the two pieces is an integer convolution, its
+    antiderivative has integer coefficients over C = lcm(1..k), k its
+    largest length, and its values at the cell's ends are integer Horner
+    sums; the running integral is an integer pair, as in the cumulative table.
+    """
+    den, cells, fs, gs = _overlay(f, g)
+    clear = lcm(*range(1, max(len(p._nums) for p in fs) + max(len(q._nums) for q in gs)))
+    an, ad = 0, 1
+    for lo, hi, p, q in zip(cells, cells[1:], fs, gs):
+        if not p or not q:
+            continue
+        anti = [0, *[c * (clear // k) for k, c in enumerate(_convolve(p._nums, q._nums), 1)]]
+        h_hi, scale = _horner(anti, hi, den)
+        full = clear * p._den * q._den * scale
+        an, ad = an * full + (h_hi - _horner(anti, lo, den)[0]) * ad, ad * full
+        common = gcd(an, ad)
+        an, ad = an // common, ad // common
+    return Fraction(an, ad)
 
 
 def cell_ends(den: int, nums: Iterable[int], theta: Fraction, a: Fraction, b: Fraction) -> tuple[int, set[int]]:

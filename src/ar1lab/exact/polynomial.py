@@ -301,29 +301,37 @@ class Polynomial:
 
     # -- exact division -----------------------------------------------
     def divexact(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact polynomial division; raises if the remainder is nonzero."""
+        """Exact polynomial division; raises if the remainder is nonzero.
+
+        Pseudo-division on the numerators: with e quotient terms and the
+        divisor's lead numerator l, l^e N = Q M + R over the integers, and each
+        quotient term is an exact integer division by l (l^e is 1 for the
+        divisors th^s and (th - 1)^k of the J routes).  Then
+        self/divisor = Q D_M/(l^e D_N).
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dc = divisor.coeffs
-        dd = len(dc) - 1
-        lead = dc[-1]
-        if len(rem) - 1 < dd:
-            if all(c == 0 for c in rem):
+        dn = divisor._nums
+        dd = len(dn) - 1
+        lead = dn[-1]
+        if len(self._nums) - 1 < dd:
+            if not self._nums:
                 return Polynomial.zero()
             raise ValueError("inexact polynomial division")
-        # only the divisor's nonzero terms: dividing by th^s is then a shift
-        terms = [(j, c) for j, c in enumerate(dc) if c]
-        qt = [Fraction(0)] * (len(rem) - dd)
+        e = len(self._nums) - dd
+        scale = lead**e
+        rem = [c * scale for c in self._nums]
+        # only the divisor's nonzero lower terms: dividing by th^s is then a shift
+        terms = [(j, c) for j, c in enumerate(dn[:-1]) if c]
+        qt = [0] * e
         for k in range(len(rem) - 1, dd - 1, -1):
-            q = rem[k] / lead
-            qt[k - dd] = q
-            if q != 0:
+            q = qt[k - dd] = rem[k] // lead
+            if q:
                 for j, c in terms:
                     rem[k - dd + j] -= q * c
-        if any(c != 0 for c in rem):
+        if any(rem[:dd]):
             raise ValueError("inexact polynomial division")
-        return Polynomial(qt)
+        return Polynomial._from_integer_form([q * divisor._den for q in qt], self._den * scale)
 
     # -- serialization ------------------------------------------------
     def to_strings(self) -> list[str]:

@@ -6,14 +6,20 @@ window bounded by generalized Fibonacci numbers; inside the window only the
 density-propagation oracle applies.  Both routes are exact rational
 arithmetic and agree wherever both are defined.
 
-For theta > 0 the positive-drift factorization
-sum_{k=0..n} p_k(theta; a, b) p_{n-k}(1/theta; b, a) = 1 ties the chain at
-theta to the chain at 1/theta on the reflected support [-b, a].  A window
-prefix at theta may therefore be read off the prefix at 1/theta, through
-p_n(theta) = 1 - sum_{k<n} p_k(theta) p_{n-k}(1/theta), whenever that
-chain is predicted to be the smaller one (``_window_masses``).  The oracle
-itself (``oracle_masses``) and the duality residuals stay direct, so the
-checks that compare them still compare independent routes.
+Every window drift is positive, and a window prefix meets in the middle
+(``_window_masses``).  The forward chain f_1, ..., f_K holds the survival
+densities of Y_k; the backward chain g_1, ..., g_{n-K} holds
+g_j = 1 - u_j, u_j(y) = P_y[Y_1, ..., Y_j >= 0], each g_{j+1} the
+pushforward of g_j at (1/theta, b/theta, a/theta), divided by theta, plus
+a linear piece.  By the Markov property p_m = mass(f_K) - <f_K, g_{m-K}>
+for every split K < m, so a prefix costs n - 1 pushforwards, split where
+the predicted pieces of the two chains stay smallest (``_split``).  When
+the reflected query (n, 1/theta, b, a) has closed forms, the prefix is read
+off them instead, through the positive-drift factorization
+sum_{k=0..n} p_k(theta; a, b) p_{n-k}(1/theta; b, a) = 1.  The oracle
+itself (``oracle_masses``) and the duality residuals stay direct forward
+chains, so the checks that compare them with the prefix compare
+independent routes.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from math import factorial
 from typing import Iterator
 
 from ar1lab.errors import DomainError, NoClosedFormError
-from ar1lab.exact.piecewise import PiecewisePoly, cell_ends, piecewise_pushforward
+from ar1lab.exact.piecewise import PiecewisePoly, cell_ends, inner_product, piecewise_pushforward
+from ar1lab.exact.polynomial import Polynomial
 from ar1lab.families import scalar_families
 
 
@@ -165,6 +172,24 @@ def oracle_density(query: PersistenceQuery) -> PiecewisePoly:
     return f
 
 
+def _backward_chain(query: PersistenceQuery) -> Iterator[PiecewisePoly]:
+    """g_1, ..., g_n, g_j = 1 - u_j, one pushforward apart, for theta > 0.
+
+    u_j(y) = P_y[Y_1, ..., Y_j >= 0] and g_0 = 0.  On y >= 0,
+    u_{j+1}(y) = (integral of u_j over [max(theta*y - a, 0), theta*y + b])/(a + b),
+    so g_{j+1} = push(g_j)/theta + h with h(y) = (a - theta*y)/(a + b) on
+    [0, a/theta], push being the pushforward at (1/theta, b/theta, a/theta).
+    g_0 goes through the pushforward too, which returns at once on zero
+    mass; from g_1 on, a/theta is a cell end of push(g_j), the image of 0.
+    """
+    th, a, b = query.theta, query.a, query.b
+    h = PiecewisePoly((0, a / th), (Polynomial((a / (a + b), -th / (a + b))),))
+    g = PiecewisePoly.zero()
+    for _ in range(query.n):
+        g = piecewise_pushforward(g, 1 / th, b / th, a / th).scaled(1 / th) + h
+        yield g
+
+
 def _closed_forms(query: PersistenceQuery) -> list[Fraction]:
     """[p_0..p_n] by closed forms, for a horizon n outside the window."""
     return [persistence_closed_form(replace(query, n=k)) for k in range(query.n + 1)]
@@ -172,7 +197,8 @@ def _closed_forms(query: PersistenceQuery) -> list[Fraction]:
 
 def _piece_counts(query: PersistenceQuery) -> Iterator[int]:
     """Piece counts of the oracle chain's densities f_1, f_2, ..., predicted
-    from breakpoints alone.
+    from breakpoints alone.  On the reflected query (n, 1/theta, b, a) they
+    are the piece counts of the backward chain's g_1, g_2, ...
 
     f_1 lives on {0, b}; a pushforward cuts [0, inf) at 0 and at the
     ``cell_ends`` of the input's breakpoints, the rule the kernel itself uses,
@@ -186,50 +212,63 @@ def _piece_counts(query: PersistenceQuery) -> Iterator[int]:
         ends.add(0)
 
 
-def _reflected_is_cheaper(query: PersistenceQuery, reflected: PersistenceQuery) -> bool:
-    """Whether the reflected oracle chain builds fewer pieces than the direct one.
+def _split(query: PersistenceQuery, reflected: PersistenceQuery) -> int:
+    """The split K of a window query: the forward chain runs to f_K, the
+    backward chain to g_{n-K}.
 
-    The two predicted chains race: the side with the smaller running total
-    of pieces advances (ties to the direct side), and the race ends when
-    that side has reached horizon n, so the dearer side is never predicted
-    past the cheaper side's total.  The sign of theta - 1 does not decide on
-    an asymmetric support: at (7/5; 3, 1) the direct chain is the smaller
-    one, at (5/7; 1, 3) the reflected one.
+    The two predicted chains race from K = 1 (f_1 is given) and j = 0: the
+    side whose next density has fewer predicted pieces advances, ties going
+    forward, until K + j = n.  g_j's pieces are those of the reflected
+    query's f_j, so ``_piece_counts`` predicts both sides, and neither is
+    predicted more than one step past the chain that will run.  The sign of
+    theta - 1 does not decide on an asymmetric support: at (7/5; 3, 1) the
+    forward side is the cheaper one, at (5/7; 1, 3) the backward one.
     """
-    sides = (_piece_counts(query), _piece_counts(reflected))
-    totals, steps = [0, 0], [0, 0]
-    while True:
-        side = 0 if totals[0] <= totals[1] else 1
-        if steps[side] == query.n:
-            return side == 1
-        totals[side] += next(sides[side])
-        steps[side] += 1
+    forward, backward = _piece_counts(query), _piece_counts(reflected)
+    next(forward)
+    k, j = 1, 0
+    ahead = [next(forward), next(backward)]  # pieces of f_{K+1} and g_{j+1}
+    while k + j < query.n:
+        if ahead[0] <= ahead[1]:
+            k += 1
+            ahead[0] = next(forward)
+        else:
+            j += 1
+            ahead[1] = next(backward)
+    return k
 
 
 def _window_masses(query: PersistenceQuery) -> list[Fraction] | None:
     """[p_0..p_n] when horizon n lies in the window; None when closed forms
     apply.  The one place that chooses the route.
 
-    A window query (its drift is always positive) is answered by one direct
-    oracle chain or from the reflected query (n, 1/theta, b, a) through the
-    positive-drift factorization p_m = 1 - sum_{k<m} p_k q_{m-k}, q being
-    the reflected prefix.  That prefix is closed forms when its horizon lies
-    outside the window (they cost nothing next to a chain), else one oracle
-    chain, taken when it is predicted to build fewer pieces than the direct
-    chain (``_reflected_is_cheaper``).
+    A window drift is always positive.  When the reflected query
+    (n, 1/theta, b, a) lies outside the window, its closed forms q give the
+    prefix through the positive-drift factorization
+    p_m = 1 - sum_{k<m} p_k q_{m-k}.  Otherwise the chains meet in the
+    middle: by the Markov property p_m = <f_K, u_{m-K}> for every split
+    K <= m, f_K the forward survival density and u_j the survival function
+    of ``_backward_chain``, so with g_j = 1 - u_j
+
+        p_m = mass(f_m) for m <= K,   p_m = mass(f_K) - <f_K, g_{m-K}> for K < m <= n,
+
+    K from ``_split``.  That is (K - 1) + (n - K) = n - 1 pushforwards, each
+    called through this module's global.
     """
     if classify(query) is not Region.WINDOW:
         return None
     reflected = PersistenceQuery(query.n, 1 / query.theta, query.b, query.a)
+    p = [Fraction(1)]
     if classify(reflected) is not Region.WINDOW:
         q = _closed_forms(reflected)
-    elif _reflected_is_cheaper(query, reflected):
-        q = oracle_masses(reflected)
-    else:
-        return oracle_masses(query)
-    p = [Fraction(1)]
-    for m in range(1, query.n + 1):
-        p.append(1 - sum(p[k] * q[m - k] for k in range(m)))
+        for m in range(1, query.n + 1):
+            p.append(1 - sum(p[k] * q[m - k] for k in range(m)))
+        return p
+    k = _split(query, reflected)
+    for f in _oracle_chain(replace(query, n=k)):
+        p.append(f.mass())
+    for g in _backward_chain(replace(query, n=query.n - k)):
+        p.append(p[k] - inner_product(f, g))
     return p
 
 
@@ -241,11 +280,14 @@ def persistence_exact(n: int, theta, a=1, b=1) -> Fraction:
 
 
 def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
-    """[p_0..p_n], closed forms where possible, one oracle chain otherwise.
+    """[p_0..p_n], closed forms where possible, two chains that meet otherwise.
 
-    In the window (where the drift is positive) that chain may be the one at
-    1/theta on the reflected support [-b, a], with the prefix at theta read
-    off the positive-drift factorization (see ``_window_masses``).
+    In the window (where the drift is positive) the prefix is mass(f_m) up
+    to the split K and mass(f_K) - <f_K, g_{m-K}> above it: a forward chain
+    of survival densities to f_K and a backward chain of complementary
+    survival functions g_j = 1 - u_j to g_{n-K}, g_{j+1} = push(g_j)/theta + h
+    (see ``_window_masses``).  When the reflected query has closed forms,
+    the prefix is read off them through the positive-drift factorization.
 
     Only horizon n is classified: a horizon outside the window has every
     shorter horizon outside it too.  For drift <= -1 the region is always

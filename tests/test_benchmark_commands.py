@@ -64,10 +64,12 @@ def test_closed_mc_sampling_outputs_match_the_pinned_references(monkeypatch, cap
         assert check.compare(refs[command.key], capsys.readouterr().out) is None, command.key
 
 
-# pieces, degree and coefficient bits of f_2..f_12 for `persist --nmax 12 --theta 4/5`
+# pieces, degree and coefficient bits of each pushforward of `persist --nmax 12 --theta 4/5`:
+# the forward steps to f_2..f_7, then the backward steps from g_0 = 0 (the zero density)
+# to g_4, whose outputs are g_1..g_5 before the division by theta and the linear piece
 TRACED_STEPS = [
     (2, 1, 5), (4, 2, 13), (7, 3, 24), (12, 4, 45), (21, 5, 67), (35, 6, 96),
-    (58, 7, 126), (98, 8, 166), (164, 9, 206), (273, 10, 255), (458, 11, 305),
+    (1, -1, 0), (3, 2, 10), (6, 3, 19), (12, 4, 35), (23, 5, 56),
 ]
 
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, determinism, file output."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -285,6 +286,22 @@ def test_persist_table(capsys):
     assert rows[0]["p_exact"] == "1"
     assert rows[3]["region_tag"] == "fibonacci-window"
     assert rows[3]["p_exact"] == "4181/15360"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["persist", "--nmax", "20", "--theta", "3/2"], "dbcb3aac6b75f470357260a68a44386fcedf0afa02cad0726d3d4178f7869bc7"),
+        (["persist", "--nmax", "16", "--theta", "4/5"], "8a9d3fd4c3ce6ccd6f06de820d6ec0d089cc29b84bf0d1d0318b6d7df4d52c28"),
+    ],
+    ids=["n=20,3/2", "n=16,4/5"],
+)
+def test_deep_window_persist_output_is_pinned(capsys, argv, digest):
+    # every byte of two window tables deeper than the benchmark's, recorded while
+    # the window was answered by one oracle chain (direct, or reflected at 1/theta)
+    rc, out = run_cli(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ar1lab.errors import DomainError, NonInvertibleError
 from ar1lab.exact import piecewise as piecewise_module
-from ar1lab.exact.piecewise import PiecewisePoly, piecewise_pushforward
+from ar1lab.exact.piecewise import PiecewisePoly, inner_product, piecewise_pushforward
 from ar1lab.exact.polynomial import Polynomial, _compose
 from ar1lab.exact.rational import format_rational, parse_rational
 from ar1lab.exact.series import TruncatedSeries, cos_series, sin_series
@@ -53,6 +53,53 @@ def ref_coeffs(coeffs):
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+def ref_divexact(num, den):
+    # polynomial long division term by term over Fractions; None when a remainder is left
+    rem, lead = list(num), den[-1]
+    out = [F(0)] * (len(num) - len(den) + 1)
+    for k in range(len(num) - len(den), -1, -1):
+        out[k] = rem[k + len(den) - 1] / lead
+        for j, c in enumerate(den):
+            rem[k + j] -= out[k] * c
+    return None if any(rem) else out
+
+
+def ref_piece(f, lo, hi):
+    # the Fraction coefficients of f on [lo, hi], a cell inside one piece or outside f
+    bps = f.breakpoints
+    for a, b, p in zip(bps, bps[1:], f.pieces):
+        if a <= lo and hi <= b:
+            return list(p.coeffs)
+    return []
+
+
+def ref_integral(coeffs, lo, hi):
+    return sum(c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
+
+
+@st.composite
+def piecewise_polys(draw):
+    # breakpoints numerator/den (so not integers when den > 1) from a start that may lie
+    # below 0, pieces of integer numerators over their own denominator, some of them zero
+    den = draw(st.integers(min_value=1, max_value=12))
+    bps = [F(draw(st.integers(min_value=-30, max_value=10)), den)]
+    pieces = []
+    for width, nums, d in draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=9),
+                st.one_of(st.just([]), st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5)),
+                st.integers(min_value=1, max_value=30),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    ):
+        bps.append(bps[-1] + F(width, den))
+        pieces.append(Polynomial(F(n, d) for n in nums))
+    return PiecewisePoly(bps, pieces)
 
 
 def assert_canonical(p):
@@ -234,6 +281,43 @@ class TestPolynomial:
             return
         assert (p * q).divexact(q) == p
 
+    @given(
+        st.lists(sparse_coefficients, max_size=7),
+        st.lists(sparse_coefficients, max_size=4),
+        st.one_of(st.just(F(1)), coefficients.filter(bool)),
+    )
+    @example([F(1), F(2)], [F(0), F(0), F(3)], F(1))  # the divisor th^2 (3 + th), zero low terms
+    @example([F(-5, 7), F(0), F(2)], [F(1, 3)], F(-4, 9))  # a negative, non-integer lead
+    @settings(max_examples=80, deadline=None)
+    def test_divexact_matches_the_fraction_loop(self, a, b, lead):
+        # integer pseudo-division against term-by-term Fraction division; the divisor's
+        # lead numerator is 1 or not, and its lower terms are often zero
+        p, q = Polynomial(a), Polynomial([*b, lead])
+        quotient = (p * q).divexact(q)
+        assert_canonical(quotient)
+        assert quotient == p
+        assert quotient.coeffs == ref_coeffs(ref_divexact((p * q).coeffs, q.coeffs))
+
+    @given(
+        st.lists(sparse_coefficients, max_size=5),
+        st.lists(coefficients, min_size=1, max_size=3),
+        st.lists(sparse_coefficients, max_size=3),
+    )
+    @example([F(1)], [F(1), F(2)], [F(0), F(1, 5)])  # remainder of the divisor's own degree
+    @settings(max_examples=60, deadline=None)
+    def test_inexact_division_raises(self, a, b, r):
+        # p*q + r with r nonzero and of lower degree than q leaves the remainder r
+        q = Polynomial([*b, F(3, 2)])
+        rem = Polynomial(r[: q.degree])
+        if rem.is_zero():
+            return
+        dividend = Polynomial(a) * q + rem
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            dividend.divexact(q)
+        assert ref_divexact(dividend.coeffs, q.coeffs) is None
+        with pytest.raises(ZeroDivisionError):
+            dividend.divexact(Polynomial.zero())
+
 
 class TestTruncatedSeries:
     def test_geometric_inversion(self):
@@ -395,29 +479,15 @@ class TestPiecewisePoly:
         assert f.cumulative_at(F(1)) == F(1, 2)
         assert f.cumulative_at(F(5)) == 2
 
-    @given(
-        st.integers(min_value=1, max_value=12),
-        st.integers(min_value=-30, max_value=10),
-        st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=9),
-                st.one_of(st.just([]), st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5)),
-                st.integers(min_value=1, max_value=30),
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-    )
-    @example(3, -4, [(2, [1], 1), (1, [], 1), (5, [0, 3, -1], 7)])  # an interior zero piece, below 0
+    @given(piecewise_polys())
+    @example(
+        PiecewisePoly(
+            (F(-4, 3), F(-2, 3), F(-1, 3), F(4, 3)),
+            (Polynomial((1,)), Polynomial.zero(), Polynomial((0, F(3, 7), F(-1, 7)))),
+        )
+    )  # an interior zero piece, below 0
     @settings(max_examples=60, deadline=None)
-    def test_cumulative_table_matches_the_reference_loop(self, den, start, cells):
-        # breakpoints numerator/den (so not integers when den > 1), pieces of integer
-        # numerators over their own denominator, some zero, the support starting below 0
-        bps, pieces = [F(start, den)], []
-        for width, nums, d in cells:
-            bps.append(bps[-1] + F(width, den))
-            pieces.append(Polynomial(F(n, d) for n in nums))
-        f = PiecewisePoly(bps, pieces)
+    def test_cumulative_table_matches_the_reference_loop(self, f):
         table, mass = f._cumulative_table()
         assert len(table) == len(f.pieces)
         for (cum, t), lo, hi in zip(table, f.breakpoints, f.breakpoints[1:]):
@@ -425,6 +495,39 @@ class TestPiecewisePoly:
                 assert ref_value([F(c, t) for c in cum], x) == f.cumulative_at(x)
         assert mass == f.mass() == f.cumulative_at(f.breakpoints[-1])
         assert type(mass) is F
+
+    @given(piecewise_polys(), piecewise_polys(), small_fractions)
+    @example(
+        PiecewisePoly((0, 1), (Polynomial((1,)),)),
+        PiecewisePoly((2, 3), (Polynomial((0, 1)),)),
+        F(-1, 2),
+    )  # disjoint supports with a gap between them
+    @settings(max_examples=60, deadline=None)
+    def test_sum_scale_and_inner_product_match_the_fraction_reference(self, f, g, c):
+        # over the union of both breakpoint sets, each cell inside one piece of each
+        cuts = sorted({*f.breakpoints, *g.breakpoints})
+        cells = list(zip(cuts, cuts[1:]))
+        total = f + g
+        for lo, hi in cells:
+            mid = (lo + hi) / 2
+            assert total.evaluate(mid) == ref_value(ref_piece(f, lo, hi), mid) + ref_value(ref_piece(g, lo, hi), mid)
+        assert total.evaluate(cuts[-1] + 1) == total.evaluate(cuts[0] - 1) == 0
+        assert total.mass() == f.mass() + g.mass()
+        assert f + g == g + f
+        assert f.scaled(c) == PiecewisePoly(f.breakpoints, [p * c for p in f.pieces])
+        want = sum(ref_integral(ref_product(ref_piece(f, lo, hi), ref_piece(g, lo, hi)), lo, hi) for lo, hi in cells)
+        assert inner_product(f, g) == inner_product(g, f) == want
+        assert type(inner_product(f, g)) is F
+
+    def test_inner_product_and_sum_examples(self):
+        unit = PiecewisePoly.constant(0, 1, 1)
+        ramp = PiecewisePoly((0, 2), (Polynomial((0, 1)),))  # x on [0, 2]
+        assert inner_product(unit, ramp) == F(1, 2)
+        assert inner_product(ramp, ramp) == F(8, 3)
+        assert inner_product(unit, PiecewisePoly.constant(3, 4, 1)) == 0
+        assert unit + ramp == PiecewisePoly((0, 1, 2), (Polynomial((1, 1)), Polynomial((0, 1))))
+        assert unit + PiecewisePoly.zero() == unit
+        assert unit + unit.scaled(-1) == PiecewisePoly.zero()
 
     def test_merge_and_trim(self):
         f = PiecewisePoly(

@@ -11,6 +11,7 @@ from ar1lab.errors import DomainError, NoClosedFormError
 from ar1lab import identities
 from ar1lab import persistence as pers
 from ar1lab.exact.piecewise import PiecewisePoly
+from ar1lab.exact.polynomial import Polynomial
 from ar1lab.families import scalar_families
 from ar1lab.persistence import (
     PersistenceQuery,
@@ -214,8 +215,11 @@ class TestSingleValue:
 
 
 class TestReflectedRoute:
-    """Window prefixes at drift theta > 0 may come from the reflected chain
-    at 1/theta through sum_k p_k(theta; a, b) p_{n-k}(1/theta; b, a) = 1."""
+    """Window prefixes at drift theta > 0 meet in the middle: a forward chain
+    at theta to f_K and a backward chain of g_j = 1 - u_j, whose steps are the
+    reflected query's (n, 1/theta, b, a), to g_{n-K}.  When the reflected
+    horizons are closed forms, the prefix is read off them through
+    sum_k p_k(theta; a, b) p_{n-k}(1/theta; b, a) = 1."""
 
     @staticmethod
     def chain_drifts(monkeypatch):
@@ -229,37 +233,61 @@ class TestReflectedRoute:
         monkeypatch.setattr(pers, "oracle_masses", counted)
         return drifts
 
+    @staticmethod
+    def splits(monkeypatch):
+        # (K, n - K): the lengths of the forward and the backward chain of each window query
+        lengths = []
+        real = pers._split
+
+        def recorded(query, reflected):
+            k = real(query, reflected)
+            lengths.append((k, query.n - k))
+            return k
+
+        monkeypatch.setattr(pers, "_split", recorded)
+        return lengths
+
     @pytest.mark.parametrize(
         "theta, a, b, chains",
         [
-            (F(6, 5), 1, 1, [(F(5, 6), 1, 1)]),
-            (F(5, 4), 1, 1, [(F(4, 5), 1, 1)]),
-            (F(3, 2), 1, 1, [(F(2, 3), 1, 1)]),
-            (F(7, 4), 1, 1, [(F(4, 7), 1, 1)]),
+            (F(6, 5), 1, 1, [(4, 5)]),
+            (F(5, 4), 1, 1, [(4, 5)]),
+            (F(3, 2), 1, 1, [(4, 5)]),
+            (F(7, 4), 1, 1, [(3, 6)]),
             (F(3), 2, 1, []),  # reflected horizons are closed forms at 1/3 on [-1, 2]
             (F(3, 2), F(1, 3), 2, []),
             (F(5), 1, 4, []),
-            (F(7, 5), 3, 1, [(F(7, 5), 3, 1)]),  # the reflected chain at 5/7 is the dearer one
-            (F(1), 2, 1, [(F(1), 2, 1)]),  # classical Sparre Andersen: [-2, 1] against [-1, 2]
+            (F(7, 5), 3, 1, [(5, 4)]),  # the backward chain at 5/7 on [-1, 3] is the dearer side
+            (F(1), 2, 1, [(6, 3)]),  # classical Sparre Andersen: [-2, 1] against [-1, 2]
         ],
     )
     def test_prefix_equals_the_direct_oracle(self, monkeypatch, theta, a, b, chains):
         want = oracle_masses(PersistenceQuery(9, theta, a, b))
         drifts = self.chain_drifts(monkeypatch)
+        lengths = self.splits(monkeypatch)
         for n in range(10):
             assert persistence_prefix(n, theta, a, b) == want[: n + 1], n
-        assert drifts[-1:] == chains
+        assert drifts == []
+        assert lengths[-1:] == chains
 
-    def test_predictor_keeps_the_direct_side_at_7_5_on_3_1(self):
-        query = PersistenceQuery(9, F(7, 5), 3, 1)
-        reflected = PersistenceQuery(9, F(5, 7), 1, 3)
-        assert classify(reflected) is Region.WINDOW
-        assert not pers._reflected_is_cheaper(query, reflected)
-        assert pers._reflected_is_cheaper(reflected, query)
-
-    def test_ties_go_to_the_direct_side(self):
-        query = PersistenceQuery(9, F(1))
-        assert not pers._reflected_is_cheaper(query, query)
+    @pytest.mark.parametrize(
+        "n, theta, a, b",
+        [
+            (9, F(4, 5), 1, 1),
+            (9, F(3, 2), 1, 1),
+            (8, F(6, 5), 1, 3),
+            (8, F(7, 5), 3, 1),
+            (8, F(5, 7), F(1, 2), F(3, 2)),
+            (9, F(1), 2, 1),
+        ],
+    )
+    def test_every_split_gives_the_same_prefix(self, monkeypatch, n, theta, a, b):
+        # mass(f_K) - <f_K, g_{m-K}> is one rational for every K, the direct oracle's
+        query = PersistenceQuery(n, theta, a, b)
+        want = oracle_masses(query)
+        for k in range(1, n + 1):
+            monkeypatch.setattr(pers, "_split", lambda query, reflected: k)
+            assert pers._window_masses(query) == want, k
 
     @pytest.mark.parametrize(
         "theta, a, b, n",
@@ -269,6 +297,56 @@ class TestReflectedRoute:
         query = PersistenceQuery(n, theta, a, b)
         predicted = pers._piece_counts(query)
         assert [next(predicted) for _ in range(n)] == [len(f.pieces) for f in pers._oracle_chain(query)]
+
+    @pytest.mark.parametrize(
+        "theta, a, b, n",
+        [(F(3, 2), 1, 1, 10), (F(4, 5), 1, 1, 9), (F(7, 5), 3, 1, 8), (F(5, 7), 1, 3, 8), (F(6, 5), 1, 3, 7)],
+    )
+    def test_backward_piece_counts_are_the_reflected_prediction(self, theta, a, b, n):
+        predicted = pers._piece_counts(PersistenceQuery(n, 1 / theta, b, a))
+        chain = pers._backward_chain(PersistenceQuery(n, theta, a, b))
+        assert [len(g.pieces) for g in chain] == [next(predicted) for _ in range(n)]
+
+    def test_backward_chain_starts_at_the_linear_piece(self):
+        # g_1 = 1 - u_1 = P[theta*y + X < 0] = (a - theta*y)/(a + b) on [0, a/theta]
+        (g,) = pers._backward_chain(PersistenceQuery(1, F(3, 2), 2, 1))
+        assert g == PiecewisePoly((0, F(4, 3)), (Polynomial((F(2, 3), F(-1, 2))),))
+
+    @pytest.mark.parametrize(
+        "n, theta, a, b",
+        [(12, F(4, 5), 1, 1), (11, F(3, 2), 1, 1), (9, F(7, 5), 3, 1), (8, F(6, 5), 1, 3), (9, F(1), 2, 1), (3, F(4, 5), 1, 1)],
+    )
+    def test_a_window_query_makes_n_minus_1_pushforwards(self, monkeypatch, n, theta, a, b):
+        # (K - 1) forward steps and (n - K) backward ones, g_0 = 0 included
+        want = oracle_masses(PersistenceQuery(n, theta, a, b))
+        calls = []
+        real = pers.piecewise_pushforward
+
+        def counted(f, *args):
+            calls.append(args)
+            return real(f, *args)
+
+        monkeypatch.setattr(pers, "piecewise_pushforward", counted)
+        lengths = self.splits(monkeypatch)
+        assert persistence_prefix(n, theta, a, b) == want
+        ((k, j),) = lengths
+        assert calls == [(theta, a, b)] * (k - 1) + [(1 / theta, b / theta, a / theta)] * j
+        assert len(calls) == n - 1
+
+    def test_the_split_follows_the_cheaper_side_on_an_asymmetric_support(self):
+        # at (7/5; 3, 1) the forward chain grows slower than the backward one, and the
+        # reflected query (5/7; 1, 3) swaps the two chains, so its split mirrors this one
+        query = PersistenceQuery(9, F(7, 5), 3, 1)
+        reflected = PersistenceQuery(9, F(5, 7), 1, 3)
+        assert classify(reflected) is Region.WINDOW
+        assert pers._split(query, reflected) == 5
+        assert pers._split(reflected, query) == 4
+
+    def test_ties_go_to_the_direct_side(self):
+        # at drift 1 on [-1, 1] both chains predict 1, 2, 3, ... pieces, so every
+        # comparison after the first is a tie; forward on ties gives K = 5, backward K = 4
+        query = PersistenceQuery(9, F(1))
+        assert pers._split(query, query) == 5
 
     @pytest.mark.parametrize(
         "theta, a, b",
@@ -287,11 +365,17 @@ class TestReflectedRoute:
         qs = oracle_masses(PersistenceQuery(6, 1 / theta, 2, 1))
         assert [sum((-1) ** k * ps[k] * qs[n - k] for k in range(n + 1)) for n in range(7)] == [1] + [0] * 6
 
-    @pytest.mark.parametrize("n, theta, chain", [(11, F(3, 2), F(2, 3)), (12, F(4, 5), F(4, 5))])
-    def test_one_oracle_chain_on_the_cheaper_side(self, monkeypatch, n, theta, chain):
-        drifts = self.chain_drifts(monkeypatch)
+    @pytest.mark.parametrize("n, theta, split", [(11, F(3, 2), 5), (12, F(4, 5), 7), (16, F(4, 5), 9), (20, F(3, 2), 8)])
+    def test_the_race_splits_where_the_predicted_pieces_are_fewest(self, monkeypatch, n, theta, split):
+        query, reflected = PersistenceQuery(n, theta), PersistenceQuery(n, 1 / theta)
+        forward, backward = pers._piece_counts(query), pers._piece_counts(reflected)
+        f = [next(forward) for _ in range(n)]  # f_1..f_n
+        g = [next(backward) for _ in range(n)]  # g_1..g_n
+        totals = {k: sum(f[1:k]) + sum(g[: n - k]) for k in range(1, n + 1)}
+        assert pers._split(query, reflected) == split == min(totals, key=totals.get)
+        lengths = self.splits(monkeypatch)
         persistence_prefix(n, theta)
-        assert drifts == [(chain, 1, 1)]
+        assert lengths == [(split, n - split)]
 
 
 class TestHitting:
