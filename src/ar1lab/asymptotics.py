@@ -1,4 +1,5 @@
-"""Floating-point analytic layer: deformed exponential, roots, rates, limits.
+"""Floating-point analytic layer: deformed exponential, roots, rates, limits
+and the biexponential q-series.
 
 Everything here is numerical but tied back to exact rational persistence
 values.  The deformed exponential E(th, z) = sum th^(n(n-1)/2) z^n/n! is
@@ -16,12 +17,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import factorial
 
 import mpmath as mp
 
 from ar1lab.errors import DomainError, InvariantError, RootSearchError
-from ar1lab.families import ELL_EXPANSION_COEFFS, FamilyTables, ell_expansion_coefficients
 from ar1lab.persistence import PersistenceQuery, persistence_closed_form, persistence_prefix
 
 
@@ -54,7 +53,7 @@ def _plan(theta: float, z: float, logtol: float) -> tuple[int, float]:
     raise RuntimeError("truncation order search did not terminate")
 
 
-def deformed_exp(theta: float, z: float, tol: float = 1e-12) -> float:
+def deformed_exp(theta: float, z: float, tol: float) -> float:
     """E(th, z) with absolute error at most tol; requires |th| <= 1.
 
     The truncation order and the largest term come from one walk over the
@@ -278,24 +277,6 @@ def decay_rate(theta: float | Fraction) -> RateBundle:
 # The positive limit of p_n for drift > 1
 # ---------------------------------------------------------------------------
 
-def ell_expansion(theta: float, kmax: int = 9) -> float:
-    """Evaluate the 1/theta expansion of the limit, sum_{k<=kmax} a_k th^-k.
-
-    Orders through 9 use the printed table ``ELL_EXPANSION_COEFFS``; higher
-    orders use the coefficients derived exactly by
-    ``ell_expansion_coefficients``, which agree with the table where both
-    exist.  The derived a_10..a_14 lie between -0.035 and -0.040, so at
-    drift 4 the order-9 sum is off by ~4.5e-8 and each further order cuts
-    that error by about 4.
-    """
-    if kmax < 0:
-        raise DomainError("expansion order must be >= 0")
-    coeffs = list(ELL_EXPANSION_COEFFS[: kmax + 1])
-    if kmax >= len(coeffs):
-        coeffs += ell_expansion_coefficients(kmax)[len(coeffs) :]
-    return float(sum(float(c) / theta**k for k, c in enumerate(coeffs)))
-
-
 def _refuse_window_limit(theta) -> None:
     """DomainError for a drift in (1, 2).
 
@@ -313,7 +294,7 @@ def _refuse_window_limit(theta) -> None:
         )
 
 
-def ell_with_tail(theta, tol: float = 1e-10) -> tuple[float, Fraction, float, int]:
+def ell_with_tail(theta, tol: float) -> tuple[float, Fraction, float, int]:
     """(ell, partial_sum, tail_bound, N): ell = 1/sum p_n(1/theta), drift >= 2.
 
     Exact rational terms p_n(1/theta) from the persistence layer are
@@ -343,12 +324,7 @@ def ell_with_tail(theta, tol: float = 1e-10) -> tuple[float, Fraction, float, in
     raise DomainError(f"tail below {tol} not reachable within {cap} exact terms for drift {float(theta)}")
 
 
-def limit_ell(theta: float, tol: float = 1e-10) -> float:
-    """lim p_n(theta) = 1/sum_{n>=0} p_n(1/theta) for drift >= 2."""
-    return ell_with_tail(theta, tol)[0]
-
-
-def ell_mp(theta, dps: int = 60):
+def ell_mp(theta, dps: int):
     """High-precision limit for rational drift >= 2, as an mpmath float.
 
     With r = 1/theta and z = -1/(2(1 - r)), ell = E(r, z)/E(r, rz) exactly:
@@ -405,27 +381,6 @@ def nu_root(theta: float) -> RootResult:
     return RootResult(nu, abs(L(nu)), (l1, l2))
 
 
-def volterra_top_eigenvalue(theta: float, a: float = 1.0, b: float = 1.0) -> float:
-    """Largest eigenvalue of the one-step survival operator on [-a, b] support.
-
-    This is the geometric factor of p_n for asymmetric uniform innovations:
-    b/((a+b)(1-theta) z_theta) for drift in [-1, a/(a+b)], and with z_{1/theta}
-    in place of z_theta below -1.  Always strictly less than 1.
-    """
-    if a <= 0 or b <= 0:
-        raise DomainError("support half-widths must be positive")
-    if -1.0 <= theta <= a / (a + b) + 1e-12:
-        z = first_negative_root(theta).value
-    elif theta < -1.0:
-        z = first_negative_root(1.0 / theta).value
-    else:
-        raise DomainError("no closed eigenvalue for drift above a/(a+b)")
-    value = b / ((a + b) * (1.0 - theta) * z)
-    if not 0.0 < value < 1.0:
-        raise InvariantError(f"eigenvalue {value} escapes (0, 1)")
-    return value
-
-
 def rate_bundle(theta: float | Fraction) -> RateBundle:
     """Assembled rate data for any supported drift (CLI entry point)."""
     t = float_value(theta, "drift")
@@ -459,7 +414,8 @@ def qpochhammer(x, q: float):
 
     Stops once the next factor differs from 1 by less than 1e-14 divided by
     the number of factors so far, keeping the multiplicative error below
-    roughly 1e-14.
+    roughly 1e-14.  A q so close to 1 that this takes more than 100000
+    factors (drift within about 3e-4 of 1) is a DomainError.
     """
     if not 0.0 <= q < 1.0:
         raise DomainError("q must lie in [0, 1)")
@@ -474,7 +430,7 @@ def qpochhammer(x, q: float):
         if abs(x) * qn < 1e-14 / (n + 1):
             break
         if n > 100000:
-            raise RuntimeError("q-product did not converge")
+            raise DomainError(f"q-product did not converge within 100000 factors at q={q:g}")
     return acc
 
 
@@ -531,41 +487,3 @@ def biexp_persistence_nonpositive(theta, n: int) -> Fraction:
     if n < 1:
         return Fraction(1)
     return Fraction(1, 2**n) * (1 - th) ** (1 - n)
-
-
-# ---------------------------------------------------------------------------
-# Compound-Poisson representation of complete-graph dichromatic polynomials
-# ---------------------------------------------------------------------------
-
-
-def tutte_poisson_pmf(t: float, theta: float, n: int) -> float:
-    """P[X(t) = n] = e^(-t mbar) T_n(t, theta)/n! for the jump process on N.
-
-    Defined for drift theta in [-2, -1), where the total jump mass
-    mbar = theta log E(theta+1, 1/theta) is finite (the positive series
-    sum J_n(theta+1)/n! converges exactly when theta+1 < 0).
-    """
-    if not -2.0 <= theta < -1.0:
-        raise DomainError("finite jump mass requires theta in [-2, -1)")
-    if t < 0:
-        raise DomainError("time must be nonnegative")
-    if n < 0:
-        raise DomainError("count must be nonnegative")
-    x = theta + 1.0
-    mbar = theta * math.log(deformed_exp(x, 1.0 / theta, 1e-12))
-    if n == 0:
-        return math.exp(-t * mbar)
-    jv = FamilyTables(x, 1).grow_j(n)  # x in [-1, 0): stable in floats
-    s = [0.0] + [t * jv[k] / factorial(k) for k in range(1, n + 1)]
-    e = [1.0]
-    for m in range(1, n + 1):
-        acc = 0.0
-        for k in range(1, m + 1):
-            acc += k * s[k] * e[m - k]
-        e.append(acc / m)
-    return math.exp(-t * mbar) * e[n]
-
-
-def tutte_poisson_mgf_limit(t: float, z: float) -> float:
-    """E[z^X(t)] at the boundary drift -2: ((1 - sin 1)/(1 - sin z))^t."""
-    return ((1.0 - math.sin(1.0)) / (1.0 - math.sin(z))) ** t

@@ -270,7 +270,7 @@ def _cmd_volume(args) -> int:
         "exact": format_rational(target),
         "exact_float": float(target),
         "z_score": (est.point - float(target)) / sigma if sigma > 0 else 0.0,
-        "in_interval": est.ci_low <= float(target) <= est.ci_high,
+        "in_interval": est.contains(float(target)),
     }
     _emit(_json_dump(payload), args.out)
     return 0

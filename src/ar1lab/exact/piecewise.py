@@ -29,14 +29,13 @@ and its meeting with the forward chain are built from them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from ar1lab.errors import DomainError
 from ar1lab.exact.polynomial import Polynomial, _compose, _convolve, _horner, _integer_form
-from ar1lab.exact.rational import format_rational
 
 
 class PiecewisePoly:
@@ -103,17 +102,6 @@ class PiecewisePoly:
         lo, hi = Fraction(self._nums[0], self._den), Fraction(self._nums[-1], self._den)
         return f"PiecewisePoly({len(self.pieces)} pieces on [{lo}, {hi}])"
 
-    def evaluate(self, x) -> Fraction:
-        """Density value at x; shared breakpoints resolve to the left piece."""
-        x = Fraction(x)
-        bps = self.breakpoints
-        if x < bps[0] or x > bps[-1]:
-            return Fraction(0)
-        if x == bps[0]:
-            return self.pieces[0](x)
-        i = bisect_left(bps, x) - 1
-        return self.pieces[i](x)
-
     def mass(self) -> Fraction:
         return self._cumulative_table()[1]
 
@@ -154,21 +142,6 @@ class PiecewisePoly:
             object.__setattr__(self, "_cumulative", (table, Fraction(an, ad)))
         return self._cumulative
 
-    def cumulative_at(self, x) -> Fraction:
-        """Integral of the density from b_0 to x.
-
-        Sums each piece's antiderivative up to x and shares no code with
-        ``_cumulative_table``.
-        """
-        x = Fraction(x)
-        total = Fraction(0)
-        for (lo, hi), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            if lo >= x:
-                break
-            anti = p.antiderivative()
-            total += anti(min(x, hi)) - anti(lo)
-        return total
-
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         """The pointwise sum, cell by cell over the union of the breakpoints."""
@@ -181,13 +154,6 @@ class PiecewisePoly:
         """The density times the rational c, on the same breakpoints."""
         c = Fraction(c)
         return PiecewisePoly._from_integer_form(self._den, self._nums, [p * c for p in self.pieces])
-
-    # -- serialization ------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "pieces": [p.to_strings() for p in self.pieces],
-        }
 
 
 def _canonicalize(den: int, nums: Sequence[int], pieces: Sequence[Polynomial]):

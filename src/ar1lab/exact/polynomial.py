@@ -269,13 +269,6 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial._from_integer_form([k * c for k, c in enumerate(self._nums[1:], 1)], self._den)
 
-    def antiderivative(self) -> "Polynomial":
-        """The antiderivative with zero constant term: nums[k] x^(k+1) C/(k+1) over
-        C*den, C = lcm(1..d+1)."""
-        clear = lcm(*range(1, len(self._nums) + 1))
-        nums = [0, *[c * (clear // k) for k, c in enumerate(self._nums, 1)]]
-        return Polynomial._from_integer_form(nums, clear * self._den)
-
     # -- evaluation ---------------------------------------------------
     def __call__(self, x):
         """Horner evaluation; works for rationals, floats and polynomials.

@@ -158,18 +158,6 @@ class TruncatedSeries:
             out.append(acc / n)
         return TruncatedSeries(out, self.order)
 
-    def exp(self) -> "TruncatedSeries":
-        """Series exponential; requires constant term equal to 0."""
-        if not _is_zero_coeff(self.coeffs[0]):
-            raise DomainError("series exp requires constant term 0")
-        out = [self._one]
-        for n in range(1, self.order + 1):
-            acc = self._zero
-            for k in range(1, n + 1):
-                acc = acc + (self.coeffs[k] * out[n - k]) * k
-            out.append(acc / n)
-        return TruncatedSeries(out, self.order)
-
 
 def sin_series(order: int) -> TruncatedSeries:
     cs = [Fraction(0)] * (order + 1)

@@ -429,14 +429,10 @@ class FamilyTables:
     family recurrences; ``grow_j``, ``grow_jt`` and ``grow_jh`` extend a
     table through index nmax and return it.
 
-    The ring is that of p and q.  p = th and q = 1 give the polynomials
-    themselves over Q[th] (``_POLY``); the integers p, q of a rational drift
-    give ``ScalarFamilies``, exact at depths (n in the hundreds) where
-    Fraction normalization at every step would dominate; q = 1 with a float
-    or an mpmath p gives J_n(p) in that arithmetic for the analytic layer.
-    The float consumer, ``tutte_poisson_pmf``, takes p in [-1, 0), where
-    every G_i is nonnegative, so every J recurrence term is nonnegative and
-    no sum cancels; the same holds for any p > 0.
+    The ring is that of p and q, and both uses are exact.  p = th and q = 1
+    give the polynomials themselves over Q[th] (``_POLY``); the integers
+    p, q of a rational drift give ``ScalarFamilies``, exact at depths (n in
+    the hundreds) where Fraction normalization at every step would dominate.
     """
 
     def __init__(self, p, q):

@@ -107,12 +107,6 @@ class InnovationLaw:
             part *= signs  # negated where the sign is 0, so a zero becomes -0.0
             yield part
 
-    def sample(self, rng: Generator, shape) -> np.ndarray:
-        """One draw of `shape`: the concatenation of the law's chunks."""
-        shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
-        parts = list(self.chunks(rng, shape, shape[0]))
-        return np.concatenate(parts) if parts else np.empty(shape)
-
 
 def _spans(rows: int) -> list[tuple[int, int]]:
     """(start, stop) of each chunk of rows [0, rows)."""

@@ -163,15 +163,6 @@ def persistence_oracle(query: PersistenceQuery) -> Fraction:
     return oracle_masses(query)[-1]
 
 
-def oracle_density(query: PersistenceQuery) -> PiecewisePoly:
-    """The exact sub-density of Y_n on the survival event (n >= 1)."""
-    if query.n < 1:
-        raise DomainError("density defined for n >= 1")
-    for f in _oracle_chain(query):
-        pass
-    return f
-
-
 def _backward_chain(query: PersistenceQuery) -> Iterator[PiecewisePoly]:
     """g_1, ..., g_n, g_j = 1 - u_j, one pushforward apart, for theta > 0.
 

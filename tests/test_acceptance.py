@@ -187,12 +187,11 @@ def test_c11a_limit_expansion_agreement():
     That derived tail accounts for the order-9 gap to within 5e-11, which is
     asserted here within 1e-10; through order 14 the remaining tail is ~5e-11.
     """
-    ell = asym.limit_ell(4.0, 1e-12)
-    expansion = asym.ell_expansion(4.0, 14)
-    diff = abs(ell - expansion)
-    gap9 = ell - asym.ell_expansion(4.0, 9)
-    higher = fam.ell_expansion_coefficients(14)
-    tail = sum(float(c) / 4.0**k for k, c in enumerate(higher) if k >= 10)
+    ell = asym.ell_with_tail(4.0, 1e-12)[0]
+    terms = [float(c) / 4.0**k for k, c in enumerate(fam.ell_expansion_coefficients(14))]
+    diff = abs(ell - sum(terms))
+    gap9 = ell - sum(terms[:10])
+    tail = sum(terms[10:])
     print(
         f"ACCEPTANCE 11a: |diff| through order 14 = {diff:.3e} vs stated 1e-8; "
         f"order-9 gap {gap9:.3e}, derived tail a_10..a_14 {tail:.3e}"

@@ -17,17 +17,17 @@ from ar1lab.persistence import persistence_exact, persistence_prefix
 class TestDeformedExp:
     def test_alternating_collapse(self):
         z = math.pi / 4
-        assert asym.deformed_exp(-1.0, z) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert asym.deformed_exp(-1.0, z, 1e-12) == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_linear_collapse(self):
-        assert asym.deformed_exp(0.0, 3.0) == 4.0
+        assert asym.deformed_exp(0.0, 3.0, 1e-12) == 4.0
 
     def test_exponential_collapse(self):
-        assert asym.deformed_exp(1.0, 1.0) == pytest.approx(math.e, abs=1e-12)
+        assert asym.deformed_exp(1.0, 1.0, 1e-12) == pytest.approx(math.e, abs=1e-12)
 
     def test_divergence_guard(self):
         with pytest.raises(DomainError):
-            asym.deformed_exp(1.5, 1.0)
+            asym.deformed_exp(1.5, 1.0, 1e-12)
         with pytest.raises(DomainError):
             asym.deformed_exp(0.5, 1.0, tol=0.0)
 
@@ -38,7 +38,7 @@ class TestDeformedExp:
 
     def test_subnormal_tolerance_is_honoured(self):
         # tol/10 underflows to 0 here, so the planned tolerance is taken in logs
-        assert asym.deformed_exp(0.5, 1.0, tol=5e-324) == pytest.approx(asym.deformed_exp(0.5, 1.0), abs=1e-12)
+        assert asym.deformed_exp(0.5, 1.0, tol=5e-324) == pytest.approx(asym.deformed_exp(0.5, 1.0, 1e-12), abs=1e-12)
 
     @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.25, 0.5, 0.9, 1.0])
     def test_plan_order_and_peak_against_brute_force(self, theta):
@@ -61,8 +61,8 @@ class TestDeformedExp:
     def test_derivative_identity(self):
         # d/dz E(th, z) = E(th, th z), via a central difference
         th, z, h = 0.4, 1.3, 1e-6
-        fd = (asym.deformed_exp(th, z + h) - asym.deformed_exp(th, z - h)) / (2 * h)
-        assert fd == pytest.approx(asym.deformed_exp(th, th * z), rel=1e-8)
+        fd = (asym.deformed_exp(th, z + h, 1e-12) - asym.deformed_exp(th, z - h, 1e-12)) / (2 * h)
+        assert fd == pytest.approx(asym.deformed_exp(th, th * z, 1e-12), rel=1e-8)
 
 
 class TestFirstNegativeRoot:
@@ -190,22 +190,17 @@ class TestDecayRate:
 
 class TestLimit:
     def test_route_agreement_loose(self):
-        # at the default order 9 the expansion's own tail is ~4.5e-8 at drift
-        # 4, so this loose check sits above it; c11a compares at order 14
-        ell = asym.limit_ell(4.0, 1e-12)
-        assert abs(ell - asym.ell_expansion(4.0)) < 1e-7
+        # at order 9 the expansion's own tail is ~4.5e-8 at drift 4, so this
+        # loose check sits above it; c11a compares at order 14
+        ell = asym.ell_with_tail(4.0, 1e-12)[0]
+        expansion = sum(float(c) / 4.0**k for k, c in enumerate(fam.ell_expansion_coefficients(9)))
+        assert abs(ell - expansion) < 1e-7
 
     def test_expansion_coefficients_derived(self):
         assert fam.ell_expansion_coefficients(9) == list(fam.ELL_EXPANSION_COEFFS)
 
-    def test_expansion_beyond_printed_orders(self):
-        for k in range(10, 15):
-            coeffs = fam.ell_expansion_coefficients(k)
-            expected = float(sum(float(c) / 4.0**i for i, c in enumerate(coeffs)))
-            assert asym.ell_expansion(4.0, k) == expected
-
     def test_large_drift_value(self):
-        assert 0.48 < asym.limit_ell(10.0) < 0.5
+        assert 0.48 < asym.ell_with_tail(10.0, 1e-10)[0] < 0.5
 
     def test_monotone_approach_from_above(self):
         # the gap p_25 - ell is ~1e-17, beyond double precision, so the
@@ -229,15 +224,13 @@ class TestLimit:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            asym.limit_ell(1.0)
+            asym.ell_with_tail(1.0, 1e-10)
         with pytest.raises(DomainError):
-            asym.ell_expansion(4.0, -1)
-        with pytest.raises(DomainError):
-            asym.ell_mp(F(3, 2))
+            asym.ell_mp(F(3, 2), 60)
 
     def test_high_precision_route_matches(self):
         lm = asym.ell_mp(F(4), dps=40)
-        assert float(lm) == pytest.approx(asym.limit_ell(4.0, 1e-12), abs=1e-12)
+        assert float(lm) == pytest.approx(asym.ell_with_tail(4.0, 1e-12)[0], abs=1e-12)
 
     # 55 digits of ell from summing ~110 terms J_{n+1}(1/theta)/(2^n n!) at
     # 70 digits plus a geometric tail, a route independent of the E ratio
@@ -305,7 +298,7 @@ class TestLimit:
 
         for name in ("persistence_prefix", "persistence_closed_form", "decay_rate", "nu_root"):
             monkeypatch.setattr(asym, name, refused)
-        for limit in (asym.rate_bundle, asym.ell_with_tail, asym.limit_ell):
+        for limit in (asym.rate_bundle, lambda th: asym.ell_with_tail(th, 1e-10)):
             with pytest.raises(DomainError, match=rf"^drift {float(theta):g} is in \(1, 2\)"):
                 limit(theta)
 
@@ -320,7 +313,7 @@ class TestLimit:
         assert all(2 * p[n] >= p[n - 1] for n in range(1, 17))
         bound = min(p[2:]) / 17**2
         assert bound == p[16] / 17**2
-        assert bound >= 4e-6 > 1e-8  # rates asks for 1e-8, limit_ell for 1e-10
+        assert bound >= 4e-6 > 1e-8  # ell_with_tail is asked for 1e-8 at the loosest
 
 
 class TestNuRoot:
@@ -359,6 +352,15 @@ class TestQSeries:
             conv = sum(a[k] * b[n - k] for k in range(n + 1))
             assert abs(conv - 1.0) < 1e-7
 
+    @pytest.mark.parametrize("theta", [0.9999, 1.0001])
+    def test_unconverged_product_near_drift_one_is_a_domain_error(self, theta):
+        # q = theta^(+-2) is so close to 1 that the product needs more than 100000 factors
+        q = theta**2 if theta < 1 else theta**-2
+        with pytest.raises(DomainError, match="did not converge"):
+            asym.qpochhammer(q, q)
+        with pytest.raises(DomainError):
+            asym.qseries_biexp_coeffs(theta, 5)
+
     def test_exact_nonpositive_closed_form(self):
         assert asym.biexp_persistence_nonpositive(F(-1), 3) == F(1, 32)
         assert asym.biexp_persistence_nonpositive(F(0), 5) == F(1, 32)
@@ -366,28 +368,17 @@ class TestQSeries:
             asym.biexp_persistence_nonpositive(F(1, 2), 3)
 
 
-class TestTuttePoisson:
-    def test_zero_count_is_exponential_factor(self):
-        t, theta = 1.0, -1.5
-        mbar = theta * math.log(asym.deformed_exp(theta + 1, 1 / theta))
-        assert asym.tutte_poisson_pmf(t, theta, 0) == pytest.approx(math.exp(-t * mbar), abs=1e-14)
+class TestRequiredPrecision:
+    """No float route picks its own precision: every caller names it."""
 
-    def test_normalization(self):
-        # the pmf tail decays geometrically at rate ~0.8, so the order-40
-        # partial sum misses 1 by ~3e-4; order 120 is below 1e-8
-        total = sum(asym.tutte_poisson_pmf(1.0, -1.5, n) for n in range(121))
-        assert abs(total - 1.0) < 1e-8
-
-    def test_moment_generating_function_at_boundary(self):
-        z = 0.5
-        lhs = sum(asym.tutte_poisson_pmf(1.0, -2.0, n) * z**n for n in range(60))
-        assert abs(lhs - asym.tutte_poisson_mgf_limit(1.0, z)) < 1e-8
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            asym.tutte_poisson_pmf(1.0, -0.5, 3)
-        with pytest.raises(DomainError):
-            asym.tutte_poisson_pmf(-1.0, -1.5, 3)
+    @pytest.mark.parametrize(
+        "route, args",
+        [(asym.deformed_exp, (0.5, 1.0)), (asym.ell_with_tail, (F(4),)), (asym.ell_mp, (F(4),))],
+        ids=["deformed_exp", "ell_with_tail", "ell_mp"],
+    )
+    def test_precision_has_no_default(self, route, args):
+        with pytest.raises(TypeError):
+            route(*args)
 
 
 class TestLogConvexity:
@@ -447,47 +438,6 @@ class TestFullExpansion:
     def test_kappa_estimate_matches_log_nu(self):
         bundle = asym.rate_bundle(4.0)
         assert bundle.kappa_estimate == pytest.approx(math.log(bundle.nu), abs=0.01)
-
-
-class TestVolterraEigenvalue:
-    def test_symmetric_case_is_reciprocal_rate(self):
-        ev = asym.volterra_top_eigenvalue(0.25)
-        assert ev == pytest.approx(1.0 / asym.decay_rate(0.25).lam, rel=1e-12)
-
-    def test_asymmetric_decay_rate(self):
-        # p_n for support [-2, 1] decays like (1/z) ev^n (drift 1/4)
-        a, b, th = 2.0, 1.0, 0.25
-        ev = asym.volterra_top_eigenvalue(th, a, b)
-        z = asym.first_negative_root(th).value
-        p30 = float(persistence_exact(30, F(1, 4), F(2), F(1)))
-        assert p30 * z / ev**30 == pytest.approx(1.0, abs=0.02)
-
-    def test_asymmetric_negative_drift_stabilizes(self):
-        a, b, th = 2.0, 1.0, -2.0
-        ev = asym.volterra_top_eigenvalue(th, a, b)
-        vals = [float(persistence_exact(n, F(-2), F(2), F(1))) / ev**n for n in range(25, 31)]
-        assert max(vals) / min(vals) - 1 < 0.01
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            asym.volterra_top_eigenvalue(0.9, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            asym.volterra_top_eigenvalue(0.1, -1.0, 1.0)
-
-
-class TestTuttePoissonExactCrossCheck:
-    @pytest.mark.parametrize("n", range(9))
-    def test_pmf_matches_exact_dichromatic_values(self, n):
-        # e^(-t mbar) T_n(t, theta)/n! with T_n evaluated exactly from the
-        # bivariate family at t = 1, theta = -3/2
-        from ar1lab.families import tutte_complete
-
-        theta = -1.5
-        coeffs = tutte_complete(n)
-        exact_tn = sum(c(F(-3, 2)) for c in coeffs)  # value at x = t = 1
-        mbar = theta * math.log(asym.deformed_exp(theta + 1, 1 / theta))
-        expected = math.exp(-mbar) * float(exact_tn) / factorial(n)
-        assert asym.tutte_poisson_pmf(1.0, theta, n) == pytest.approx(expected, rel=1e-11)
 
 
 class TestSummability:

@@ -14,6 +14,11 @@ from ar1lab import montecarlo as mc
 SEED = 90210
 
 
+def _sample(law, rng, shape):
+    """One draw of `shape` from `law`: the concatenation of its chunks."""
+    return np.concatenate(list(law.chunks(rng, shape, shape[0])))
+
+
 class TestLaws:
     def test_flags(self):
         assert mc.uniform_law(1, 1).symmetric
@@ -33,9 +38,17 @@ class TestLaws:
 
     def test_atomic_sampler_masses(self):
         rng = mc._block_rng(SEED, 0, 0)
-        x = mc.atomic_negative_law(0.25).sample(rng, 20000)
+        x = _sample(mc.atomic_negative_law(0.25), rng, (20000,))
         assert np.all(x <= 0)
         assert abs((x < 0).mean() - 0.25) < 0.02
+
+
+class TestMCEstimate:
+    @pytest.mark.parametrize("target, inside", [(0.25, True), (0.5, True), (0.2499, False), (0.5001, False)])
+    def test_interval_is_closed_at_both_ends(self, target, inside):
+        est = mc.MCEstimate(30, 80, 0.375, 0.25, 0.5)
+        assert est.contains(target) is inside
+        assert est.scaled(4.0).contains(4.0 * target) is inside
 
 
 class TestWilson:
@@ -123,19 +136,19 @@ class TestBlockKernel:
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
     @pytest.mark.parametrize("theta", [-1.7, 0.0, 0.5, 1.0, 2.0])
     def test_compacted_survival_matches_the_full_width_loop(self, law, theta):
-        x = law.sample(mc._block_rng(SEED, 5, 0), (3000, 12))
+        x = _sample(law, mc._block_rng(SEED, 5, 0), (3000, 12))
         assert np.array_equal(mc._alive(theta, x), _alive_reference(theta, x))
 
     def test_every_path_dead_before_the_horizon(self):
         # all innovations negative: every path dies at step 1 of 8
-        x = mc.atomic_negative_law(1.0).sample(mc._block_rng(SEED, 6, 0), (500, 8))
+        x = _sample(mc.atomic_negative_law(1.0), mc._block_rng(SEED, 6, 0), (500, 8))
         alive = mc._alive(0.5, x)
         assert alive.shape == (500,) and not alive.any()
         assert np.array_equal(alive, _alive_reference(0.5, x))
 
     def test_biexponential_sample_matches_the_full_sign_draw(self):
         shape = (3 * mc.CHUNK_ROWS + 123, 7)
-        got = mc.biexponential_law().sample(mc._block_rng(SEED, 2, 1), shape)
+        got = _sample(mc.biexponential_law(), mc._block_rng(SEED, 2, 1), shape)
         rng = mc._block_rng(SEED, 2, 1)
         mag = rng.standard_exponential(shape)
         signs = rng.integers(0, 2, shape)
@@ -145,7 +158,7 @@ class TestBlockKernel:
     def test_atomic_sample_matches_the_full_magnitude_draw(self):
         shape = (3 * mc.CHUNK_ROWS + 123, 7)
         law = mc.atomic_negative_law(0.4)
-        got = law.sample(mc._block_rng(SEED, 3, 1), shape)
+        got = _sample(law, mc._block_rng(SEED, 3, 1), shape)
         assert np.array_equal(got.view(np.uint64), _full_draw(law, mc._block_rng(SEED, 3, 1), shape).view(np.uint64))
 
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
@@ -159,7 +172,7 @@ class TestBlockKernel:
 
     def test_uniform_chunks_read_rational_half_widths_as_numpy_does(self):
         law, shape = mc.uniform_law(F(1, 3), F(2, 7)), (mc.CHUNK_ROWS + 77, 4)
-        got = law.sample(mc._block_rng(SEED, 8, 0), shape)
+        got = _sample(law, mc._block_rng(SEED, 8, 0), shape)
         want = mc._block_rng(SEED, 8, 0).uniform(-F(1, 3), F(2, 7), shape)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -263,7 +276,7 @@ class TestEstimates:
 class TestCoupling:
     def test_pathwise_monotone_in_nonnegative_drift(self):
         # common innovations: for drifts 0 <= t1 <= t2 a path alive at t1 is alive at t2
-        x = mc.uniform_law().sample(mc._block_rng(SEED, 0, 0), (mc.BLOCK_SIZE, 6))
+        x = _sample(mc.uniform_law(), mc._block_rng(SEED, 0, 0), (mc.BLOCK_SIZE, 6))
         surv = [mc._alive(th, x) for th in (0.0, 0.4, 1.1, 2.0)]
         for lo, hi in zip(surv, surv[1:]):
             assert np.all(lo <= hi)

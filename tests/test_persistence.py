@@ -12,6 +12,7 @@ from ar1lab import identities
 from ar1lab import persistence as pers
 from ar1lab.exact.piecewise import PiecewisePoly
 from ar1lab.exact.polynomial import Polynomial
+from ar1lab.exact.rational import format_rational
 from ar1lab.families import scalar_families
 from ar1lab.persistence import (
     PersistenceQuery,
@@ -20,13 +21,28 @@ from ar1lab.persistence import (
     duality_residuals,
     geometric_sum,
     hitting_pmf,
-    oracle_density,
     oracle_masses,
     persistence_closed_form,
     persistence_exact,
     persistence_oracle,
     persistence_prefix,
 )
+
+
+def _last_density(query):
+    """The survival sub-density of Y_n, the last of the oracle chain (n >= 1)."""
+    *_, f = pers._oracle_chain(query)
+    return f
+
+
+def _density_json(f):
+    """Every breakpoint and coefficient of a density as rational strings, in JSON."""
+    return json.dumps(
+        {
+            "breakpoints": [format_rational(b) for b in f.breakpoints],
+            "pieces": [p.to_strings() for p in f.pieces],
+        }
+    )
 
 
 class TestDispatch:
@@ -86,6 +102,35 @@ class TestDispatch:
         lo, hi = err.value.window
         assert 0.5 < lo < 0.8 < 1.25 < hi < 2.0
 
+    @pytest.mark.parametrize(
+        "n,a,b",
+        [*((n, 1, 1) for n in range(3, 11)), (3, 2, 1), (6, 2, 1), (3, 1, 3), (6, 1, 3)],
+    )
+    def test_window_bounds_bracket_the_window_that_classify_reports(self, n, a, b):
+        query = PersistenceQuery(n, F(1), F(a), F(b))
+        lo, hi = pers.window_bounds(query)
+        assert (hi < float("inf")) is query.symmetric
+
+        def region(theta):
+            return classify(PersistenceQuery(n, theta, F(a), F(b)))
+
+        step = F(1, 10**9)
+        assert region(F(lo) * (1 - step)) is not Region.WINDOW
+        assert region(F(lo) * (1 + step)) is Region.WINDOW
+        if query.symmetric:
+            # the symmetric window is reflected through theta = 1
+            assert hi == pytest.approx(1 / lo, rel=1e-14)
+            assert region(F(hi) * (1 - step)) is Region.WINDOW
+            assert region(F(hi) * (1 + step)) is not Region.WINDOW
+        else:
+            assert region(F(10**6)) is Region.WINDOW
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_short_horizons_have_no_window(self, n):
+        assert pers.window_bounds(PersistenceQuery(n, F(1))) == (float("inf"), float("inf"))
+        for k in range(-80, 81):
+            assert classify(PersistenceQuery(n, F(k, 20))) is not Region.WINDOW
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("n", range(11))
@@ -136,12 +181,12 @@ class TestOracle:
         # at drift 0 each step keeps the mass b/(a+b) on [0, b]
         q = PersistenceQuery(5, F(0), F(2), F(1))
         assert oracle_masses(q) == [F(1, 3**n) for n in range(6)]
-        assert oracle_density(q) == PiecewisePoly.constant(0, 1, F(1, 3**5))
+        assert _last_density(q) == PiecewisePoly.constant(0, 1, F(1, 3**5))
 
     @pytest.mark.parametrize("theta", [F(4, 5), F(-3, 2)])
     def test_density_mass_is_last_oracle_mass(self, theta):
         q = PersistenceQuery(6, theta)
-        assert oracle_density(q).mass() == oracle_masses(q)[-1]
+        assert _last_density(q).mass() == oracle_masses(q)[-1]
 
     @pytest.mark.parametrize(
         "n, theta, a, b, pieces, digest",
@@ -172,9 +217,9 @@ class TestOracle:
         # to integers over one common denominator.  The last two were recorded before
         # composition by a linear inner became a Taylor shift: 5/4 composes over the
         # denominator c = 5, and -1/3 by a negative slope
-        g = oracle_density(PersistenceQuery(n, theta, a, b))
+        g = _last_density(PersistenceQuery(n, theta, a, b))
         assert len(g.pieces) == pieces
-        assert hashlib.sha256(json.dumps(g.to_dict()).encode()).hexdigest() == digest
+        assert hashlib.sha256(_density_json(g).encode()).hexdigest() == digest
 
     def test_masses_decrease(self):
         masses = oracle_masses(PersistenceQuery(8, F(4, 5)))
