@@ -447,12 +447,18 @@ def qseries_biexp(theta: float, z):
         raise DomainError("drift 1 is the random-walk case: sum p_n z^n = (1-z)^(-1/2)")
     if theta < 1.0:
         q = theta * theta
-        num = qpochhammer(theta * z, q) + qpochhammer(q * z, q)
-        den = qpochhammer(z, q) + qpochhammer(theta * z, q)
+        shared = qpochhammer(theta * z, q)
+        num = shared + qpochhammer(q * z, q)
+        den = qpochhammer(z, q) + shared
         return num / den
+    try:
+        square = theta**2
+    except OverflowError:
+        raise DomainError(f"drift {theta!r} squared has no float value") from None
     q = theta**-2
-    num = qpochhammer(z, q) + qpochhammer(z / theta, q)
-    den = (1.0 - z) * (qpochhammer(z / theta, q) + qpochhammer(z / theta**2, q))
+    shared = qpochhammer(z / theta, q)
+    num = qpochhammer(z, q) + shared
+    den = (1.0 - z) * (shared + qpochhammer(z / square, q))
     return num / den
 
 

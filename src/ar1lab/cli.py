@@ -179,12 +179,10 @@ def _cmd_verify(args) -> int:
 
 def _make_law(args) -> mc.InnovationLaw:
     if args.law == "uniform":
-        return mc.uniform_law(parse_rational(args.a), parse_rational(args.b))
-    if args.law == "biexponential":
-        return mc.biexponential_law()
-    if args.law == "gaussian":
-        return mc.gaussian_law()
-    return mc.atomic_negative_law(args.atom_mass)
+        return mc.InnovationLaw("uniform", a=parse_rational(args.a), b=parse_rational(args.b))
+    if args.law == "atomic":
+        return mc.InnovationLaw("atomic_negative", c=args.atom_mass)
+    return mc.InnovationLaw(args.law)
 
 
 def _cmd_simulate(args) -> int:

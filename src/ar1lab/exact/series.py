@@ -10,14 +10,14 @@ quotient needs the divisor's constant term to divide every coefficient it
 meets, not to be a unit: over polynomials, a ratio of two series that share
 a factor th^s divides exactly.
 
-Coefficients are stored against the plain basis z^n.  Exponential generating
-functions are read through ``egf_coefficient``, never implicitly.
+Coefficients are stored against the plain basis z^n.  An exponential
+generating function's n-th term is read as ``coefficient(n) * factorial(n)``,
+never implicitly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Iterable
 
 from ar1lab.errors import DomainError, NonInvertibleError
@@ -61,10 +61,6 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def egf_coefficient(self, n: int):
-        """n! times the coefficient of z^n."""
-        return self.coefficient(n) * factorial(n)
-
     @property
     def _zero(self):
         return self.coeffs[0] * 0
@@ -82,9 +78,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash(("TruncatedSeries", self.coeffs))
-
-    def agrees_with(self, other: "TruncatedSeries", order: int) -> bool:
-        return all(self.coeffs[n] == other.coeffs[n] for n in range(order + 1))
 
     def __repr__(self) -> str:
         shown = ", ".join(repr(c) for c in self.coeffs[:5])
@@ -158,16 +151,3 @@ class TruncatedSeries:
             out.append(acc / n)
         return TruncatedSeries(out, self.order)
 
-
-def sin_series(order: int) -> TruncatedSeries:
-    cs = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1, 2):
-        cs[n] = Fraction((-1) ** ((n - 1) // 2), factorial(n))
-    return TruncatedSeries(cs, order)
-
-
-def cos_series(order: int) -> TruncatedSeries:
-    cs = [Fraction(0)] * (order + 1)
-    for n in range(0, order + 1, 2):
-        cs[n] = Fraction((-1) ** (n // 2), factorial(n))
-    return TruncatedSeries(cs, order)

@@ -25,11 +25,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 
-from ar1lab.errors import InvariantError
 from ar1lab.exact.polynomial import Polynomial
-from ar1lab.exact.series import TruncatedSeries, cos_series, sin_series
+from ar1lab.exact.series import TruncatedSeries
 
 _LOCK = threading.RLock()
 
@@ -111,7 +111,7 @@ def kreweras_recurrence_holds(nmax: int) -> bool:
     pair of ``_ratio_series_pair``, which is how it is checked.
     """
     num, den = _ratio_series_pair(nmax)
-    return (den * _j_egf(nmax)).agrees_with(num, nmax)
+    return den * _j_egf(nmax) == num
 
 
 def gessel_identity_holds(order: int) -> bool:
@@ -131,7 +131,7 @@ def gessel_identity_holds(order: int) -> bool:
         v.append(shift * Polynomial.geometric(n) ** n)
     num = TruncatedSeries(u, order)
     den = TruncatedSeries(v, order)
-    return (den * _j_egf(order)).agrees_with(num, order)
+    return den * _j_egf(order) == num
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +274,27 @@ def route_disagreement(nmax: int) -> str | None:
 # Euler zigzag numbers
 # ---------------------------------------------------------------------------
 
-_ZIGZAG: list[int] = []
+_ZIGZAG: list[int] = [1]
+_BOUSTROPHEDON: list[int] = [1]  # the row whose last entry is _ZIGZAG[-1]
 
 
 def zigzag(n: int) -> int:
-    """A_n, the coefficient of z^n/n! in (1 + sin z)/cos z."""
+    """A_n, the coefficient of z^n/n! in (1 + sin z)/cos z, by the Seidel-Entringer
+    boustrophedon on integers: row k is 0 followed by the running sums of row
+    k-1 read in reverse, and A_k is its last entry."""
     if n < 0:
         raise IndexError("zigzag index must be >= 0")
     with _LOCK:
-        if len(_ZIGZAG) <= n:
-            order = max(n, 2 * len(_ZIGZAG), 8)
-            one = TruncatedSeries.one(order)
-            ser = (one + sin_series(order)) / cos_series(order)
-            vals = []
-            for k in range(order + 1):
-                a = ser.egf_coefficient(k)
-                if a.denominator != 1:
-                    raise InvariantError("zigzag expansion produced a non-integer")
-                vals.append(int(a))
-            _ZIGZAG[:] = vals
+        while len(_ZIGZAG) <= n:
+            _BOUSTROPHEDON[:] = [0, *accumulate(reversed(_BOUSTROPHEDON))]
+            _ZIGZAG.append(_BOUSTROPHEDON[-1])
     return _ZIGZAG[n]
 
 
 def zigzag_alternating_convolution(n: int) -> int:
-    """sum_k C(n,k) (-1)^k A_k A_{n-k}; vanishes for every n >= 1."""
+    """sum_k C(n,k) (-1)^k A_k A_{n-k}, n! [z^n] of f(z) f(-z) = 1 for
+    f = (1 + sin z)/cos z, so it vanishes for every n >= 1.  The A_k come from
+    the boustrophedon, not from f: this tests f against numbers built without it."""
     zigzag(n)
     return sum(comb(n, k) * (-1) ** k * _ZIGZAG[k] * _ZIGZAG[n - k] for k in range(n + 1))
 

@@ -163,19 +163,19 @@ def check_oracle_vs_closed_form(nmax: int) -> tuple[bool, str]:
 
 def check_fibonacci_window() -> tuple[bool, str]:
     th = Fraction(4, 5)
-    lhs = pers.persistence_oracle(pers.PersistenceQuery(3, th))
+    lhs = pers.oracle_masses(pers.PersistenceQuery(3, th))[-1]
     rhs = (th + Fraction(11, 6) - 1 / (2 * th**2) + 1 / (6 * th**3)) / 8
     if lhs != rhs:
         return False, "lower window formula at 4/5"
     th = Fraction(6, 5)
-    lhs = pers.persistence_oracle(pers.PersistenceQuery(3, th))
+    lhs = pers.oracle_masses(pers.PersistenceQuery(3, th))[-1]
     rhs = (-1 / th + Fraction(19, 6) + th**2 / 2 - th**3 / 6) / 8
     if lhs != rhs:
         return False, "upper window formula at 6/5"
     one = Fraction(1)
     val_lo = (one + Fraction(11, 6) - Fraction(1, 2) + Fraction(1, 6))
     val_hi = (-one + Fraction(19, 6) + Fraction(1, 2) - Fraction(1, 6))
-    sparre = 8 * pers.persistence_oracle(pers.PersistenceQuery(3, one))
+    sparre = 8 * pers.oracle_masses(pers.PersistenceQuery(3, one))[-1]
     ok = val_lo == val_hi == Fraction(5, 2) == sparre
     return ok, "printed n=3 formulas, continuity at drift 1"
 
@@ -231,10 +231,14 @@ def check_hitting_law(nmax: int) -> tuple[bool, str]:
         for n in range(1, nmax + 1):
             if p[n - 1] - p[n] != Fraction((-1) ** (n - 1)) * j_tilde(n + 1) / (2**n * factorial(n)):
                 return False, f"closed form at n={n}, theta={th}"
-    if pers.hitting_pmf(pers.PersistenceQuery(3, Fraction(3))) != Fraction(5, 648):
+    p = pers.persistence_prefix(3, Fraction(3))
+    if p[2] - p[3] != Fraction(5, 648):
         return False, "reference value at drift 3"
     for th in (Fraction(0), Fraction(-2), Fraction(3)):
-        total = sum(pers.hitting_pmf(pers.PersistenceQuery(n, th)) for n in range(1, nmax + 1))
+        total = Fraction(0)
+        for n in range(1, nmax + 1):
+            p = pers.persistence_prefix(n, th)  # P[T = n] from the prefix to horizon n
+            total += p[n - 1] - p[n]
         if total + pers.persistence_exact(nmax, th) != 1:
             return False, f"telescoping at theta={th}"
     return True, f"closed form + telescoping, n<={nmax}"
@@ -302,14 +306,9 @@ def check_super_sub_additivity(nmax: int) -> tuple[bool, str]:
     return True, "positive/negative drift grids"
 
 
-@dataclass(frozen=True)
-class LogConvexityVerdict:
-    holds: bool
-    first_violation: int | None
-
-
-def log_convexity_check(seq) -> LogConvexityVerdict:
-    """Check x_{n+1} x_{n-1} >= x_n^2 at every interior index.
+def log_convexity_check(seq) -> int | None:
+    """The first interior index n with x_{n+1} x_{n-1} < x_n^2, or None when
+    the sequence is log-convex.
 
     Exact when the entries are rationals; positive entries required.
     """
@@ -318,21 +317,20 @@ def log_convexity_check(seq) -> LogConvexityVerdict:
         raise DomainError("log-convexity check needs positive entries")
     for n in range(1, len(items) - 1):
         if items[n + 1] * items[n - 1] < items[n] * items[n]:
-            return LogConvexityVerdict(False, n)
-    return LogConvexityVerdict(True, None)
+            return n
+    return None
 
 
 def check_log_convexity(nmax: int) -> tuple[bool, str]:
     for th in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
         p = pers.persistence_prefix(nmax + 1, th)
         pmf = [p[n] - p[n + 1] for n in range(nmax + 1)]
-        if not log_convexity_check(pmf).holds:
+        if log_convexity_check(pmf) is not None:
             return False, f"holds-case failed at theta={th}"
-    p = pers.persistence_prefix(nmax, Fraction(-2))
-    verdict = log_convexity_check(p)
-    if verdict.holds:
+    violation = log_convexity_check(pers.persistence_prefix(nmax, Fraction(-2)))
+    if violation is None:
         return False, "no violation found at drift -2"
-    return True, f"holds on [0,1], witness at index {verdict.first_violation} for drift -2"
+    return True, f"holds on [0,1], witness at index {violation} for drift -2"
 
 
 def check_bounded_mass(nmax: int) -> tuple[bool, str]:

@@ -120,22 +120,6 @@ def _drawn_in_chunks(draw, shape, rows: int):
         yield draw((stop - start, *shape[1:]))
 
 
-def uniform_law(a: float | Fraction = 1.0, b: float | Fraction = 1.0) -> InnovationLaw:
-    return InnovationLaw("uniform", a=a, b=b)
-
-
-def biexponential_law() -> InnovationLaw:
-    return InnovationLaw("biexponential")
-
-
-def gaussian_law() -> InnovationLaw:
-    return InnovationLaw("gaussian")
-
-
-def atomic_negative_law(c: float) -> InnovationLaw:
-    return InnovationLaw("atomic_negative", c=c)
-
-
 # ---------------------------------------------------------------------------
 # Estimates and intervals
 # ---------------------------------------------------------------------------
@@ -149,21 +133,14 @@ class MCEstimate:
     ci_low: float
     ci_high: float
 
-    def scaled(self, factor: float) -> "MCEstimate":
-        return MCEstimate(
-            self.successes,
-            self.trials,
-            self.point * factor,
-            self.ci_low * factor,
-            self.ci_high * factor,
-        )
-
     def contains(self, target: float) -> bool:
         return self.ci_low <= target <= self.ci_high
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% score interval for a binomial proportion; robust near 0 and 1."""
+    """95% score interval for a binomial proportion; robust near 0 and 1, and
+    exactly 0 below at no successes and 1 above at all successes, where the
+    float formula can miss by a rounding."""
     if trials < 1:
         raise DomainError("need at least one trial")
     z = Z95
@@ -171,7 +148,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return low, high
 
 
 def _make_estimate(successes: int, trials: int) -> MCEstimate:
@@ -200,19 +179,22 @@ def _alive(theta: float, x: np.ndarray) -> np.ndarray:
     Only living paths are updated, each by the same float operations as in a
     full-width loop, so the mask is the same bits; the loop ends when all die.
     The first step reads the first column whole, as every path is alive at Y_0.
+    At a huge drift a survivor's value may overflow to +-inf, which keeps its
+    sign and so its fate, so the overflow is not reported.
     """
     if not x.shape[1]:
         return np.ones(len(x), dtype=bool)
     y = theta * 0.0 + x[:, 0]
     idx = np.flatnonzero(y >= 0.0)
     y = y[idx]
-    for k in range(1, x.shape[1]):
-        if not len(idx):
-            break
-        y *= theta
-        y += x[idx, k]
-        keep = y >= 0.0
-        idx, y = idx[keep], y[keep]
+    with np.errstate(over="ignore"):
+        for k in range(1, x.shape[1]):
+            if not len(idx):
+                break
+            y *= theta
+            y += x[idx, k]
+            keep = y >= 0.0
+            idx, y = idx[keep], y[keep]
     alive = np.zeros(len(x), dtype=bool)
     alive[idx] = True
     return alive
@@ -472,7 +454,8 @@ def polytope_volume_mc(spec: PolytopeSpec, trials: int, seed: int) -> MCEstimate
         return sum(map(chunk_hits, _drawn_in_chunks(_block_rng(seed, 0, block).random, (BLOCK_SIZE, spec.n), rows)))
 
     hits = sum(_map_blocks(run, trials, usable_cpus()))
-    return _make_estimate(hits, trials).scaled(box_volume)
+    lo, hi = wilson_interval(hits, trials)
+    return MCEstimate(hits, trials, hits / trials * box_volume, lo * box_volume, hi * box_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +468,14 @@ def exact_persistence_target(theta: float | Fraction, law: InnovationLaw, n: int
     t = float_value(theta, "drift")
     if n == 0:
         return 1.0
-    if law.kind == "uniform":
-        return float(persistence_exact(n, theta, law.a, law.b))
+    # the universal laws first: the window oracle at drift 1 grows with n
     if law.symmetric and law.continuous:
         if theta == 1:
             return math.comb(2 * n, n) / 4**n  # correctly rounded, and no overflow
         if theta == 0:
             return 0.5**n
+    if law.kind == "uniform":
+        return float(persistence_exact(n, theta, law.a, law.b))
     if law.kind == "biexponential":
         if theta <= 0:
             return float(biexp_persistence_nonpositive(theta, n))

@@ -134,19 +134,15 @@ def persistence_closed_form(query: PersistenceQuery) -> Fraction:
     if region is Region.INVERSE_POS:
         return scale * scalar_families(1 / th).j_hat(n + 1)
     raise NoClosedFormError(
-        f"no closed form for n={n}, theta={th}; use persistence_oracle",
+        f"no closed form for n={n}, theta={th}; use oracle_masses",
         window_bounds(query),
     )
 
 
-def start_density(query: PersistenceQuery) -> PiecewisePoly:
-    """Sub-density of Y_1 on the survival event: 1/(a+b) on [0, b]."""
-    return PiecewisePoly.constant(0, query.b, 1 / (query.a + query.b))
-
-
 def _oracle_chain(query: PersistenceQuery) -> Iterator[PiecewisePoly]:
-    """The survival sub-densities of Y_1, ..., Y_n, one pushforward apart."""
-    f = start_density(query)
+    """The survival sub-densities of Y_1, ..., Y_n, one pushforward apart;
+    the first is 1/(a+b) on [0, b]."""
+    f = PiecewisePoly.constant(0, query.b, 1 / (query.a + query.b))
     for k in range(query.n):
         if k:
             f = piecewise_pushforward(f, query.theta, query.a, query.b)
@@ -156,11 +152,6 @@ def _oracle_chain(query: PersistenceQuery) -> Iterator[PiecewisePoly]:
 def oracle_masses(query: PersistenceQuery) -> list[Fraction]:
     """[p_0, p_1, ..., p_n] by exact density propagation (any rational theta)."""
     return [Fraction(1)] + [f.mass() for f in _oracle_chain(query)]
-
-
-def persistence_oracle(query: PersistenceQuery) -> Fraction:
-    """Exact p_n for any rational drift, including the Fibonacci window."""
-    return oracle_masses(query)[-1]
 
 
 def _backward_chain(query: PersistenceQuery) -> Iterator[PiecewisePoly]:
@@ -290,14 +281,6 @@ def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
     query = PersistenceQuery(n, theta, a, b)
     masses = _window_masses(query)
     return _closed_forms(query) if masses is None else masses
-
-
-def hitting_pmf(query: PersistenceQuery) -> Fraction:
-    """P[T = n] = p_{n-1} - p_n for the first passage time below zero."""
-    if query.n < 1:
-        raise IndexError("hitting time starts at n = 1")
-    p = persistence_prefix(query.n, query.theta, query.a, query.b)
-    return p[query.n - 1] - p[query.n]
 
 
 def duality_residuals(nmax: int, theta) -> list[Fraction]:

@@ -103,23 +103,23 @@ def test_c04_oracle_vs_closed_forms():
 
 def test_c05_fibonacci_window():
     th = F(4, 5)
-    assert pers.persistence_oracle(pers.PersistenceQuery(3, th)) == (
+    assert pers.oracle_masses(pers.PersistenceQuery(3, th))[-1] == (
         th + F(11, 6) - 1 / (2 * th**2) + 1 / (6 * th**3)
     ) / 8
     th = F(6, 5)
-    assert pers.persistence_oracle(pers.PersistenceQuery(3, th)) == (
+    assert pers.oracle_masses(pers.PersistenceQuery(3, th))[-1] == (
         -1 / th + F(19, 6) + th**2 / 2 - th**3 / 6
     ) / 8
     lower = F(1) + F(11, 6) - F(1, 2) + F(1, 6)
     upper = -F(1) + F(19, 6) + F(1, 2) - F(1, 6)
-    sparre = 8 * pers.persistence_oracle(pers.PersistenceQuery(3, F(1)))
+    sparre = 8 * pers.oracle_masses(pers.PersistenceQuery(3, F(1)))[-1]
     assert lower == upper == sparre == F(5, 2)
     print("ACCEPTANCE 05 PASS: window formulas exact at 4/5 and 6/5, both 5/2 at drift 1")
 
 
 def test_c06_sparre_andersen():
     for n in range(9):
-        assert pers.persistence_oracle(pers.PersistenceQuery(n, F(1))) == F(comb(2 * n, n), 4**n)
+        assert pers.oracle_masses(pers.PersistenceQuery(n, F(1)))[-1] == F(comb(2 * n, n), 4**n)
     print("ACCEPTANCE 06 PASS: central binomial law exact, n<=8")
 
 
@@ -133,7 +133,7 @@ def test_c08_duality_statistical():
     start = time.perf_counter()
     worst = 0.0
     for theta in (-1.7, 2.5):
-        for law in (mc.gaussian_law(), mc.biexponential_law()):
+        for law in (mc.InnovationLaw("gaussian"), mc.InnovationLaw("biexponential")):
             report = mc.mc_identity_check(theta, law, 6, 10**6, SEED)
             worst = max(worst, report.max_abs_z)
             assert report.passed, (theta, law.kind, report.z_scores)
@@ -225,7 +225,8 @@ def test_c12_hitting_and_ladder():
             direct = F((-1) ** (n - 1)) * fam.scalar_families(1 / th).j_tilde(n + 1) / (
                 2**n * factorial(n)
             )
-            assert pers.hitting_pmf(pers.PersistenceQuery(n, th)) == direct
+            p = pers.persistence_prefix(n, th)
+            assert p[n - 1] - p[n] == direct
     for theta in (2.0, 3.0):
         ell1, s1, tail1, n1 = asym.ell_with_tail(theta, 1e-8)
         _, s2, tail2, _ = asym.ell_with_tail(theta, 1e-13)
@@ -236,15 +237,15 @@ def test_c12_hitting_and_ladder():
 
 def _battery_checks():
     """About thirty Monte Carlo estimates, each with an exact target."""
-    unif = mc.uniform_law()
+    unif = mc.InnovationLaw("uniform")
     checks = []
     for th in (0.0, 1 / 3, 0.5, -1.0, -2.0, 0.8, 1.2, 1.0, 2.5):
         for n in (4, 6):
             checks.append(("uniform", th, unif, n))
     for th, n in ((1.0, 4), (1.0, 6), (0.0, 5)):
-        checks.append(("gaussian", th, mc.gaussian_law(), n))
+        checks.append(("gaussian", th, mc.InnovationLaw("gaussian"), n))
     for th, n in ((-1.0, 4), (-0.5, 3), (0.0, 5), (1.0, 6), (0.5, 4), (2.5, 3)):
-        checks.append(("biexponential", th, mc.biexponential_law(), n))
+        checks.append(("biexponential", th, mc.InnovationLaw("biexponential"), n))
     return checks
 
 
@@ -280,13 +281,13 @@ def test_c14_infinite_divisibility():
     for th in (F(0), F(1, 4), F(1, 2), F(1)):
         p = pers.persistence_prefix(21, th)
         pmf = [p[n] - p[n + 1] for n in range(21)]
-        assert identities.log_convexity_check(pmf).holds, f"theta={th}"
+        assert identities.log_convexity_check(pmf) is None, f"theta={th}"
     seq = [pers.persistence_exact(n, F(-2)) for n in range(21)]
-    verdict = identities.log_convexity_check(seq)
-    assert not verdict.holds
+    violation = identities.log_convexity_check(seq)
+    assert violation is not None
     print(
         f"ACCEPTANCE 14 PASS: log-convexity exact on [0,1], violation witness at "
-        f"index {verdict.first_violation} for drift -2"
+        f"index {violation} for drift -2"
     )
 
 
@@ -294,7 +295,7 @@ def test_c15_qseries():
     coeffs = asym.qseries_biexp_coeffs(0.5, 8)
     worst = 0.0
     for n in range(1, 7):
-        est = mc.estimate_persistence(0.5, mc.biexponential_law(), n, 250000, SEED, stream=300 + n)
+        est = mc.estimate_persistence(0.5, mc.InnovationLaw("biexponential"), n, 250000, SEED, stream=300 + n)
         sigma = math.sqrt(max(est.point * (1 - est.point), 1e-9) / est.trials)
         z = (est.point - coeffs[n]) / sigma
         worst = max(worst, abs(z))

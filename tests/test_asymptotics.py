@@ -383,18 +383,15 @@ class TestRequiredPrecision:
 
 class TestLogConvexity:
     def test_geometric_holds_with_equality(self):
-        v = identities.log_convexity_check([F(1, 2**n) for n in range(12)])
-        assert v.holds and v.first_violation is None
+        assert identities.log_convexity_check([F(1, 2**n) for n in range(12)]) is None
 
     def test_catalan_sequence_holds(self):
         seq = [F(comb(2 * n, n), (n + 1) * 2 ** (2 * n + 1)) for n in range(21)]
-        assert identities.log_convexity_check(seq).holds
+        assert identities.log_convexity_check(seq) is None
 
     def test_violation_for_strong_negative_drift(self):
         seq = [persistence_exact(n, F(-2)) for n in range(21)]
-        verdict = identities.log_convexity_check(seq)
-        assert not verdict.holds
-        assert verdict.first_violation == 1
+        assert identities.log_convexity_check(seq) == 1
 
     def test_positive_entries_required(self):
         with pytest.raises(DomainError):

@@ -279,6 +279,27 @@ def test_simulate_hands_exact_drift_and_support_to_the_exact_target(capsys, monk
     assert all(type(v) is Fraction for v in calls[0][1:])
 
 
+@pytest.mark.parametrize(
+    "argv, exact",
+    [
+        ("--theta 1 --n 600", math.comb(1200, 600) / 4**600),
+        ("--theta 1 --n 600 --a 2 --b 2", math.comb(1200, 600) / 4**600),
+        ("--theta 0 --n 40 --a 1/3 --b 1/3", 0.5**40),
+    ],
+)
+def test_simulate_symmetric_uniform_at_drift_one_or_zero_takes_the_universal_law(capsys, monkeypatch, argv, exact):
+    # the window oracle at drift 1 grows with n, past 120 s at n = 600
+    import ar1lab.montecarlo as mc
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran where a universal law applies")
+
+    monkeypatch.setattr(mc, "persistence_exact", no_oracle)
+    rc, out = run_cli(capsys, ["simulate", "--law", "uniform", *argv.split(), "--trials", "10"])
+    assert rc == 0
+    assert json.loads(out)["exact"] == exact
+
+
 def test_persist_table(capsys):
     rc, out = run_cli(capsys, ["persist", "--nmax", "3", "--theta", "4/5"])
     assert rc == 0
@@ -491,6 +512,19 @@ def test_volume_json(capsys):
     assert payload["in_interval"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, exact", [("--kind zigzag --n 1", "1"), ("--kind tutte_q --n 1 --q 1 --t 1", "2")]
+)
+def test_volume_with_every_point_a_hit_contains_its_exact_target(capsys, argv, exact):
+    # the box is the polytope, so the interval's upper end is the box volume itself
+    rc, out = run_cli(capsys, ["volume", *argv.split(), "--trials", "10"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["exact"] == exact
+    assert payload["estimate"] == payload["ci_high"] == float(exact)
+    assert payload["in_interval"] is True
+
+
 def test_volume_without_closed_form_fails_before_sampling(capsys, monkeypatch):
     import ar1lab.montecarlo as mc
 
@@ -519,11 +553,13 @@ def test_simulate_without_target_fails_before_sampling(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "theta, n, successes", [("1/2", 45, 0), ("1/2", 64, 0), ("0.9999", 5, 240), ("1.0001", 5, 240)]
+    "theta, n, successes",
+    [("1/2", 45, 0), ("1/2", 64, 0), ("0.9999", 5, 240), ("1.0001", 5, 240), ("1e300", 3, 488)],
 )
 def test_simulate_biexponential_past_the_extraction_reach_prints_no_target(capsys, theta, n, successes):
     # the 128-point q-series extraction gives a negative p_45 and cannot serve n = 64;
-    # within about 3e-4 of drift 1 its q-products do not converge
+    # within about 3e-4 of drift 1 its q-products do not converge; at drift 1e300
+    # the q-series needs a squared drift past the float range
     rc, out = run_cli(capsys, ["simulate", "--law", "biexponential", "--theta", theta, "--n", str(n),
                                "--trials", "1000", "--seed", "1"])
     assert rc == 0

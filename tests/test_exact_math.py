@@ -13,7 +13,7 @@ from ar1lab.exact import piecewise as piecewise_module
 from ar1lab.exact.piecewise import PiecewisePoly, inner_product, piecewise_pushforward
 from ar1lab.exact.polynomial import Polynomial, _compose
 from ar1lab.exact.rational import format_rational, parse_rational
-from ar1lab.exact.series import TruncatedSeries, cos_series, sin_series
+from ar1lab.exact.series import TruncatedSeries
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 # zeros, negative coefficients and large denominators
@@ -415,7 +415,7 @@ class TestTruncatedSeries:
     def test_egf_views(self):
         s = TruncatedSeries([F(1, factorial(n)) for n in range(5)], 4)
         assert s.coefficient(3) == F(1, 6)
-        assert s.egf_coefficient(3) == 1
+        assert s.coefficient(3) * factorial(3) == 1
 
     def test_zigzag_series_against_inverted_alternating_family(self):
         # inverting sum (-1)^n J_{n+1}(-1) z^n/n! reproduces the zigzag EGF
@@ -427,7 +427,7 @@ class TestTruncatedSeries:
         ]
         inv = TruncatedSeries(coeffs, order).invert()
         for n in range(order + 1):
-            assert inv.egf_coefficient(n) == zigzag(n)
+            assert inv.coefficient(n) * factorial(n) == zigzag(n)
 
     def test_log_of_deformed_exponential_matches_printed_families(self):
         # log E has EGF coefficients (th-1)^(n-1) J_n(th)/n!, n <= 6
@@ -459,11 +459,18 @@ class TestTruncatedSeries:
         logs = rhs.log()
         assert logs.coefficient(0) == 0
         for n in range(1, order + 1):
-            assert logs.egf_coefficient(n) == mallows_riordan(n) * Polynomial.geometric(n)
+            assert logs.coefficient(n) * factorial(n) == mallows_riordan(n) * Polynomial.geometric(n)
 
-    def test_trig_series(self):
-        assert sin_series(5).coefficient(3) == F(-1, 6)
-        assert cos_series(6).coefficient(4) == F(1, 24)
+    def test_zigzag_numbers_are_the_egf_coefficients_of_sec_plus_tan(self):
+        # (1 + sin z)/cos z from the Taylor coefficients of sin and cos, against
+        # the boustrophedon's integers
+        from ar1lab.families import zigzag
+
+        order = 40
+        sin = [F((-1) ** (n // 2), factorial(n)) if n % 2 else F(0) for n in range(order + 1)]
+        cos = [F(0) if n % 2 else F((-1) ** (n // 2), factorial(n)) for n in range(order + 1)]
+        ser = (TruncatedSeries.one(order) + TruncatedSeries(sin, order)) / TruncatedSeries(cos, order)
+        assert [ser.coefficient(n) * factorial(n) for n in range(order + 1)] == [zigzag(n) for n in range(order + 1)]
 
 
 class TestPiecewisePoly:

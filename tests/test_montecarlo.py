@@ -21,24 +21,24 @@ def _sample(law, rng, shape):
 
 class TestLaws:
     def test_flags(self):
-        assert mc.uniform_law(1, 1).symmetric
-        assert not mc.uniform_law(2, 1).symmetric
-        assert mc.gaussian_law().symmetric and mc.gaussian_law().continuous
-        assert mc.biexponential_law().symmetric
-        atom = mc.atomic_negative_law(0.3)
+        assert mc.InnovationLaw("uniform", a=1, b=1).symmetric
+        assert not mc.InnovationLaw("uniform", a=2, b=1).symmetric
+        assert mc.InnovationLaw("gaussian").symmetric and mc.InnovationLaw("gaussian").continuous
+        assert mc.InnovationLaw("biexponential").symmetric
+        atom = mc.InnovationLaw("atomic_negative", c=0.3)
         assert not atom.continuous and not atom.symmetric
 
     def test_validation(self):
         with pytest.raises(DomainError):
             mc.InnovationLaw("cauchy")
         with pytest.raises(DomainError):
-            mc.uniform_law(0, 1)
+            mc.InnovationLaw("uniform", a=0, b=1)
         with pytest.raises(DomainError):
-            mc.atomic_negative_law(0.0)
+            mc.InnovationLaw("atomic_negative", c=0.0)
 
     def test_atomic_sampler_masses(self):
         rng = mc._block_rng(SEED, 0, 0)
-        x = _sample(mc.atomic_negative_law(0.25), rng, (20000,))
+        x = _sample(mc.InnovationLaw("atomic_negative", c=0.25), rng, (20000,))
         assert np.all(x <= 0)
         assert abs((x < 0).mean() - 0.25) < 0.02
 
@@ -48,7 +48,15 @@ class TestMCEstimate:
     def test_interval_is_closed_at_both_ends(self, target, inside):
         est = mc.MCEstimate(30, 80, 0.375, 0.25, 0.5)
         assert est.contains(target) is inside
-        assert est.scaled(4.0).contains(4.0 * target) is inside
+
+    def test_volume_interval_is_the_wilson_interval_scaled_by_the_box(self):
+        est = mc.polytope_volume_mc(mc.PolytopeSpec("cayley", 2), 2000, SEED)
+        box = 3.0  # widths 1 and 3
+        lo, hi = mc.wilson_interval(est.successes, est.trials)
+        assert (est.point, est.ci_low, est.ci_high) == (est.successes / est.trials * box, lo * box, hi * box)
+        assert est.contains(est.ci_low) and est.contains(est.ci_high)
+        assert not est.contains(math.nextafter(est.ci_low, 0.0))
+        assert not est.contains(math.nextafter(est.ci_high, math.inf))
 
 
 class TestWilson:
@@ -57,10 +65,13 @@ class TestWilson:
         assert lo < 0.07 < hi
 
     def test_handles_extremes(self):
-        lo, hi = mc.wilson_interval(0, 50)
-        assert lo == 0.0 and hi > 0
-        lo, hi = mc.wilson_interval(50, 50)
-        assert hi == 1.0 and lo < 1
+        # exact at the extreme counts, where the float formula misses by a
+        # rounding at about half of these trial counts
+        for trials in range(1, 3001):
+            lo, hi = mc.wilson_interval(0, trials)
+            assert lo == 0.0 and 0 < hi < 1
+            lo, hi = mc.wilson_interval(trials, trials)
+            assert hi == 1.0 and 0 < lo < 1
 
     def test_narrows_with_trials(self):
         w1 = mc.wilson_interval(10, 100)
@@ -70,19 +81,19 @@ class TestWilson:
 
 class TestDeterminism:
     def test_same_seed_same_count(self):
-        law = mc.uniform_law()
+        law = mc.InnovationLaw("uniform")
         e1 = mc.estimate_persistence(0.3, law, 5, 70000, SEED)
         e2 = mc.estimate_persistence(0.3, law, 5, 70000, SEED)
         assert e1.successes == e2.successes
 
     def test_worker_count_invariance(self):
-        law = mc.gaussian_law()
+        law = mc.InnovationLaw("gaussian")
         e1 = mc.estimate_persistence(-0.7, law, 4, 100000, SEED, workers=1)
         e4 = mc.estimate_persistence(-0.7, law, 4, 100000, SEED, workers=4)
         assert e1.successes == e4.successes
 
     def test_streams_are_independent(self):
-        law = mc.uniform_law()
+        law = mc.InnovationLaw("uniform")
         a = mc.estimate_persistence(0.3, law, 5, 50000, SEED, stream=0)
         b = mc.estimate_persistence(0.3, law, 5, 50000, SEED, stream=1)
         assert a.successes != b.successes
@@ -91,7 +102,7 @@ class TestDeterminism:
         for workers in (0, -3):
             for n in (0, 3):
                 with pytest.raises(DomainError):
-                    mc.estimate_persistence(0.5, mc.uniform_law(), n, 100, SEED, workers=workers)
+                    mc.estimate_persistence(0.5, mc.InnovationLaw("uniform"), n, 100, SEED, workers=workers)
 
 
 def _alive_reference(theta, x):
@@ -131,7 +142,12 @@ def _full_blocks(draw, stream, trials, n):
 
 
 class TestBlockKernel:
-    LAWS = [mc.uniform_law(), mc.gaussian_law(), mc.biexponential_law(), mc.atomic_negative_law(0.4)]
+    LAWS = [
+        mc.InnovationLaw("uniform"),
+        mc.InnovationLaw("gaussian"),
+        mc.InnovationLaw("biexponential"),
+        mc.InnovationLaw("atomic_negative", c=0.4),
+    ]
 
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
     @pytest.mark.parametrize("theta", [-1.7, 0.0, 0.5, 1.0, 2.0])
@@ -141,14 +157,14 @@ class TestBlockKernel:
 
     def test_every_path_dead_before_the_horizon(self):
         # all innovations negative: every path dies at step 1 of 8
-        x = _sample(mc.atomic_negative_law(1.0), mc._block_rng(SEED, 6, 0), (500, 8))
+        x = _sample(mc.InnovationLaw("atomic_negative", c=1.0), mc._block_rng(SEED, 6, 0), (500, 8))
         alive = mc._alive(0.5, x)
         assert alive.shape == (500,) and not alive.any()
         assert np.array_equal(alive, _alive_reference(0.5, x))
 
     def test_biexponential_sample_matches_the_full_sign_draw(self):
         shape = (3 * mc.CHUNK_ROWS + 123, 7)
-        got = _sample(mc.biexponential_law(), mc._block_rng(SEED, 2, 1), shape)
+        got = _sample(mc.InnovationLaw("biexponential"), mc._block_rng(SEED, 2, 1), shape)
         rng = mc._block_rng(SEED, 2, 1)
         mag = rng.standard_exponential(shape)
         signs = rng.integers(0, 2, shape)
@@ -157,7 +173,7 @@ class TestBlockKernel:
 
     def test_atomic_sample_matches_the_full_magnitude_draw(self):
         shape = (3 * mc.CHUNK_ROWS + 123, 7)
-        law = mc.atomic_negative_law(0.4)
+        law = mc.InnovationLaw("atomic_negative", c=0.4)
         got = _sample(law, mc._block_rng(SEED, 3, 1), shape)
         assert np.array_equal(got.view(np.uint64), _full_draw(law, mc._block_rng(SEED, 3, 1), shape).view(np.uint64))
 
@@ -171,7 +187,7 @@ class TestBlockKernel:
         assert np.array_equal(np.concatenate(chunks).view(np.uint64), want.view(np.uint64))
 
     def test_uniform_chunks_read_rational_half_widths_as_numpy_does(self):
-        law, shape = mc.uniform_law(F(1, 3), F(2, 7)), (mc.CHUNK_ROWS + 77, 4)
+        law, shape = mc.InnovationLaw("uniform", a=F(1, 3), b=F(2, 7)), (mc.CHUNK_ROWS + 77, 4)
         got = _sample(law, mc._block_rng(SEED, 8, 0), shape)
         want = mc._block_rng(SEED, 8, 0).uniform(-F(1, 3), F(2, 7), shape)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -191,7 +207,7 @@ class TestBlockKernel:
     def test_atomic_successes_match_the_two_draw_law(self, theta, workers):
         # a path from Y_0 = 0 survives while its innovations are 0, and the zeros
         # (u >= c) are the same in both laws, so the negative magnitudes are unread
-        law, n, trials = mc.atomic_negative_law(0.4), 6, mc.BLOCK_SIZE + 5000
+        law, n, trials = mc.InnovationLaw("atomic_negative", c=0.4), 6, mc.BLOCK_SIZE + 5000
         blocks = _full_blocks(lambda rng, shape: _atomic_full_draw(law, rng, shape), 9, trials, n)
         want = sum(int(_alive_reference(theta, x).sum()) for x in blocks)
         assert want > 0
@@ -210,8 +226,8 @@ class TestBlockKernel:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda n: mc.estimate_persistence(0.5, mc.gaussian_law(), n, 8192, SEED, workers=1),
-            lambda n: mc.estimate_persistence(0.5, mc.atomic_negative_law(0.3), n, 8192, SEED, workers=1),
+            lambda n: mc.estimate_persistence(0.5, mc.InnovationLaw("gaussian"), n, 8192, SEED, workers=1),
+            lambda n: mc.estimate_persistence(0.5, mc.InnovationLaw("atomic_negative", c=0.3), n, 8192, SEED, workers=1),
             lambda n: mc.polytope_volume_mc(mc.PolytopeSpec("zigzag", n), 8192, SEED),
         ],
         ids=["estimate", "atomic", "volume"],
@@ -256,27 +272,27 @@ class TestBlockKernel:
 
 class TestEstimates:
     def test_white_noise_target(self):
-        est = mc.estimate_persistence(0.0, mc.uniform_law(), 10, 400000, SEED)
+        est = mc.estimate_persistence(0.0, mc.InnovationLaw("uniform"), 10, 400000, SEED)
         assert est.contains(2**-10)
 
     def test_gaussian_random_walk(self):
         target = math.comb(12, 6) / 4**6
-        est = mc.estimate_persistence(1.0, mc.gaussian_law(), 6, 200000, SEED)
+        est = mc.estimate_persistence(1.0, mc.InnovationLaw("gaussian"), 6, 200000, SEED)
         assert est.contains(target)
 
     def test_biexponential_negative_drift(self):
-        est = mc.estimate_persistence(-1.0, mc.biexponential_law(), 4, 400000, SEED)
+        est = mc.estimate_persistence(-1.0, mc.InnovationLaw("biexponential"), 4, 400000, SEED)
         assert est.contains(1 / 128)
 
     def test_horizon_zero(self):
-        est = mc.estimate_persistence(0.5, mc.uniform_law(), 0, 100, SEED)
+        est = mc.estimate_persistence(0.5, mc.InnovationLaw("uniform"), 0, 100, SEED)
         assert est.point == 1.0
 
 
 class TestCoupling:
     def test_pathwise_monotone_in_nonnegative_drift(self):
         # common innovations: for drifts 0 <= t1 <= t2 a path alive at t1 is alive at t2
-        x = _sample(mc.uniform_law(), mc._block_rng(SEED, 0, 0), (mc.BLOCK_SIZE, 6))
+        x = _sample(mc.InnovationLaw("uniform"), mc._block_rng(SEED, 0, 0), (mc.BLOCK_SIZE, 6))
         surv = [mc._alive(th, x) for th in (0.0, 0.4, 1.1, 2.0)]
         for lo, hi in zip(surv, surv[1:]):
             assert np.all(lo <= hi)
@@ -285,29 +301,29 @@ class TestCoupling:
 
 class TestIdentityChecks:
     def test_gaussian_negative_drift(self):
-        rep = mc.mc_identity_check(-1.7, mc.gaussian_law(), 5, 150000, SEED)
+        rep = mc.mc_identity_check(-1.7, mc.InnovationLaw("gaussian"), 5, 150000, SEED)
         assert rep.passed, rep.z_scores
 
     def test_biexponential_positive_drift(self):
-        rep = mc.mc_identity_check(2.5, mc.biexponential_law(), 5, 150000, SEED)
+        rep = mc.mc_identity_check(2.5, mc.InnovationLaw("biexponential"), 5, 150000, SEED)
         assert rep.passed, rep.z_scores
 
     def test_atomic_counterexample_targets(self):
         c = 0.3
-        rep = mc.mc_identity_check(-2.0, mc.atomic_negative_law(c), 2, 300000, SEED)
+        rep = mc.mc_identity_check(-2.0, mc.InnovationLaw("atomic_negative", c=c), 2, 300000, SEED)
         assert rep.targets[0] == 0.0
         assert rep.targets[1] == pytest.approx((1 - c) ** 2)
         assert rep.passed
 
     def test_zero_drift_rejected(self):
         with pytest.raises(DomainError):
-            mc.mc_identity_check(0.0, mc.gaussian_law(), 3, 100, SEED)
+            mc.mc_identity_check(0.0, mc.InnovationLaw("gaussian"), 3, 100, SEED)
 
     @pytest.mark.parametrize("theta", [-2.0, 1.5])
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_horizon_below_one_rejected(self, theta, n_max):
         with pytest.raises(DomainError):
-            mc.mc_identity_check(theta, mc.gaussian_law(), n_max, 100, SEED)
+            mc.mc_identity_check(theta, mc.InnovationLaw("gaussian"), n_max, 100, SEED)
 
 
 class TestPolytopes:
@@ -360,23 +376,32 @@ class TestExactTargets:
         from ar1lab.persistence import persistence_exact
 
         expected = float(persistence_exact(4, F(1, 2)))
-        assert mc.exact_persistence_target(0.5, mc.uniform_law(), 4) == pytest.approx(expected)
+        assert mc.exact_persistence_target(0.5, mc.InnovationLaw("uniform"), 4) == pytest.approx(expected)
+
+    def test_symmetric_uniform_universal_laws_are_the_rounded_oracle_values(self):
+        from ar1lab.persistence import persistence_exact
+
+        for n in (1, 2, 7, 30, 60):
+            assert float(persistence_exact(n, 1)) == math.comb(2 * n, n) / 4**n
+            assert float(persistence_exact(n, 0, F(1, 3), F(1, 3))) == 0.5**n
 
     def test_known_targets(self):
-        assert mc.exact_persistence_target(1.0, mc.gaussian_law(), 6) == pytest.approx(
+        assert mc.exact_persistence_target(1.0, mc.InnovationLaw("gaussian"), 6) == pytest.approx(
             math.comb(12, 6) / 4**6
         )
-        assert mc.exact_persistence_target(-1.0, mc.biexponential_law(), 4) == pytest.approx(1 / 128)
-        assert mc.exact_persistence_target(0.0, mc.gaussian_law(), 7) == pytest.approx(2**-7)
-        assert mc.exact_persistence_target(-0.3, mc.gaussian_law(), 4) is None
+        assert mc.exact_persistence_target(-1.0, mc.InnovationLaw("biexponential"), 4) == pytest.approx(1 / 128)
+        assert mc.exact_persistence_target(0.0, mc.InnovationLaw("gaussian"), 7) == pytest.approx(2**-7)
+        assert mc.exact_persistence_target(-0.3, mc.InnovationLaw("gaussian"), 4) is None
 
-    @pytest.mark.parametrize("law", [mc.gaussian_law(), mc.biexponential_law()], ids=lambda law: law.kind)
+    @pytest.mark.parametrize(
+        "law", [mc.InnovationLaw("gaussian"), mc.InnovationLaw("biexponential")], ids=lambda law: law.kind
+    )
     def test_random_walk_target_past_where_four_to_the_n_overflows(self, law):
         for n in (511, 512, 2000):
             assert mc.exact_persistence_target(1, law, n) == float(F(math.comb(2 * n, n), 4**n))
 
     def test_biexponential_target_within_the_extraction_reach(self):
-        law = mc.biexponential_law()
+        law = mc.InnovationLaw("biexponential")
         assert mc.exact_persistence_target(0.5, law, 20) == qseries_biexp_coeffs(0.5, 20)[20] == 0.000730935827959911
         assert mc.exact_persistence_target(0.5, law, 33) == qseries_biexp_coeffs(0.5, 33)[33]
 
@@ -384,4 +409,4 @@ class TestExactTargets:
     def test_biexponential_target_refused_past_the_extraction_reach(self, n):
         # at drift 1/2 the extracted p_34 and p_45 are negative, and the 128-point
         # extraction cannot serve n = 64 at all
-        assert mc.exact_persistence_target(0.5, mc.biexponential_law(), n) is None
+        assert mc.exact_persistence_target(0.5, mc.InnovationLaw("biexponential"), n) is None

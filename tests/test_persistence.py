@@ -20,11 +20,9 @@ from ar1lab.persistence import (
     classify,
     duality_residuals,
     geometric_sum,
-    hitting_pmf,
     oracle_masses,
     persistence_closed_form,
     persistence_exact,
-    persistence_oracle,
     persistence_prefix,
 )
 
@@ -153,23 +151,23 @@ class TestClosedForms:
 class TestOracle:
     @pytest.mark.parametrize("n", range(9))
     def test_sparre_andersen(self, n):
-        assert persistence_oracle(PersistenceQuery(n, F(1))) == F(comb(2 * n, n), 4**n)
+        assert oracle_masses(PersistenceQuery(n, F(1)))[-1] == F(comb(2 * n, n), 4**n)
 
     def test_lower_window_formula(self):
         th = F(4, 5)
         expected = (th + F(11, 6) - 1 / (2 * th**2) + 1 / (6 * th**3)) / 8
-        assert persistence_oracle(PersistenceQuery(3, th)) == expected
+        assert oracle_masses(PersistenceQuery(3, th))[-1] == expected
 
     def test_upper_window_formula(self):
         th = F(6, 5)
         expected = (-1 / th + F(19, 6) + th**2 / 2 - th**3 / 6) / 8
-        assert persistence_oracle(PersistenceQuery(3, th)) == expected
+        assert oracle_masses(PersistenceQuery(3, th))[-1] == expected
 
     def test_window_formulas_meet_at_random_walk(self):
         lo = F(1) + F(11, 6) - F(1, 2) + F(1, 6)
         hi = -F(1) + F(19, 6) + F(1, 2) - F(1, 6)
         assert lo == hi == F(5, 2)
-        assert persistence_oracle(PersistenceQuery(3, F(1))) == F(5, 2) / 8
+        assert oracle_masses(PersistenceQuery(3, F(1)))[-1] == F(5, 2) / 8
 
     @pytest.mark.parametrize("theta", [F(-2), F(-1), F(0), F(1, 3), F(1, 2), F(5, 2)])
     def test_matches_closed_form(self, theta):
@@ -423,13 +421,19 @@ class TestReflectedRoute:
         assert lengths == [(split, n - split)]
 
 
+def _hitting(n, theta):
+    """P[T = n] = p_{n-1} - p_n for the first passage time below zero."""
+    p = persistence_prefix(n, theta)
+    return p[n - 1] - p[n]
+
+
 class TestHitting:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_geometric_at_zero_drift(self, n):
-        assert hitting_pmf(PersistenceQuery(n, F(0))) == F(1, 2**n)
+        assert _hitting(n, F(0)) == F(1, 2**n)
 
     def test_reference_value(self):
-        assert hitting_pmf(PersistenceQuery(3, F(3))) == F(5, 648)
+        assert _hitting(3, F(3)) == F(5, 648)
 
     @pytest.mark.parametrize("theta", [F(2), F(3)])
     def test_closed_form_cross_check_runs(self, theta):
@@ -437,17 +441,12 @@ class TestHitting:
         j_tilde = scalar_families(1 / theta).j_tilde
         for n in range(1, 11):
             direct = F((-1) ** (n - 1)) * j_tilde(n + 1) / (2**n * factorial(n))
-            assert hitting_pmf(PersistenceQuery(n, theta)) == direct
+            assert _hitting(n, theta) == direct
 
     @pytest.mark.parametrize("theta", [F(0), F(-3, 2), F(4, 5), F(3)])
     def test_telescoping(self, theta):
-        total = sum(hitting_pmf(PersistenceQuery(n, theta)) for n in range(1, 9))
+        total = sum(_hitting(n, theta) for n in range(1, 9))
         assert total + persistence_exact(8, theta) == 1
-
-    def test_horizon_zero_rejected(self):
-        with pytest.raises(IndexError):
-            hitting_pmf(PersistenceQuery(0, F(2)))
-
 
 class TestDuality:
     def test_trivial_positive_case(self):

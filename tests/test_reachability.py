@@ -95,7 +95,7 @@ KEEP = {
     "exact.polynomial.Polynomial.__repr__": OPERATOR,
     "exact.polynomial.Polynomial.__rsub__": OPERATOR,
     "exact.polynomial.Polynomial.__setattr__": IMMUTABLE,
-    "exact.series.TruncatedSeries.__eq__": OPERATOR,
+    "exact.series.TruncatedSeries.__add__": OPERATOR,
     "exact.series.TruncatedSeries.__hash__": OPERATOR,
     "exact.series.TruncatedSeries.__neg__": OPERATOR,
     "exact.series.TruncatedSeries.__repr__": OPERATOR,
