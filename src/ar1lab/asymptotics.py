@@ -391,13 +391,15 @@ def rate_bundle(theta: float | Fraction) -> RateBundle:
     _refuse_window_limit(theta)
     res = nu_root(t)  # refuses a drift too large for its roots before the limit or any exact term
     zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / t))  # recover a_1(1/theta)
-    lm = ell_mp(theta, dps=50)
+    # p_30 - ell is about nu^-30: the subtraction cancels 30 log10(nu) leading digits
+    dps = 50 + int(30 * math.log10(res.value))
+    lm = ell_mp(theta, dps)
     ell = float(lm)
     if not 0.0 < ell <= 0.5:
         raise InvariantError(f"limit {ell} escapes (0, 1/2] at drift {t}")
     p = persistence_prefix(30, Fraction(theta))
     kappa = None
-    with mp.workdps(60):
+    with mp.workdps(dps + 10):
         r20, r30 = [mp.mpf(p[n].numerator) / mp.mpf(p[n].denominator) - lm for n in (20, 30)]
         if r20 > 0 and r30 > 0:
             kappa = float((mp.log(r20) - mp.log(r30)) / 10)
@@ -462,25 +464,30 @@ def qseries_biexp(theta: float, z):
     return num / den
 
 
-def qseries_biexp_coeffs(theta: float, nmax: int, radius: float = 0.5, npoints: int = 128) -> list[float]:
+_RADIUS = 0.5
+_NPOINTS = 128
+
+
+def qseries_biexp_coeffs(theta: float, nmax: int) -> list[float]:
     """Taylor coefficients p_0..p_nmax of the q-product generating function.
 
-    Extracted by averaging the product form over a circle of the given
-    radius (the discrete Cauchy integral); with |coefficients| <= 1 the
-    aliasing error is below radius^(npoints - nmax).
+    Extracted by averaging the product form over the circle of radius
+    ``_RADIUS`` at ``_NPOINTS`` points (the discrete Cauchy integral); with
+    |coefficients| <= 1 the aliasing error is below radius^(npoints - nmax).
+    Horizons from npoints/2 on are refused.
     """
-    if nmax >= npoints // 2:
-        raise DomainError("npoints must comfortably exceed nmax")
+    if nmax >= _NPOINTS // 2:
+        raise DomainError(f"the q-series extraction serves horizons below {_NPOINTS // 2}, not {nmax}")
     samples = []
-    for j in range(npoints):
-        zj = radius * cmath.exp(2j * cmath.pi * j / npoints)
+    for j in range(_NPOINTS):
+        zj = _RADIUS * cmath.exp(2j * cmath.pi * j / _NPOINTS)
         samples.append(qseries_biexp(theta, zj))
     out = []
     for n in range(nmax + 1):
         acc = 0.0 + 0.0j
         for j, s in enumerate(samples):
-            acc += s * cmath.exp(-2j * cmath.pi * j * n / npoints)
-        out.append((acc / npoints).real / radius**n)
+            acc += s * cmath.exp(-2j * cmath.pi * j * n / _NPOINTS)
+        out.append((acc / _NPOINTS).real / _RADIUS**n)
     return out
 
 

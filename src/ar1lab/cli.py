@@ -67,9 +67,11 @@ def _rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
 
 
 def _format_table(fieldnames: list[str], rows: list[dict], fmt: str) -> str:
+    """The rows as JSON, or as CSV with each list or dict field written as JSON text."""
     if fmt == "json":
         return _json_dump(rows)
-    return _rows_to_csv(fieldnames, rows)
+    flat = [{k: json.dumps(v) if isinstance(v, (list, dict)) else v for k, v in row.items()} for row in rows]
+    return _rows_to_csv(fieldnames, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +116,7 @@ def _cmd_poly(args) -> int:
                                       "value": format_rational(dv)})
         _emit(_json_dump({"table": records, "negative_witnesses": witnesses}), args.out)
         return 0
-    if args.format == "json":
-        _emit(_json_dump(records), args.out)
-    else:
-        rows = [
-            {"family": r["family"], "n": r["n"], "coefficients": json.dumps(r["coefficients"])}
-            for r in records
-        ]
-        _emit(_rows_to_csv(["family", "n", "coefficients"], rows), args.out)
+    _emit(_format_table(["family", "n", "coefficients"], records, args.format), args.out)
     return 0
 
 
@@ -234,7 +229,7 @@ def _cmd_rates(args) -> int:
                 "kappa_estimate": bundle.kappa_estimate,
                 "c_estimate": bundle.c_estimate,
                 "c_rel_drift": bundle.c_rel_drift,
-                "residuals": resid if args.format == "json" else json.dumps(resid),
+                "residuals": resid,
             }
         )
     fields = ["theta", "z_root", "lambda_or_mu", "ell", "nu", "kappa_estimate", "c_estimate", "c_rel_drift", "residuals"]
@@ -251,9 +246,9 @@ def _cmd_volume(args) -> int:
     q = parse_rational(args.q) if args.q else None
     t = parse_rational(args.t) if args.t else None
     spec = mc.PolytopeSpec(args.kind, args.n, q=q, t=t)
-    mc.check_run_arguments(spec.n, args.trials, 1)
+    est = mc.polytope_volume_mc(spec, args.trials, args.seed)  # refuses bad arguments before the exact target
     target = mc.polytope_exact_target(spec)
-    est = mc.polytope_volume_mc(spec, args.trials, args.seed)
+    exact = asym.float_value(target, "exact volume")
     sigma = (est.ci_high - est.ci_low) / (2 * mc.Z95)
     payload = {
         "kind": spec.kind,
@@ -266,9 +261,9 @@ def _cmd_volume(args) -> int:
         "ci_low": est.ci_low,
         "ci_high": est.ci_high,
         "exact": format_rational(target),
-        "exact_float": float(target),
-        "z_score": (est.point - float(target)) / sigma if sigma > 0 else 0.0,
-        "in_interval": est.contains(float(target)),
+        "exact_float": exact,
+        "z_score": (est.point - exact) / sigma if sigma > 0 else 0.0,
+        "in_interval": est.contains(exact),
     }
     _emit(_json_dump(payload), args.out)
     return 0
@@ -300,10 +295,8 @@ def _cmd_figure(args) -> int:
             f"right_p1={format_rational(bd.right_p1)} left_p2={format_rational(bd.left_p2)} "
             f"right_p2={format_rational(bd.right_p2)}"
         )
-    marks = sorted(
-        {round(pers.fibonacci_root(i), 12) for i in range(1, max(horizons))}
-        | {round(1.0 / pers.fibonacci_root(i), 12) for i in range(1, max(horizons))}
-    )
+    roots = [pers.fibonacci_root(i) for i in range(1, max(horizons))]
+    marks = sorted({round(r, 12) for r in roots} | {round(1.0 / r, 12) for r in roots})
     lines.append("# fibonacci_breakpoints " + " ".join(f"{m:.12g}" for m in marks))
     lines.append("# second_derivative_jump_at -1")
     header = ["theta"]

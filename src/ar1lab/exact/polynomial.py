@@ -4,9 +4,9 @@ A ``Polynomial`` stores one canonical integer form: numerators in ascending
 degree with no trailing zero, over one positive denominator, with
 gcd(den, *nums) = 1; the zero polynomial is ((), 1).  Equality of values is
 therefore equality of representations.  Ring operations, evaluation at a
-rational and composition run on the integers, and ``coeffs`` builds the
-``Fraction`` coefficients only when read.  The pieces of a ``PiecewisePoly``
-are ``Polynomial``s in this form.
+rational and composition with a linear inner run on the integers, and
+``coeffs`` builds the ``Fraction`` coefficients only when read.  The pieces
+of a ``PiecewisePoly`` are ``Polynomial``s in this form.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _horner(nums: Sequence[int], p: int, q: int) -> tuple[int, int]:
 def _compose(nums: Sequence[int], inums: Sequence[int], iden: int) -> tuple[list[int], int]:
     """(M, S) with (sum nums[k] I^k/iden^k) == M/S for the linear I = i0 + i1*y,
     ``inums`` = (i0, i1): the integer sum nums[k] I^k iden^(d-k) over
-    S = iden^d, for nonempty nums.
+    S = iden^d; the empty nums of the zero polynomial give ([], 1).
 
     It is a Taylor shift over the integers: scale nums[k] by iden^(d-k), shift
     by i0 in place (Ruffini, d^2/2 multiply-adds) and multiply coefficient k
@@ -171,16 +171,11 @@ class Polynomial:
         return bool(self._nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self._den == other._den and self._nums == other._nums
-        if isinstance(other, _Scalar):
-            return self == Polynomial.constant(other)
-        return NotImplemented
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        # a polynomial of degree <= 0 equals its constant, so it hashes as one
-        if len(self._nums) <= 1:
-            return hash(self.coefficient(0))
         return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
@@ -223,9 +218,6 @@ class Polynomial:
 
     def __sub__(self, other):
         return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, _Scalar):
@@ -270,25 +262,21 @@ class Polynomial:
         return Polynomial._from_integer_form([k * c for k, c in enumerate(self._nums[1:], 1)], self._den)
 
     # -- evaluation ---------------------------------------------------
-    def __call__(self, x):
-        """Horner evaluation; works for rationals, floats and polynomials.
-
-        At a rational p/q the sum N_k p^k q^(d-k) runs over the integers and
-        is divided once by D*q^d.
-        """
-        if isinstance(x, _Scalar) and self._nums:
-            acc, scale = _horner(self._nums, x.numerator, x.denominator)
-            return Fraction(acc, self._den * scale)
-        result = x * 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
+    def __call__(self, x) -> Fraction:
+        """The value at a rational p/q: the integer Horner sum N_k p^k q^(d-k),
+        divided once by D*q^d."""
+        if not isinstance(x, _Scalar):
+            raise TypeError(f"polynomials are evaluated at exact rationals, got {type(x)!r}")
+        if not self._nums:
+            return Fraction(0)
+        acc, scale = _horner(self._nums, x.numerator, x.denominator)
+        return Fraction(acc, self._den * scale)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner).  A linear inner I/C is an integer Taylor shift, the sum
-        N_k I^k C^(d-k) over D*C^d; any other inner runs the Horner loop."""
-        if inner.degree != 1 or not self._nums:
-            return self(inner)
+        """self(inner) for a linear inner I/C: an integer Taylor shift, the sum
+        N_k I^k C^(d-k) over D*C^d."""
+        if inner.degree != 1:
+            raise ValueError(f"compose takes a linear inner, got degree {inner.degree}")
         acc, scale = _compose(self._nums, inner._nums, inner._den)
         return Polynomial._from_integer_form(acc, self._den * scale)
 

@@ -1,8 +1,9 @@
 """Truncated formal power series with exact coefficients.
 
 Coefficients live in any exact commutative ring that supports ``+``, ``-``,
-``*``, division by integers, exact division by its own elements, and scalar
-mixing with ``int``/``Fraction``: in practice ``Fraction`` or ``Polynomial``
+``*``, division by integers, exact division by its own elements, scalar
+mixing with ``int``/``Fraction``, and a truth value that is false on zero
+alone: in practice ``Fraction`` or ``Polynomial``
 (whose ``/`` is ``divexact``), not ``int`` (whose ``/`` is a float).  All
 operations propagate exactly up to the stored order; products and quotients
 of series of different orders are truncated to the smaller order.  A
@@ -21,11 +22,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from ar1lab.errors import DomainError, NonInvertibleError
-
-
-def _is_zero_coeff(c) -> bool:
-    z = c * 0
-    return c == z
 
 
 class TruncatedSeries:
@@ -76,29 +72,9 @@ class TruncatedSeries:
             a == b for a, b in zip(self.coeffs, other.coeffs)
         )
 
-    def __hash__(self):
-        return hash(("TruncatedSeries", self.coeffs))
-
     def __repr__(self) -> str:
         shown = ", ".join(repr(c) for c in self.coeffs[:5])
         return f"TruncatedSeries([{shown}, ...], order={self.order})"
-
-    # -- linear structure -------------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(order + 1)], order
-        )
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
 
     # -- multiplicative structure -----------------------------------------
     def __mul__(self, other):
@@ -109,7 +85,7 @@ class TruncatedSeries:
         out = [zero] * (order + 1)
         for i in range(order + 1):
             ci = self.coeffs[i]
-            if _is_zero_coeff(ci):
+            if not ci:
                 continue
             for j in range(order + 1 - i):
                 out[i + j] = out[i + j] + ci * other.coeffs[j]
@@ -124,7 +100,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         b0 = other.coeffs[0]
-        if _is_zero_coeff(b0):
+        if not b0:
             raise NonInvertibleError("constant term of the divisor is zero")
         order = min(self.order, other.order)
         out = []

@@ -30,7 +30,7 @@ from numpy.random import Generator, Philox
 
 from ar1lab.asymptotics import biexp_persistence_nonpositive, float_value, qseries_biexp_coeffs
 from ar1lab.errors import DomainError
-from ar1lab.families import mallows_riordan, tutte_modified_eval, zigzag
+from ar1lab.families import scalar_families, tutte_modified_eval, zigzag
 from ar1lab.persistence import persistence_exact
 
 BLOCK_SIZE = 1 << 15
@@ -367,6 +367,8 @@ class PolytopeSpec:
                 raise DomainError("tutte_q needs q in (0, 1]")
             if self.t < 0:
                 raise DomainError("tutte_q needs t >= 0")
+            if self.t == 0:
+                raise DomainError("tutte_q volume needs t > 0 for the closed form")
         if self.kind == "tutte_limit" and (self.t is None or self.t < 0):
             raise DomainError("tutte_limit needs t >= 0")
 
@@ -393,13 +395,11 @@ def polytope_exact_target(spec: PolytopeSpec) -> Fraction:
     if spec.kind == "zigzag":
         return Fraction(zigzag(n), factorial(n))
     if spec.kind == "cayley":
-        return Fraction(mallows_riordan(n + 1)(Fraction(2)), factorial(n))
+        return scalar_families(2).j(n + 1) / factorial(n)
     t = Fraction(spec.t)
     if spec.kind == "tutte_limit":
         return t**n * tutte_modified_eval(n + 1, Fraction(1), 1 + t) / factorial(n)
     q = Fraction(spec.q)
-    if t == 0:
-        raise DomainError("tutte_q volume needs t > 0 for the closed form")
     return t**n * tutte_modified_eval(n + 1, 1 + q / t, 1 + t) / factorial(n)
 
 
@@ -434,14 +434,13 @@ def polytope_volume_mc(spec: PolytopeSpec, trials: int, seed: int) -> MCEstimate
     """Hit-or-miss volume estimate over the exact bounding box."""
     check_run_arguments(spec.n, trials, 1)
     box = polytope_box(spec)
-    widths = [float(hi - lo) for lo, hi in box]
+    widths = [float_value(hi - lo, "box width") for lo, hi in box]
     los = [float(lo) for lo, _ in box]
-    box_volume = 1.0
-    for w in widths:
-        if w <= 0:
-            raise DomainError("degenerate bounding box")
-        box_volume *= w
-
+    if min(widths) <= 0:
+        raise DomainError("degenerate bounding box")
+    box_volume = math.prod(widths)
+    if box_volume == math.inf:  # finite widths, yet their product overflows
+        raise DomainError(f"box volume of about 1e{round(sum(map(math.log10, widths)))} has no float value")
     scale, shift = np.array(widths), np.array(los)
 
     def chunk_hits(pts: np.ndarray) -> int:

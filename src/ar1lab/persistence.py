@@ -91,33 +91,27 @@ def classify(query: PersistenceQuery) -> Region:
     return Region.WINDOW
 
 
-def fibonacci_root(i: int, ratio: float = 1.0) -> float:
-    """Positive solution of theta + ... + theta^i = ratio (float bisection)."""
+def fibonacci_root(i: int, ratio: Fraction = Fraction(1)) -> float:
+    """Positive solution of theta + ... + theta^i = ratio, as a float: the
+    boundary ``classify`` draws, found by bisecting ``geometric_sum`` over the
+    rationals to relative width 2^-64, so the float is within one ulp of it."""
     if i < 1:
         raise DomainError("need at least one summand")
-
-    def f(x: float) -> float:
-        acc, p = 0.0, 1.0
-        for _ in range(i):
-            p *= x
-            acc += p
-        return acc - ratio
-
-    lo, hi = 0.0, max(ratio, 1.0) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
+    lo, hi = Fraction(0), max(ratio, 1) + 1
+    while (hi - lo) * 2**64 > hi:
+        mid = (lo + hi) / 2
+        if geometric_sum(mid, i) < ratio:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return float((lo + hi) / 2)
 
 
 def window_bounds(query: PersistenceQuery) -> tuple[float, float]:
-    """Approximate drift window (lo, hi) with no closed form at this horizon."""
+    """Drift window (lo, hi) with no closed form at this horizon, to the float."""
     if query.n < 2:
         return (float("inf"), float("inf"))
-    lo = fibonacci_root(query.n - 1, float(query.a / query.b))
+    lo = fibonacci_root(query.n - 1, query.a / query.b)
     hi = 1.0 / fibonacci_root(query.n - 1) if query.symmetric else float("inf")
     return (lo, hi)
 

@@ -361,6 +361,11 @@ class TestQSeries:
         with pytest.raises(DomainError):
             asym.qseries_biexp_coeffs(theta, 5)
 
+    def test_extraction_names_the_horizon_it_cannot_serve(self):
+        assert len(asym.qseries_biexp_coeffs(0.5, 63)) == 64
+        with pytest.raises(DomainError, match="serves horizons below 64, not 64"):
+            asym.qseries_biexp_coeffs(0.5, 64)
+
     def test_exact_nonpositive_closed_form(self):
         assert asym.biexp_persistence_nonpositive(F(-1), 3) == F(1, 32)
         assert asym.biexp_persistence_nonpositive(F(0), 5) == F(1, 32)
@@ -420,21 +425,35 @@ class TestFullExpansion:
         lhs = zigzag(n) / factorial(n)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    def test_biexponential_limit_closed_form(self):
+    def test_biexponential_limit_closed_form(self, monkeypatch):
         # for drift > 1 the q-product coefficients decrease to
         # (q1;q)/( (q1;q) + (q2;q) ) with q1 = 1/theta, q2 = q = theta^-2
         theta = 2.5
         q = theta**-2
         num = asym.qpochhammer(1 / theta, q)
         ell = num / (num + asym.qpochhammer(q, q))
-        coeffs = asym.qseries_biexp_coeffs(theta, 40, radius=0.9, npoints=256)
+        assert 0 < ell < 0.5
+        # on the default circle, dividing by 0.5^n amplifies the extraction's rounding past n = 20
+        coeffs = asym.qseries_biexp_coeffs(theta, 20)
+        assert all(x >= y - 1e-9 for x, y in zip(coeffs, coeffs[1:]))
+        assert abs(coeffs[20] - ell) < 1e-4
+        # a wider circle with more points serves the horizon 40
+        monkeypatch.setattr(asym, "_RADIUS", 0.9)
+        monkeypatch.setattr(asym, "_NPOINTS", 256)
+        coeffs = asym.qseries_biexp_coeffs(theta, 40)
         assert all(x >= y - 1e-9 for x, y in zip(coeffs, coeffs[1:]))
         assert abs(coeffs[40] - ell) < 1e-4
-        assert 0 < ell < 0.5
 
     def test_kappa_estimate_matches_log_nu(self):
         bundle = asym.rate_bundle(4.0)
         assert bundle.kappa_estimate == pytest.approx(math.log(bundle.nu), abs=0.01)
+
+    @pytest.mark.parametrize("theta", [30, 100, 1000])
+    def test_kappa_estimate_keeps_its_digits_at_large_drift(self, theta):
+        # p_30 - ell is about nu^-30, so ell needs 30 log10(nu) digits more than kappa
+        bundle = asym.rate_bundle(F(theta))
+        log_nu = math.log(bundle.nu)
+        assert abs(bundle.kappa_estimate - log_nu) <= 1e-12 * log_nu
 
 
 class TestSummability:

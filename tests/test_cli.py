@@ -460,7 +460,7 @@ def test_simulate_refuses_a_second_drift(capsys, monkeypatch):
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_volume_refuses_bad_trials_before_the_exact_target(capsys, monkeypatch, trials):
-    # the exact cayley target at n = 45 alone takes seconds
+    # the argument check comes before any exact work
     def refused_first(*args):
         raise AssertionError("the exact target ran before the refusal")
 
@@ -468,6 +468,27 @@ def test_volume_refuses_bad_trials_before_the_exact_target(capsys, monkeypatch, 
     rc = main(["volume", "--kind", "cayley", "--n", "45", "--trials", trials])
     assert rc == 2
     assert capsys.readouterr().err == "error: need at least one trial\n"
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        ("--kind tutte_limit --n 2 --t 1e400", "box width 1.0e+400"),
+        ("--kind tutte_limit --n 3 --t 1e120", "box width 1.0e+360"),
+        ("--kind tutte_q --n 2 --q 1/2 --t 1e400", "box width 1.0e+400"),
+        ("--kind tutte_limit --n 2 --t 1e150", "box volume of about 1e450"),
+        ("--kind cayley --n 50", "box volume of about 1e383"),
+    ],
+)
+def test_volume_past_the_float_range_is_refused_before_the_exact_target(capsys, monkeypatch, argv, value):
+    # finite widths can still multiply to an infinite box volume (the last two)
+    def refused_first(*args):
+        raise AssertionError("the exact target ran before the refusal")
+
+    monkeypatch.setattr(mc, "polytope_exact_target", refused_first)
+    rc = main(["volume", *argv.split(), "--trials", "10"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {value} has no float value\n"
 
 
 def test_biexponential_simulate_peak_rss_stays_lean():

@@ -168,7 +168,6 @@ class TestPolynomial:
     def test_evaluation_and_compose(self):
         p = Polynomial((1, 2, 3))
         assert p(F(2)) == 1 + 4 + 12
-        assert p(0.5) == pytest.approx(1 + 1 + 0.75)
         inner = Polynomial((1, 1))
         assert p.compose(inner)(F(1)) == p(F(2))
 
@@ -186,14 +185,20 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="inexact polynomial division"):
             Polynomial((1, 1)) / Polynomial((0, 1))
 
-    def test_hash_agrees_with_scalar_equality(self):
-        three = Polynomial.constant(3)
-        assert three == 3 and hash(three) == hash(3)
-        assert 3 in {three} and len({three, 3}) == 1
-        assert F(1, 2) in {Polynomial.constant(F(1, 2))}
-        zero = Polynomial.zero()
-        assert zero == 0 and hash(zero) == hash(0)
-        assert 0 in {zero} and len({zero, 0}) == 1
+    def test_evaluation_refuses_an_inexact_point(self):
+        for p in (Polynomial((1, 2, 3)), Polynomial.zero()):
+            for x in (0.5, Polynomial.x()):
+                with pytest.raises(TypeError, match="evaluated at exact rationals"):
+                    p(x)
+
+    def test_hash_agrees_with_equality(self):
+        # among polynomials only: a constant polynomial is not its scalar
+        p, same = Polynomial((F(1, 2), 1)), Polynomial((F(2, 4), F(3, 3), 0))
+        assert p == same and hash(p) == hash(same)
+        assert len({p, same, Polynomial.constant(F(1, 2))}) == 2
+        assert hash(Polynomial.zero()) == hash(Polynomial((0, 0)))
+        assert Polynomial.constant(3) != 3 and 3 not in {Polynomial.constant(3)}
+        assert Polynomial.zero() != 0
 
     def test_valuation(self):
         assert Polynomial((0, 0, 3, 1)).valuation == 2
@@ -260,13 +265,19 @@ class TestPolynomial:
         assert p(0) == ref_value(coeffs, 0)
         assert type(p(F(x))) is F
 
-    @given(st.lists(coefficients, max_size=6), st.lists(coefficients, max_size=3))
+    @given(st.lists(coefficients, max_size=6), coefficients, coefficients.filter(bool))
     @settings(max_examples=60, deadline=None)
-    def test_compose_matches_fraction_loop(self, coeffs, inner):
-        # inner of degree 0, 1 and 2, and the zero inner
+    def test_compose_matches_fraction_loop(self, coeffs, i0, i1):
+        # the zero polynomial among the outer ones, and a zero shift among the inner ones
+        inner = [i0, i1]
         composed = Polynomial(coeffs).compose(Polynomial(inner))
         assert_canonical(composed)
         assert composed.coeffs == ref_coeffs(ref_compose(coeffs, inner))
+
+    def test_compose_refuses_a_nonlinear_inner(self):
+        for inner in (Polynomial.zero(), Polynomial.constant(2), Polynomial((1, 0, 1))):
+            with pytest.raises(ValueError, match="linear inner"):
+                Polynomial((1, 2)).compose(inner)
 
     @given(
         st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=15),
@@ -287,7 +298,7 @@ class TestPolynomial:
         assert [F(m, scale) for m in composed] == ref_compose([F(n) for n in nums], [F(i, c) for i in inner])
 
     def test_value_types(self):
-        assert type(Polynomial.zero()(3)) is int and Polynomial.zero()(3) == 0
+        assert type(Polynomial.zero()(3)) is F and Polynomial.zero()(3) == 0
         assert type(Polynomial.zero()(F(3))) is F
         assert type(Polynomial((1, 2))(3)) is F and Polynomial((1, 2))(3) == 7
         assert type(Polynomial.constant(F(1, 3))(F(5))) is F
@@ -457,7 +468,7 @@ class TestTruncatedSeries:
         order = 8
         rhs = TruncatedSeries([mallows_riordan(n + 1) * F(1, factorial(n)) for n in range(order + 1)], order)
         logs = rhs.log()
-        assert logs.coefficient(0) == 0
+        assert logs.coefficient(0) == Polynomial.zero()
         for n in range(1, order + 1):
             assert logs.coefficient(n) * factorial(n) == mallows_riordan(n) * Polynomial.geometric(n)
 
@@ -469,7 +480,8 @@ class TestTruncatedSeries:
         order = 40
         sin = [F((-1) ** (n // 2), factorial(n)) if n % 2 else F(0) for n in range(order + 1)]
         cos = [F(0) if n % 2 else F((-1) ** (n // 2), factorial(n)) for n in range(order + 1)]
-        ser = (TruncatedSeries.one(order) + TruncatedSeries(sin, order)) / TruncatedSeries(cos, order)
+        one_plus_sin = [F(1), *sin[1:]]  # sin z has no constant term
+        ser = TruncatedSeries(one_plus_sin, order) / TruncatedSeries(cos, order)
         assert [ser.coefficient(n) * factorial(n) for n in range(order + 1)] == [zigzag(n) for n in range(order + 1)]
 
 

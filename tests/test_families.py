@@ -179,8 +179,8 @@ class TestRoutes:
 
         def perturbed(order):
             num, den = pair(order)
-            z4 = TruncatedSeries([Polynomial.zero()] * 4 + [Polynomial.one()], order)
-            return num + den * z4, den
+            shifted = [Polynomial.zero()] * 4 + list(den.coeffs)
+            return TruncatedSeries([a + b for a, b in zip(num.coeffs, shifted)], order), den
 
         monkeypatch.setattr(fam, "_ratio_series_pair", perturbed)
         assert fam.route_disagreement(10) == "route disagreement for J_5"
@@ -191,8 +191,8 @@ class TestRoutes:
         j_egf = fam._j_egf
 
         def perturbed(order):
-            z3 = TruncatedSeries([Polynomial.zero()] * 3 + [Polynomial.one()], order)
-            return j_egf(order) + z3
+            coeffs = j_egf(order).coeffs
+            return TruncatedSeries([c + 1 if n == 3 else c for n, c in enumerate(coeffs)], order)
 
         monkeypatch.setattr(fam, "_j_egf", perturbed)
         assert not fam.gessel_identity_holds(10)

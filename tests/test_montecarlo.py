@@ -9,6 +9,7 @@ import pytest
 
 from ar1lab.asymptotics import qseries_biexp_coeffs
 from ar1lab.errors import DomainError
+from ar1lab.families import mallows_riordan
 from ar1lab import montecarlo as mc
 
 SEED = 90210
@@ -332,6 +333,8 @@ class TestPolytopes:
             mc.PolytopeSpec("cube", 3)
         with pytest.raises(DomainError):
             mc.PolytopeSpec("tutte_q", 3, q=F(2), t=F(1))
+        with pytest.raises(DomainError, match="needs t > 0 for the closed form"):
+            mc.PolytopeSpec("tutte_q", 3, q=F(1, 2), t=F(0))
         with pytest.raises(DomainError):
             mc.PolytopeSpec("tutte_limit", 3)
 
@@ -345,6 +348,12 @@ class TestPolytopes:
         assert mc.polytope_exact_target(
             mc.PolytopeSpec("tutte_limit", 3, t=F(1))
         ) == mc.polytope_exact_target(mc.PolytopeSpec("cayley", 3))
+
+    def test_cayley_target_is_the_value_of_the_polynomial(self):
+        # the scalar table at drift 2 against the polynomial J_{n+1} evaluated at 2
+        for n in range(1, 13):
+            want = mallows_riordan(n + 1)(F(2)) / math.factorial(n)
+            assert mc.polytope_exact_target(mc.PolytopeSpec("cayley", n)) == want
 
     @pytest.mark.parametrize(
         "spec",

@@ -3,7 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, inf, nextafter
 
 import pytest
 
@@ -122,6 +122,14 @@ class TestDispatch:
             assert region(F(hi) * (1 + step)) is not Region.WINDOW
         else:
             assert region(F(10**6)) is Region.WINDOW
+
+    @pytest.mark.parametrize("ratio", [F(1), F(2), F(3), F(1, 3)])
+    def test_fibonacci_root_is_the_exact_boundary_to_one_ulp(self, ratio):
+        # the float's two neighbours lie on either side of the boundary that classify reads
+        for i in range(1, 41):
+            root = pers.fibonacci_root(i, ratio)
+            below, above = nextafter(root, 0), nextafter(root, inf)
+            assert geometric_sum(F(below), i) < ratio < geometric_sum(F(above), i), i
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_short_horizons_have_no_window(self, n):

@@ -93,14 +93,9 @@ KEEP = {
     "exact.piecewise.PiecewisePoly.__setattr__": IMMUTABLE,
     "exact.polynomial.Polynomial.__hash__": OPERATOR,
     "exact.polynomial.Polynomial.__repr__": OPERATOR,
-    "exact.polynomial.Polynomial.__rsub__": OPERATOR,
     "exact.polynomial.Polynomial.__setattr__": IMMUTABLE,
-    "exact.series.TruncatedSeries.__add__": OPERATOR,
-    "exact.series.TruncatedSeries.__hash__": OPERATOR,
-    "exact.series.TruncatedSeries.__neg__": OPERATOR,
     "exact.series.TruncatedSeries.__repr__": OPERATOR,
     "exact.series.TruncatedSeries.__setattr__": IMMUTABLE,
-    "exact.series.TruncatedSeries.__sub__": OPERATOR,
 }
 
 
