@@ -443,7 +443,8 @@ class FamilyTables:
 
     def grow_j(self, nmax: int) -> list:
         """J_{m+2} = sum_i C(m,i) G_i J_{i+1} J_{m+1-i}, each term brought to
-        the common scale by a power of q."""
+        the common scale by a power of q; terms i and m-i share C(m,i) J_{i+1}
+        J_{m+1-i}, so each pair takes one product of the two J."""
         p, q, g, j = self._p, self._q, self._g, self._j
         with self._lock:
             while len(g) <= nmax:
@@ -451,8 +452,12 @@ class FamilyTables:
             while len(j) <= nmax:
                 m = len(j) - 2
                 acc = 0
-                for i in range(m + 1):
-                    acc += comb(m, i) * g[i] * j[i + 1] * j[m + 1 - i] * q ** ((m - i) * (i + 1))
+                for i in range(m // 2 + 1):
+                    k = m - i
+                    w = g[i] * q ** (k * (i + 1))
+                    if i < k:
+                        w += g[k] * q ** (i * (k + 1))
+                    acc += comb(m, i) * j[i + 1] * j[k + 1] * w
                 j.append(acc)
             return j
 

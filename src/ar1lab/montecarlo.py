@@ -12,13 +12,16 @@ through map(), which drops a chunk before the next is drawn.  Chunked draws
 from one generator equal one full draw bit for bit, so a single-draw law
 (uniform, gaussian, atomic, the volume sampler) holds one chunk at a time,
 and a partial last block draws only its own rows.  The biexponential law
-draws its signs after the block's whole magnitude draw, so it holds that
-draw and signs it in place one chunk at a time.
+draws its signs after the block's whole magnitude draw, so it makes two
+passes: the first runs the generator through that draw into one reused
+buffer, and a copy set at the block's start redraws each chunk's magnitudes
+as their signs are drawn.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import math
 import os
 from dataclasses import dataclass
@@ -96,16 +99,21 @@ class InnovationLaw:
                 yield np.minimum(u, 0.0, out=u)
                 del u  # drop this chunk before the next is drawn
             return
-        # the signs are drawn after the whole magnitude draw, which is held and
-        # signed in place one chunk at a time
-        mag = rng.standard_exponential(shape)
+        # the signs follow the block's whole magnitude draw: rng runs through it,
+        # and a copy from the block's start redraws it chunk by chunk
+        size, redraw = math.prod(shape), copy.deepcopy(rng)
+        buf = np.empty(CHUNK_ROWS)
+        for start in range(0, size, CHUNK_ROWS):
+            rng.standard_exponential(out=buf[: size - start])
         for start, stop in _spans(rows):
-            part = mag[start:stop]
-            signs = rng.integers(0, 2, part.shape)
+            part = redraw.standard_exponential((stop - start, *shape[1:]))
+            signs = rng.integers(0, 2, part.shape, dtype=np.int32)  # the same words and values as int64
             signs <<= 1
             signs -= 1
             part *= signs  # negated where the sign is 0, so a zero becomes -0.0
+            del signs
             yield part
+            del part  # drop this chunk before the next is drawn
 
 
 def _spans(rows: int) -> list[tuple[int, int]]:

@@ -491,27 +491,56 @@ def test_volume_past_the_float_range_is_refused_before_the_exact_target(capsys, 
     assert capsys.readouterr().err == f"error: {value} has no float value\n"
 
 
-def test_biexponential_simulate_peak_rss_stays_lean():
-    # A wrapper process runs the command, so RUSAGE_CHILDREN sees only that
-    # child.  Each of the 7 blocks holds its (32768, 20) float64 draw (5.2 MB).
-    # Measured on Linux with numpy 2.4 (ru_maxrss / 1024): 47.2 MB at 1 worker
-    # and 54.3-55.5 MB at 2 with the chunked sign draw; a full-block sign draw
-    # through np.where read 61.7 MB at 1 worker and 77.8-82.6 MB at 2.  The
-    # ceiling, 44 MB plus 11 MB per worker, leaves the lean draw 8-11 MB of
-    # margin and fails the full-block draw at either count.
-    workers = mc._worker_count(mc.usable_cpus(), 7)
+def _peak_rss_mb(argv: str) -> float:
+    """Peak RSS of `python -m ar1lab.cli argv` in MB, read by a wrapper process,
+    so that RUSAGE_CHILDREN sees only that child."""
     wrapper = (
         "import resource, subprocess, sys; "
         "subprocess.run([sys.executable, '-m', 'ar1lab.cli', *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL); "
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
     )
-    argv = "simulate --law biexponential --theta 1/2 --n 20 --trials 200000 --seed 1".split()
     src = os.path.dirname(os.path.dirname(mc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", wrapper, *argv.split()], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    peak_mb = int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
-    assert peak_mb < 44 + 11 * workers, f"{peak_mb:.1f} MB at {workers} workers"
+    return int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def test_biexponential_simulate_peak_rss_stays_lean():
+    # Each worker holds one (4096, 20) chunk of its block (655 KB) and the
+    # chunk's int32 signs, as for every other law.  Measured on Linux with
+    # numpy 2.4 (ru_maxrss / 1024): 41.1 MB at 1 worker and 42.7 MB at 2, where
+    # `persist --nmax 1` reads 39.6 MB; a worker that held its block's whole
+    # (32768, 20) magnitude draw (5.2 MB) read 46.9 MB at 1 worker and 54.3 MB
+    # at 2.  The ceiling, 42 MB plus 2 MB per worker, leaves the chunked draw
+    # about 3 MB of margin and fails the held draw at either count.
+    workers = mc._worker_count(mc.usable_cpus(), 7)
+    peak_mb = _peak_rss_mb("simulate --law biexponential --theta 1/2 --n 20 --trials 200000 --seed 1")
+    assert peak_mb < 42 + 2 * workers, f"{peak_mb:.1f} MB at {workers} workers"
+
+
+def test_biexponential_simulate_peak_rss_does_not_grow_with_the_block():
+    # One block of 10 rows at n = 512: its chunk is 40 KB, while the block's
+    # whole magnitude draw is 128 MB.  Measured as above: 40.1 MB, against
+    # 168 MB when that draw was held.
+    peak_mb = _peak_rss_mb("simulate --law biexponential --theta 1 --n 512 --trials 10")
+    assert peak_mb < 45, f"{peak_mb:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "argv, successes",
+    [
+        ("--theta 2 --n 33 --trials 40000 --seed 11", 15194),
+        ("--theta 1/2 --n 20 --trials 100000 --seed 7 --workers 1", 65),
+    ],
+    ids=["odd-n-partial-block", "one-worker"],
+)
+def test_biexponential_simulate_counts_are_pinned(capsys, argv, successes):
+    # the Philox stream layout: each block's whole magnitude draw, then its
+    # signs; a count moves if any innovation moves
+    rc, out = run_cli(capsys, ["simulate", "--law", "biexponential", *argv.split()])
+    assert rc == 0
+    assert json.loads(out)["successes"] == successes
 
 
 def test_rates_csv(capsys):

@@ -353,7 +353,27 @@ class TestConcurrency:
             assert got[4] == fam.scalar_families(F(1, 3)).j(n)
 
 
+def _unpaired_j(p, q, nmax: int) -> list:
+    """J_0..J_nmax scaled as in ``FamilyTables``, by the recurrence's sum taken
+    one term per i."""
+    g, j = [p**0], [p * 0, p**0, p**0]
+    while len(g) <= nmax:
+        g.append(g[-1] * p + q ** len(g))
+    while len(j) <= nmax:
+        m = len(j) - 2
+        j.append(sum(comb(m, i) * g[i] * j[i + 1] * j[m + 1 - i] * q ** ((m - i) * (i + 1)) for i in range(m + 1)))
+    return j
+
+
 class TestScalarFamilies:
+    @pytest.mark.parametrize(
+        "p, q, nmax",
+        [(1, 3, 60), (-1, 2, 60), (2, 1, 60), (3, 2, 60), (Polynomial.x(), 1, 12)],
+        ids=["1/3", "-1/2", "2", "3/2", "poly"],
+    )
+    def test_paired_recurrence_matches_the_unpaired_sum(self, p, q, nmax):
+        assert fam.FamilyTables(p, q).grow_j(nmax) == _unpaired_j(p, q, nmax)
+
     @pytest.mark.parametrize("theta", [F(1, 4), F(-1, 2), F(2), F(-3), F(1)])
     def test_matches_polynomial_evaluation(self, theta):
         table = fam.scalar_families(theta)

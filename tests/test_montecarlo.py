@@ -163,14 +163,33 @@ class TestBlockKernel:
         assert alive.shape == (500,) and not alive.any()
         assert np.array_equal(alive, _alive_reference(0.5, x))
 
-    def test_biexponential_sample_matches_the_full_sign_draw(self):
-        shape = (3 * mc.CHUNK_ROWS + 123, 7)
-        got = _sample(mc.InnovationLaw("biexponential"), mc._block_rng(SEED, 2, 1), shape)
+    @pytest.mark.parametrize(
+        "shape, rows",
+        [((3 * mc.CHUNK_ROWS + 123, 7), 3 * mc.CHUNK_ROWS + 123)]
+        + [((mc.BLOCK_SIZE, n), rows) for n in (1, 7, 20) for rows in (1, 10, mc.CHUNK_ROWS, mc.CHUNK_ROWS + 1, 4097 * 3)],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"rows{v}",
+    )
+    def test_biexponential_sample_matches_the_full_sign_draw(self, shape, rows):
+        # the signs start after the block's whole magnitude draw, however few rows are read
+        chunks = list(mc.InnovationLaw("biexponential").chunks(mc._block_rng(SEED, 2, 1), shape, rows))
+        assert [len(x) for x in chunks] == [stop - start for start, stop in mc._spans(rows)]
         rng = mc._block_rng(SEED, 2, 1)
         mag = rng.standard_exponential(shape)
-        signs = rng.integers(0, 2, shape)
-        expected = np.where(signs == 1, mag, -mag)
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        expected = np.where(rng.integers(0, 2, shape) == 1, mag, -mag)[:rows]
+        assert np.array_equal(np.concatenate(chunks).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("n, rows, chunks_held", [(512, 10, 1), (20, mc.BLOCK_SIZE, 2)])
+    def test_biexponential_block_is_held_one_chunk_at_a_time(self, n, rows, chunks_held):
+        # the block's whole magnitude draw is 128 MB at n = 512 and 5.2 MB at n = 20;
+        # a full block holds one chunk and its int32 signs while it is signed
+        law = mc.InnovationLaw("biexponential")
+        tracemalloc.start()
+        try:
+            assert sum(map(len, law.chunks(mc._block_rng(SEED, 2, 4), (mc.BLOCK_SIZE, n), rows))) == rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < chunks_held * mc.CHUNK_ROWS * n * 8
 
     def test_atomic_sample_matches_the_full_magnitude_draw(self):
         shape = (3 * mc.CHUNK_ROWS + 123, 7)
