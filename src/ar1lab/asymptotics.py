@@ -102,7 +102,7 @@ def _E_neg_deriv(theta: float, z: float) -> float:
 
 @dataclass(frozen=True)
 class RootResult:
-    """A located root of z -> E(theta, -z) (or of the rate function).
+    """A located root of z -> E(theta, -z).
 
     ``residual`` is scale-free: the magnitude of the final Newton correction
     relative to the root location.  (The raw value |E(theta, -root)| is not
@@ -113,7 +113,6 @@ class RootResult:
 
     value: float
     residual: float
-    bracket: tuple[float, float]
 
 
 def _bisect(f, lo: float, hi: float) -> tuple[float, float] | None:
@@ -153,7 +152,7 @@ def _bisect_then_polish(theta: float, lo: float, hi: float) -> RootResult:
         residual = abs(value / deriv) / max(abs(root), 1.0)
     else:
         residual = abs(value)
-    return RootResult(root, residual, (lo, hi))
+    return RootResult(root, residual)
 
 
 def _scan(f, z: float, fz: float, step: float, growth: float, cap: float):
@@ -199,7 +198,7 @@ def positive_roots(theta: float, count: int) -> list[RootResult]:
         cap = 10.0 * max((k + 1) * theta ** (-k), z * 2.0)
         hit = _scan(f, z, fz, max(z * 0.02, 1e-3), 1.06, cap)
         if hit is None:
-            raise RootSearchError(f"found only {len(found)} of {count} roots below z={cap}", found)
+            raise RootSearchError(f"found only {len(found)} of {count} roots below z={cap}")
         lo, z, fz = hit
         found.append(_bisect_then_polish(theta, lo, z))
     return found
@@ -229,8 +228,8 @@ class RateBundle:
     lam: float | None = None  # 2(1-theta) z_theta, drift in [-1, 1/2]
     mu: float | None = None  # 2(1-theta) z_{1/theta}, drift < -1
     ell: float | None = None  # limit of p_n, drift >= 2
-    nu: float | None = None  # rate of p_n - ell, drift >= 2
-    kappa_estimate: float | None = None  # empirical decay exponent, drift >= 2
+    nu: float | None = None  # root of the 12-root rate function, drift >= 2
+    kappa_estimate: float | None = None  # log(2(theta-1) z_root): p_n - ell ~ e^(-kappa n), drift >= 2
     c_estimate: float | None = None  # fitted constant for drift < -1
     c_rel_drift: float | None = None  # stabilization diagnostic of the fit
     root_residual: float | None = None  # residual of the root behind lam or mu
@@ -350,21 +349,19 @@ def ell_mp(theta, dps: int):
 # ---------------------------------------------------------------------------
 
 
-def nu_root(theta: float) -> RootResult:
+def nu_root(theta: float, ladder: list[RootResult]) -> float:
     """First positive root of the meromorphic rate function for drift >= 2.
 
     L(z) = 1/a_1 + sum_{k>=2} (1 - z/l_1)/(a_k (1 - z/l_k)) with a_k the
-    positive roots for parameter 1/theta and l_k = 2(1-1/theta) a_k; the
-    root lies strictly between l_1 and l_2.  The series is truncated after
-    12 roots; a_k grows like k theta^(k-1), so the k-th term falls off
-    geometrically.
+    positive roots for parameter 1/theta, read off ``ladder``, and
+    l_k = 2(1-1/theta) a_k; the root lies strictly between l_1 and l_2.
+    The series is truncated after the ladder's last root; a_k grows like
+    k theta^(k-1), so the k-th term falls off geometrically.
     """
     if theta < 2.0:
         raise DomainError("second-order rate requires drift >= 2")
-    if 13 * Fraction(theta) ** 12 > sys.float_info.max:
-        raise DomainError(f"drift {theta:g} is too large for nu: its 12th root, near 13 theta^12, has no float value")
     r = 1.0 / theta
-    roots = [rr.value for rr in positive_roots(r, 12)]
+    roots = [rr.value for rr in ladder]
     lams = [2.0 * (1.0 - r) * a for a in roots]
     a1, l1, l2 = roots[0], lams[0], lams[1]
 
@@ -376,34 +373,35 @@ def nu_root(theta: float) -> RootResult:
 
     bracket = _bisect(L, l1 * (1.0 + 1e-9), l2 * (1.0 - 1e-9))
     if bracket is None:
-        raise RootSearchError(f"no sign change of the rate function in ({l1}, {l2}) from 12 roots", roots)
-    nu = 0.5 * (bracket[0] + bracket[1])
-    return RootResult(nu, abs(L(nu)), (l1, l2))
+        raise RootSearchError(f"no sign change of the rate function in ({l1}, {l2}) from {len(roots)} roots")
+    return 0.5 * (bracket[0] + bracket[1])
 
 
 def rate_bundle(theta: float | Fraction) -> RateBundle:
-    """Assembled rate data for any supported drift (CLI entry point)."""
+    """Assembled rate data for any supported drift (CLI entry point).
+
+    For drift >= 2 one scan of the root ladder a_k of E(1/theta, -z) gives
+    z_root = a_1, nu (``nu_root``) and kappa = log(2(theta - 1) a_1): by the
+    positive-drift factorization, sum_n (p_n - ell) y^n has its first pole
+    at y = 2(theta - 1) a_1, where E(1/theta, -a_1) = 0.  ell is ``ell_mp``
+    rounded to a float.
+    """
     t = float_value(theta, "drift")
     if theta <= Fraction(1, 2):
         return decay_rate(theta)
     if theta <= 1:
         raise DomainError("no rate formula for drift in (1/2, 1]")
     _refuse_window_limit(theta)
-    res = nu_root(t)  # refuses a drift too large for its roots before the limit or any exact term
-    zr = res.bracket[0] / (2.0 * (1.0 - 1.0 / t))  # recover a_1(1/theta)
-    # p_30 - ell is about nu^-30: the subtraction cancels 30 log10(nu) leading digits
-    dps = 50 + int(30 * math.log10(res.value))
-    lm = ell_mp(theta, dps)
-    ell = float(lm)
+    if 13 * Fraction(theta) ** 12 > sys.float_info.max:
+        raise DomainError(f"drift {t:g} is too large for nu: its 12th root, near 13 theta^12, has no float value")
+    ladder = positive_roots(1.0 / t, 12)
+    a1 = ladder[0].value
+    # ell_mp adds 10 guard digits, so 20 digits round to the nearest float
+    ell = float(ell_mp(theta, 20))
     if not 0.0 < ell <= 0.5:
         raise InvariantError(f"limit {ell} escapes (0, 1/2] at drift {t}")
-    p = persistence_prefix(30, Fraction(theta))
-    kappa = None
-    with mp.workdps(dps + 10):
-        r20, r30 = [mp.mpf(p[n].numerator) / mp.mpf(p[n].denominator) - lm for n in (20, 30)]
-        if r20 > 0 and r30 > 0:
-            kappa = float((mp.log(r20) - mp.log(r30)) / 10)
-    return RateBundle(theta=t, z_root=zr, ell=ell, nu=res.value, kappa_estimate=kappa)
+    kappa = math.log(2.0 * (t - 1.0) * a1)
+    return RateBundle(theta=t, z_root=a1, ell=ell, nu=nu_root(t, ladder), kappa_estimate=kappa)
 
 
 # ---------------------------------------------------------------------------

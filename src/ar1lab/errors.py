@@ -29,8 +29,4 @@ class InvariantError(AssertionError):
 
 
 class RootSearchError(RuntimeError):
-    """A root scan exhausted its budget.  ``found`` holds any partial results."""
-
-    def __init__(self, message: str, found: list | None = None):
-        super().__init__(message)
-        self.found = found if found is not None else []
+    """A root scan exhausted its budget."""

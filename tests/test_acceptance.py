@@ -206,7 +206,7 @@ def test_c11a_limit_expansion_agreement():
 
 def test_c11b_nu_rate_stabilization():
     ell = asym.ell_mp(F(4), dps=60)
-    nu = asym.nu_root(4.0).value
+    nu = asym.rate_bundle(F(4)).nu
     with mp.workdps(70):
         vals = []
         for n in range(20, 31):

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction as F
 from math import comb, factorial
 
+import mpmath as mp
 import pytest
 
 from ar1lab.errors import DomainError, InvariantError
@@ -74,11 +75,6 @@ class TestFirstNegativeRoot:
     def test_unity(self):
         r = asym.first_negative_root(0.0)
         assert abs(r.value - 1.0) < 1e-14
-
-    def test_bracket_straddles(self):
-        r = asym.first_negative_root(0.25)
-        lo, hi = r.bracket
-        assert lo <= r.value <= hi or abs(r.value - lo) < 1e-9
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -296,7 +292,7 @@ class TestLimit:
         def refused(*args, **kwargs):
             raise AssertionError("computed before the refusal")
 
-        for name in ("persistence_prefix", "persistence_closed_form", "decay_rate", "nu_root"):
+        for name in ("persistence_prefix", "persistence_closed_form", "decay_rate", "positive_roots", "nu_root"):
             monkeypatch.setattr(asym, name, refused)
         for limit in (asym.rate_bundle, lambda th: asym.ell_with_tail(th, 1e-10)):
             with pytest.raises(DomainError, match=rf"^drift {float(theta):g} is in \(1, 2\)"):
@@ -317,19 +313,19 @@ class TestLimit:
 
 
 class TestNuRoot:
-    def test_bracket_and_residual(self):
-        res = asym.nu_root(4.0)
-        l1, l2 = res.bracket
-        assert l1 < res.value < l2
-        assert res.residual < 1e-10
+    def test_root_lies_between_the_first_two_poles(self):
+        ladder = asym.positive_roots(0.25, 12)
+        l1, l2 = (2 * (1 - 0.25) * r.value for r in ladder[:2])
+        assert l1 < asym.nu_root(4.0, ladder) < l2
 
     def test_rate_function_positive_at_origin(self):
         roots = asym.positive_roots(0.25, 12)
         assert sum(1.0 / r.value for r in roots) == pytest.approx(1.0, abs=1e-6)
 
     def test_domain(self):
+        # the drift is refused before the ladder is read
         with pytest.raises(DomainError):
-            asym.nu_root(1.5)
+            asym.nu_root(1.5, [])
 
 
 class TestQSeries:
@@ -448,9 +444,21 @@ class TestFullExpansion:
         bundle = asym.rate_bundle(4.0)
         assert bundle.kappa_estimate == pytest.approx(math.log(bundle.nu), abs=0.01)
 
+    @pytest.mark.parametrize("theta", [F(2), F(3), F(4), F(10), F(7, 3)])
+    def test_kappa_is_the_exact_one_step_ratio_at_n_30(self, theta):
+        # (p_n - ell)/(p_(n+1) - ell) -> rate = exp(kappa); p_31 - ell is about rate^-31,
+        # so the subtraction cancels 31 log10(rate) leading digits of ell
+        rate = math.exp(asym.rate_bundle(theta).kappa_estimate)
+        dps = 60 + int(31 * math.log10(rate))
+        ell = asym.ell_mp(theta, dps)
+        p = persistence_prefix(31, theta)
+        with mp.workdps(dps):
+            r30, r31 = (mp.mpf(p[n].numerator) / p[n].denominator - ell for n in (30, 31))
+            assert float(r30 / r31) == pytest.approx(rate, rel=1e-12)
+
     @pytest.mark.parametrize("theta", [30, 100, 1000])
     def test_kappa_estimate_keeps_its_digits_at_large_drift(self, theta):
-        # p_30 - ell is about nu^-30, so ell needs 30 log10(nu) digits more than kappa
+        # at large drift the 12-root nu meets the closed form exp(kappa) = 2(theta - 1) a_1
         bundle = asym.rate_bundle(F(theta))
         log_nu = math.log(bundle.nu)
         assert abs(bundle.kappa_estimate - log_nu) <= 1e-12 * log_nu

@@ -231,23 +231,31 @@ def test_uniform_support_without_a_float_exits_2_naming_it(capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "theta, drifts",
-    [("7/3", {Fraction(7, 3), Fraction(3, 7)}), ("-7/5", {Fraction(-5, 7)})],
+    "theta, tables, limits",
+    # at drift >= 2 only the limit is exact; the rates come from the root ladder
+    [("7/3", set(), {Fraction(7, 3)}), ("-7/5", {Fraction(-5, 7)}, set())],
 )
-def test_rates_reads_exact_values_at_the_typed_drift(capsys, monkeypatch, theta, drifts):
+def test_rates_reads_exact_values_at_the_typed_drift(capsys, monkeypatch, theta, tables, limits):
+    import ar1lab.asymptotics as asym
     import ar1lab.persistence as pers
 
-    seen = set()
-    tables = pers.scalar_families
+    seen_tables, seen_limits = set(), set()
+    scalar_families, ell_mp = pers.scalar_families, asym.ell_mp
 
-    def record(th):
-        seen.add(Fraction(th))
-        return tables(th)
+    def record_table(th):
+        seen_tables.add(Fraction(th))
+        return scalar_families(th)
 
-    monkeypatch.setattr(pers, "scalar_families", record)
+    def record_limit(th, dps):
+        seen_limits.add(th)
+        return ell_mp(th, dps)
+
+    monkeypatch.setattr(pers, "scalar_families", record_table)
+    monkeypatch.setattr(asym, "ell_mp", record_limit)
     rc, _ = run_cli(capsys, ["rates", f"--theta={theta}"])
     assert rc == 0
-    assert seen and seen <= drifts
+    assert seen_tables == tables
+    assert seen_limits == limits
 
 
 def test_rates_fits_c_from_exact_p_n_at_the_typed_drift(capsys):

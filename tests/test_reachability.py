@@ -78,7 +78,6 @@ KEEP = {
     " geometric tail: test_c12 checks its partial sums, TestLimit checks it against ell_mp, and the"
     " benchmark's tracer wraps it",
     "errors.NoClosedFormError.__init__": "library-only error path: persistence_closed_form inside the window",
-    "errors.RootSearchError.__init__": "library-only error path: a root scan that exhausts its budget",
     "persistence.window_bounds": "library-only error path: the window that NoClosedFormError carries",
     "montecarlo.mc_identity_check": "test_c08 checks the drift-inversion factorizations for"
     " non-uniform laws through it",
