@@ -7,6 +7,9 @@ entire for |th| <= 1; its first root on the negative axis sets the
 exponential decay rate of the persistence probabilities.  Large arguments
 (needed for high root indices) are summed with mpmath at a precision chosen
 from the largest term, since the series is violently cancellative there.
+mpmath is imported by its three users (``_deformed_exp_mp``, ``ell_mp`` and
+the overflow message of ``float_value``), so it loads on the first
+high-precision sum and a command that needs none never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-
-import mpmath as mp
 
 from ar1lab.errors import DomainError, InvariantError, RootSearchError
 from ar1lab.persistence import PersistenceQuery, persistence_closed_form, persistence_prefix
@@ -81,6 +82,8 @@ def _deformed_exp_terms(theta, z, order: int):
 
 
 def _deformed_exp_mp(theta, z, order: int, dps: int):
+    import mpmath as mp
+
     with mp.workdps(dps):
         return sum(_deformed_exp_terms(mp.mpf(theta), mp.mpf(z), order))
 
@@ -215,6 +218,8 @@ def float_value(x, name: str) -> float:
     try:
         return float(x)
     except OverflowError:
+        import mpmath as mp
+
         size = mp.nstr(mp.mpf(x.numerator) / x.denominator, 6)
         raise DomainError(f"{name} {size} has no float value") from None
 
@@ -336,6 +341,8 @@ def ell_mp(theta, dps: int):
     th = Fraction(theta)
     if th < 2:
         raise DomainError("high-precision limit implemented for drift >= 2")
+    import mpmath as mp
+
     with mp.workdps(dps + 10):
         r = mp.mpf(th.denominator) / th.numerator
         z = -1 / (2 * (1 - r))

@@ -25,6 +25,7 @@ independent routes.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
@@ -214,22 +215,28 @@ def _split(query: PersistenceQuery, reflected: PersistenceQuery) -> int:
     return k
 
 
-def _window_masses(query: PersistenceQuery) -> list[Fraction] | None:
-    """[p_0..p_n] when horizon n lies in the window; None when closed forms
-    apply.  The one place that chooses the route.
+def _window_masses(
+    query: PersistenceQuery,
+) -> tuple[list[Fraction], PiecewisePoly | None, Iterator[PiecewisePoly]] | None:
+    """The window prefix as (p, f, backward) when horizon n lies in the
+    window; None when closed forms apply.  The one place that chooses the
+    route.
 
     A window drift is always positive.  When the reflected query
     (n, 1/theta, b, a) lies outside the window, its closed forms q give the
-    prefix through the positive-drift factorization
-    p_m = 1 - sum_{k<m} p_k q_{m-k}.  Otherwise the chains meet in the
-    middle: by the Markov property p_m = <f_K, u_{m-K}> for every split
-    K <= m, f_K the forward survival density and u_j the survival function
-    of ``_backward_chain``, so with g_j = 1 - u_j
+    whole prefix p = [p_0..p_n] through the positive-drift factorization
+    p_m = 1 - sum_{k<m} p_k q_{m-k}, with no f and an empty backward chain.
+    Otherwise the chains meet in the middle: by the Markov property
+    p_m = <f_K, u_{m-K}> for every split K <= m, f_K the forward survival
+    density and u_j the survival function of ``_backward_chain``, so with
+    g_j = 1 - u_j
 
         p_m = mass(f_m) for m <= K,   p_m = mass(f_K) - <f_K, g_{m-K}> for K < m <= n,
 
-    K from ``_split``.  That is (K - 1) + (n - K) = n - 1 pushforwards, each
-    called through this module's global.
+    K from ``_split``.  p holds p_0..p_K, f is f_K, and backward yields
+    g_1..g_{n-K} lazily, so each caller takes only the inner products it
+    needs.  That is (K - 1) + (n - K) = n - 1 pushforwards, each called
+    through this module's global.
     """
     if classify(query) is not Region.WINDOW:
         return None
@@ -239,20 +246,26 @@ def _window_masses(query: PersistenceQuery) -> list[Fraction] | None:
         q = _closed_forms(reflected)
         for m in range(1, query.n + 1):
             p.append(1 - sum(p[k] * q[m - k] for k in range(m)))
-        return p
+        return p, None, iter(())
     k = _split(query, reflected)
     for f in _oracle_chain(replace(query, n=k)):
         p.append(f.mass())
-    for g in _backward_chain(replace(query, n=query.n - k)):
-        p.append(p[k] - inner_product(f, g))
-    return p
+    return p, f, _backward_chain(replace(query, n=query.n - k))
 
 
 def persistence_exact(n: int, theta, a=1, b=1) -> Fraction:
-    """Exact p_n: one closed form, or the last entry of the window prefix."""
+    """Exact p_n: one closed form, or the last entry of the window prefix.
+
+    When the window's chains meet in the middle, p_n = mass(f_K) - <f_K, g_{n-K}>
+    takes one inner product, against the last density of the backward chain.
+    """
     query = PersistenceQuery(n, theta, a, b)
-    masses = _window_masses(query)
-    return persistence_closed_form(query) if masses is None else masses[-1]
+    window = _window_masses(query)
+    if window is None:
+        return persistence_closed_form(query)
+    p, f, backward = window
+    last = deque(backward, maxlen=1)
+    return p[-1] - inner_product(f, last[0]) if last else p[-1]
 
 
 def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
@@ -273,8 +286,11 @@ def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
     that admits a closed form at n admits one at every shorter horizon.
     """
     query = PersistenceQuery(n, theta, a, b)
-    masses = _window_masses(query)
-    return _closed_forms(query) if masses is None else masses
+    window = _window_masses(query)
+    if window is None:
+        return _closed_forms(query)
+    p, f, backward = window
+    return p + [p[-1] - inner_product(f, g) for g in backward]
 
 
 def duality_residuals(nmax: int, theta) -> list[Fraction]:

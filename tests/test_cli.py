@@ -500,11 +500,11 @@ def test_volume_past_the_float_range_is_refused_before_the_exact_target(capsys, 
 
 
 def _peak_rss_mb(argv: str) -> float:
-    """Peak RSS of `python -m ar1lab.cli argv` in MB, read by a wrapper process,
-    so that RUSAGE_CHILDREN sees only that child."""
+    """Peak RSS of `python argv` in MB, read by a wrapper process, so that
+    RUSAGE_CHILDREN sees only that child."""
     wrapper = (
         "import resource, subprocess, sys; "
-        "subprocess.run([sys.executable, '-m', 'ar1lab.cli', *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL); "
+        "subprocess.run([sys.executable, *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL); "
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
     )
     src = os.path.dirname(os.path.dirname(mc.__file__))
@@ -514,24 +514,37 @@ def _peak_rss_mb(argv: str) -> float:
     return int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
 
 
+def test_exact_command_peak_rss_stays_near_the_bare_interpreter():
+    # An exact command imports numpy (13.2 MB over the bare interpreter on
+    # Linux with numpy 2.4, ru_maxrss / 1024) but neither mpmath nor
+    # numpy.random, which cost another 10 MB when `ar1lab.cli` loaded them at
+    # start-up: `persist --nmax 12 --theta 4/5` read bare + 26.1 MB then and
+    # reads bare + 16.2 MB now.  The bare interpreter is measured here, so the
+    # ceiling follows the platform's baseline.
+    bare_mb = _peak_rss_mb("-c pass")
+    peak_mb = _peak_rss_mb("-m ar1lab.cli persist --nmax 12 --theta 4/5")
+    assert peak_mb < bare_mb + 20, f"{peak_mb:.1f} MB against {bare_mb:.1f} MB bare"
+
+
 def test_biexponential_simulate_peak_rss_stays_lean():
     # Each worker holds one (4096, 20) chunk of its block (655 KB) and the
     # chunk's int32 signs, as for every other law.  Measured on Linux with
-    # numpy 2.4 (ru_maxrss / 1024): 41.1 MB at 1 worker and 42.7 MB at 2, where
-    # `persist --nmax 1` reads 39.6 MB; a worker that held its block's whole
-    # (32768, 20) magnitude draw (5.2 MB) read 46.9 MB at 1 worker and 54.3 MB
-    # at 2.  The ceiling, 42 MB plus 2 MB per worker, leaves the chunked draw
-    # about 3 MB of margin and fails the held draw at either count.
+    # numpy 2.4 (ru_maxrss / 1024): 37.4 MB at 1 worker and 39.0 MB at 2.  A
+    # worker that held its block's whole (32768, 20) magnitude draw (5.2 MB)
+    # read 5.8 MB more at 1 worker and 11.6 MB more at 2.  The ceiling, 38 MB
+    # plus 2 MB per worker, leaves the chunked draw about 3 MB of margin and
+    # fails the held draw at either count.  (It was 42 MB plus 2 MB per worker
+    # while `ar1lab.cli` loaded mpmath, 3.7 MB, at start-up.)
     workers = mc._worker_count(mc.usable_cpus(), 7)
-    peak_mb = _peak_rss_mb("simulate --law biexponential --theta 1/2 --n 20 --trials 200000 --seed 1")
-    assert peak_mb < 42 + 2 * workers, f"{peak_mb:.1f} MB at {workers} workers"
+    peak_mb = _peak_rss_mb("-m ar1lab.cli simulate --law biexponential --theta 1/2 --n 20 --trials 200000 --seed 1")
+    assert peak_mb < 38 + 2 * workers, f"{peak_mb:.1f} MB at {workers} workers"
 
 
 def test_biexponential_simulate_peak_rss_does_not_grow_with_the_block():
     # One block of 10 rows at n = 512: its chunk is 40 KB, while the block's
-    # whole magnitude draw is 128 MB.  Measured as above: 40.1 MB, against
-    # 168 MB when that draw was held.
-    peak_mb = _peak_rss_mb("simulate --law biexponential --theta 1 --n 512 --trials 10")
+    # whole magnitude draw is 128 MB.  Measured as above: 36.4 MB (40.1 MB
+    # while mpmath loaded at start-up), against 168 MB when that draw was held.
+    peak_mb = _peak_rss_mb("-m ar1lab.cli simulate --law biexponential --theta 1 --n 512 --trials 10")
     assert peak_mb < 45, f"{peak_mb:.1f} MB"
 
 

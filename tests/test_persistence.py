@@ -264,6 +264,32 @@ class TestSingleValue:
         assert persistence_exact(6, F(4, 5)) == persistence_prefix(6, F(4, 5))[-1]
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "n, theta, a, b",
+        [
+            (10, F(4, 5), 1, 1),
+            (10, F(3, 2), 1, 1),
+            (10, F(2, 3), 1, 1),
+            (10, F(9, 10), 1, 1),
+            (9, F(1), 2, 1),
+            (8, F(6, 5), 1, 3),
+        ],
+    )
+    def test_window_value_takes_one_inner_product(self, monkeypatch, n, theta, a, b):
+        # the chains meet in the middle at each of these (split K < n), and p_n
+        # needs only <f_K, g_{n-K}>, not the n - K inner products of the prefix
+        want = persistence_prefix(n, theta, a, b)[-1]
+        calls = []
+        real = pers.inner_product
+
+        def counted(f, g):
+            calls.append(len(g.pieces))
+            return real(f, g)
+
+        monkeypatch.setattr(pers, "inner_product", counted)
+        assert persistence_exact(n, theta, a, b) == want
+        assert len(calls) == 1, calls
+
 
 class TestReflectedRoute:
     """Window prefixes at drift theta > 0 meet in the middle: a forward chain
@@ -338,7 +364,8 @@ class TestReflectedRoute:
         want = oracle_masses(query)
         for k in range(1, n + 1):
             monkeypatch.setattr(pers, "_split", lambda query, reflected: k)
-            assert pers._window_masses(query) == want, k
+            assert persistence_prefix(n, theta, a, b) == want, k
+            assert persistence_exact(n, theta, a, b) == want[-1], k
 
     @pytest.mark.parametrize(
         "theta, a, b, n",
