@@ -80,6 +80,8 @@ def _format_table(fieldnames: list[str], rows: list[dict], fmt: str) -> str:
 
 
 def _cmd_poly(args) -> int:
+    if args.nmax < 1:
+        raise DomainError(f"family index must be >= 1; got --nmax {args.nmax}")
     if args.check_routes:
         disagreement = fam.route_disagreement(args.nmax)
         if disagreement is not None:

@@ -304,29 +304,34 @@ def zigzag_alternating_convolution(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+_TUTTE: dict[int, list[Polynomial]] = {0: [Polynomial.one()]}
+
+
 def tutte_complete(n: int) -> list[Polynomial]:
     """Dichromatic polynomial T_n(x, th) of the complete graph on n vertices.
 
-    Returned as the list of coefficients of x^0..x^n, each a polynomial in
-    th.  Computed from the exponential identity
-    sum T_n(x,th) z^n/n! = exp[x * sum J_k(th+1) z^k/k!].
+    Returned as a new list of the coefficients of x^0..x^n, each a
+    polynomial in th.  Computed from the exponential identity
+    sum T_n(x,th) z^n/n! = exp[x * sum J_k(th+1) z^k/k!], once per n: like
+    the ``_POLY`` tables it reads, the table is kept for the process.
     """
     if n < 0:
         raise IndexError("vertex count must be >= 0")
-    if n == 0:
-        return [Polynomial.one()]
-    j = _POLY.grow_j(n)
-    shift = Polynomial((1, 1))
-    s_coeffs = [Polynomial.zero()] + [
-        j[k].compose(shift) * Fraction(1, factorial(k)) for k in range(1, n + 1)
-    ]
-    s = TruncatedSeries(s_coeffs, n)
-    out = [Polynomial.zero()]  # x^0 coefficient of T_n vanishes for n >= 1
-    power = TruncatedSeries.one(n)
-    for j in range(1, n + 1):
-        power = power * s
-        out.append(power.coefficient(n) * Fraction(factorial(n), factorial(j)))
-    return out
+    with _LOCK:
+        if n not in _TUTTE:
+            j = _POLY.grow_j(n)
+            shift = Polynomial((1, 1))
+            s_coeffs = [Polynomial.zero()] + [
+                j[k].compose(shift) * Fraction(1, factorial(k)) for k in range(1, n + 1)
+            ]
+            s = TruncatedSeries(s_coeffs, n)
+            out = [Polynomial.zero()]  # x^0 coefficient of T_n vanishes for n >= 1
+            power = TruncatedSeries.one(n)
+            for i in range(1, n + 1):
+                power = power * s
+                out.append(power.coefficient(n) * Fraction(factorial(n), factorial(i)))
+            _TUTTE[n] = out
+        return list(_TUTTE[n])
 
 
 def tutte_modified_eval(n: int, x: Fraction, theta: Fraction) -> Fraction:
@@ -462,15 +467,22 @@ class FamilyTables:
             return j
 
     def grow_jt(self, nmax: int) -> list:
-        """J~_{m+1} = sum_{k=1}^{m} (-1)^(k-1) C(m,k) J_{k+1} J~_{m+1-k}."""
+        """J~_{m+1} = sum_{k=1}^{m} (-1)^(k-1) C(m,k) J_{k+1} J~_{m+1-k}, each
+        term brought to the common scale by q^(k(m-k)); terms k and m-k share
+        C(m,k) q^(k(m-k)), so each pair takes that weight once.  Term m has
+        weight 1 and J~_1 = 1, and its partner, k = 0, is not in the sum."""
         q, jt = self._q, self._jt
         with self._lock:
             j = self.grow_j(nmax)
             while len(jt) <= nmax:
                 m = len(jt) - 1
-                acc = 0
-                for k in range(1, m + 1):
-                    acc += (-1) ** (k - 1) * comb(m, k) * j[k + 1] * jt[m + 1 - k] * q ** (k * (m - k))
+                acc = (-1) ** (m - 1) * j[m + 1]
+                for k in range(1, m // 2 + 1):
+                    i = m - k
+                    t = j[k + 1] * jt[i + 1]
+                    if k < i:  # term i carries the sign of term k times (-1)^(i-k) = (-1)^m
+                        t = t - j[i + 1] * jt[k + 1] if m % 2 else t + j[i + 1] * jt[k + 1]
+                    acc += (-1) ** (k - 1) * comb(m, k) * q ** (k * i) * t
                 jt.append(acc)
             return jt
 

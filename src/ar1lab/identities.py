@@ -368,5 +368,8 @@ ALL_CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
 
 
 def run_all(nmax: int) -> list[CheckResult]:
-    """Every check in ``ALL_CHECKS`` order, each at its depth for ``nmax``."""
-    return [CheckResult(name, *run(nmax)) for name, run in ALL_CHECKS]
+    """Every check in ``ALL_CHECKS`` order, each at its depth for ``nmax``,
+    inside one ``persistence.reuse_scope``: a query that several checks ask
+    for is computed once per run."""
+    with pers.reuse_scope():
+        return [CheckResult(name, *run(nmax)) for name, run in ALL_CHECKS]

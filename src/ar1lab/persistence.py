@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ar1lab.errors import DomainError, NoClosedFormError
 from ar1lab.exact.piecewise import PiecewisePoly, cell_ends, inner_product, piecewise_pushforward
@@ -117,8 +119,45 @@ def window_bounds(query: PersistenceQuery) -> tuple[float, float]:
     return (lo, hi)
 
 
+# Inside ``reuse_scope``: {(uncached step, query): its result}; None outside.
+_REUSE: ContextVar[dict | None] = ContextVar("ar1lab_persistence_reuse", default=None)
+
+
+@contextmanager
+def reuse_scope() -> Iterator[None]:
+    """Within the block, ``oracle_masses``, ``persistence_prefix`` and
+    ``persistence_closed_form`` compute each distinct query once.
+
+    ``identities.run_all`` enters it for one ``verify`` run, whose checks
+    ask for many of the same queries.  Outside it nothing is stored, so a
+    library caller or a test that calls a route directly always computes.
+    """
+    token = _REUSE.set({})
+    try:
+        yield
+    finally:
+        _REUSE.reset(token)
+
+
+def _reused(step: Callable, query: PersistenceQuery):
+    """step(query), looked up in the active ``reuse_scope``; a list comes
+    back as a fresh copy, so a caller that mutates it changes nothing stored."""
+    store = _REUSE.get()
+    if store is None:
+        return step(query)
+    key = (step, query)
+    if key not in store:
+        store[key] = step(query)
+    value = store[key]
+    return list(value) if isinstance(value, list) else value
+
+
 def persistence_closed_form(query: PersistenceQuery) -> Fraction:
     """Exact p_n by the dispatched polynomial formula; fails inside the window."""
+    return _reused(_closed_form, query)
+
+
+def _closed_form(query: PersistenceQuery) -> Fraction:
     region = classify(query)
     n, th = query.n, query.theta
     scale = (query.b / (query.a + query.b)) ** n / factorial(n)
@@ -146,6 +185,10 @@ def _oracle_chain(query: PersistenceQuery) -> Iterator[PiecewisePoly]:
 
 def oracle_masses(query: PersistenceQuery) -> list[Fraction]:
     """[p_0, p_1, ..., p_n] by exact density propagation (any rational theta)."""
+    return _reused(_oracle_masses, query)
+
+
+def _oracle_masses(query: PersistenceQuery) -> list[Fraction]:
     return [Fraction(1)] + [f.mass() for f in _oracle_chain(query)]
 
 
@@ -285,7 +328,10 @@ def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
     sums, in theta and in 1/theta, grow with the horizon, so a condition
     that admits a closed form at n admits one at every shorter horizon.
     """
-    query = PersistenceQuery(n, theta, a, b)
+    return _reused(_prefix, PersistenceQuery(n, theta, a, b))
+
+
+def _prefix(query: PersistenceQuery) -> list[Fraction]:
     window = _window_masses(query)
     if window is None:
         return _closed_forms(query)

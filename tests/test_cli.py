@@ -158,6 +158,19 @@ def test_bad_inputs_exit_2_with_an_error_line(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, nmax",
+    [("poly --nmax 0", 0), ("poly --nmax -2", -2), ("poly --family tutte --nmax -1 --check-routes", -1)],
+    ids=["zero", "negative", "check-routes"],
+)
+def test_poly_below_index_one_exits_2_naming_the_value(capsys, argv, nmax):
+    # the families are indexed from 1: an empty range is refused, not printed as a bare header
+    rc = main(argv.split())
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: family index must be >= 1; got --nmax {nmax}\n"
+
+
+@pytest.mark.parametrize(
     "out",
     [lambda tmp: str(tmp), lambda tmp: "", lambda tmp: str(tmp / "file" / "table.csv")],
     ids=["directory", "empty", "under-a-file"],

@@ -365,6 +365,16 @@ def _unpaired_j(p, q, nmax: int) -> list:
     return j
 
 
+def _unpaired_jt(p, q, nmax: int) -> list:
+    """J~_0..J~_nmax scaled as in ``FamilyTables``, by the recurrence's sum
+    taken one term per k, on the J of ``_unpaired_j``."""
+    j, jt = _unpaired_j(p, q, nmax), [p * 0, p**0]
+    while len(jt) <= nmax:
+        m = len(jt) - 1
+        jt.append(sum((-1) ** (k - 1) * comb(m, k) * j[k + 1] * jt[m + 1 - k] * q ** (k * (m - k)) for k in range(1, m + 1)))
+    return jt
+
+
 class TestScalarFamilies:
     @pytest.mark.parametrize(
         "p, q, nmax",
@@ -372,7 +382,9 @@ class TestScalarFamilies:
         ids=["1/3", "-1/2", "2", "3/2", "poly"],
     )
     def test_paired_recurrence_matches_the_unpaired_sum(self, p, q, nmax):
-        assert fam.FamilyTables(p, q).grow_j(nmax) == _unpaired_j(p, q, nmax)
+        tables = fam.FamilyTables(p, q)
+        assert tables.grow_j(nmax) == _unpaired_j(p, q, nmax)
+        assert tables.grow_jt(nmax) == _unpaired_jt(p, q, nmax)
 
     @pytest.mark.parametrize("theta", [F(1, 4), F(-1, 2), F(2), F(-3), F(1)])
     def test_matches_polynomial_evaluation(self, theta):

@@ -535,6 +535,75 @@ class TestDuality:
         assert check(8) == (False, detail)
 
 
+class TestReuseScope:
+    """``identities.run_all`` enters ``pers.reuse_scope`` for one verify run:
+    inside it each route computes a distinct query once; outside it nothing
+    is stored."""
+
+    STEPS = ("_oracle_masses", "_prefix", "_closed_form")
+
+    @staticmethod
+    def pushforwards(monkeypatch):
+        calls = []
+        real = pers.piecewise_pushforward
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(pers, "piecewise_pushforward", counted)
+        return calls
+
+    def test_verify_computes_each_distinct_query_once(self, monkeypatch):
+        computed = {name: [] for name in self.STEPS}
+        for name in self.STEPS:
+            real = getattr(pers, name)
+
+            def counted(query, real=real, calls=computed[name]):
+                calls.append(query)
+                return real(query)
+
+            monkeypatch.setattr(pers, name, counted)
+        results = identities.run_all(8)
+        assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+        for name, queries in computed.items():
+            assert queries, name
+            assert len(queries) == len(set(queries)), name
+
+    def test_outside_the_scope_every_call_computes(self, monkeypatch):
+        calls = self.pushforwards(monkeypatch)
+        query = PersistenceQuery(5, F(1, 2))
+        assert oracle_masses(query) == oracle_masses(query)
+        assert len(calls) == 2 * 4
+
+    def test_a_mutated_result_leaves_the_stored_one_alone(self, monkeypatch):
+        query = PersistenceQuery(6, F(4, 5))
+        want_masses = oracle_masses(query)
+        want_prefix = persistence_prefix(6, F(4, 5))
+        calls = self.pushforwards(monkeypatch)
+        with pers.reuse_scope():
+            for _ in range(3):
+                masses = oracle_masses(query)
+                prefix = persistence_prefix(6, F(4, 5))
+                assert masses == want_masses and prefix == want_prefix
+                masses[3] += 1
+                prefix.append(F(0))
+        assert len(calls) == 5 + 5  # n - 1 each: one oracle chain, one prefix whose chains meet
+
+    def test_a_check_that_raises_leaves_no_scope_behind(self, monkeypatch):
+        def failing(nmax):
+            oracle_masses(PersistenceQuery(nmax, F(1, 2)))
+            raise ZeroDivisionError("check failed")
+
+        monkeypatch.setattr(identities, "ALL_CHECKS", [("failing", failing)])
+        with pytest.raises(ZeroDivisionError):
+            identities.run_all(5)
+        assert pers._REUSE.get() is None
+        calls = self.pushforwards(monkeypatch)
+        oracle_masses(PersistenceQuery(5, F(1, 2)))
+        assert len(calls) == 4
+
+
 class TestRandomizedCrossChecks:
     """Hypothesis fuzz over random rational drifts: the oracle, the closed
     forms and the duality factorizations must agree exactly everywhere."""
