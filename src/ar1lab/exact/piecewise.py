@@ -24,12 +24,14 @@ has a linear inner, so it is an integer Taylor shift.
 The sum of two densities, the scaling by a rational and ``inner_product``,
 the exact integral of a product, work cell by cell over the union of the
 two breakpoint sets (``_overlay``); the persistence layer's backward chain
-and its meeting with the forward chain are built from them.
+and its meeting with the forward chain are built from them.  ``cut`` splits
+a density at a level into its restriction below it and the mass above it,
+both read off the cumulative table.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -141,6 +143,30 @@ class PiecewisePoly:
                 an, ad = an // g, ad // g
             object.__setattr__(self, "_cumulative", (table, Fraction(an, ad)))
         return self._cumulative
+
+    def cut(self, t) -> tuple["PiecewisePoly", Fraction]:
+        """(the restriction to [b_0, t], the mass above t).
+
+        Both come off the cumulative table: the mass below t is the
+        cumulative at t, and the restriction keeps the table's rows for its
+        pieces, so it is not integrated again.
+        """
+        t = Fraction(t)
+        table, mass = self._cumulative_table()
+        den, nums = self._den, self._nums
+        i = bisect_left(nums, t * den)  # the breakpoints below t
+        if i == len(nums):
+            return self, Fraction(0)
+        if i == 0:
+            return PiecewisePoly.zero(), mass
+        cum, c = table[i - 1]
+        h, scale = _horner(cum, t.numerator, t.denominator)
+        below = Fraction(h, c * scale)
+        e = lcm(den, t.denominator)
+        ends = [n * (e // den) for n in nums[:i]] + [t.numerator * (e // t.denominator)]
+        kept = PiecewisePoly._from_integer_form(e, ends, self.pieces[:i])
+        object.__setattr__(kept, "_cumulative", (table[: len(kept.pieces)], below))
+        return kept, mass - below
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":

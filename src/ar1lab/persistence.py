@@ -6,14 +6,23 @@ window bounded by generalized Fibonacci numbers; inside the window only the
 density-propagation oracle applies.  Both routes are exact rational
 arithmetic and agree wherever both are defined.
 
+Above drift 1 the oracle banks the mass that can never die.  A path that
+reaches T = a/(theta - 1) stays at or above it, since theta*y - a >= y
+there, so it survives forever.  Each forward density is cut at T after each
+step: its restriction to [0, T] goes on, and its mass on [T, inf) joins one
+exact banked atom, so p_k = banked_k + mass(f_k) with no approximation
+(``_oracle_chain``).  The full densities' pieces double at every step; the
+cut ones stay few.
+
 Every window drift is positive, and a window prefix meets in the middle
 (``_window_masses``).  The forward chain f_1, ..., f_K holds the survival
 densities of Y_k; the backward chain g_1, ..., g_{n-K} holds
 g_j = 1 - u_j, u_j(y) = P_y[Y_1, ..., Y_j >= 0], each g_{j+1} the
 pushforward of g_j at (1/theta, b/theta, a/theta), divided by theta, plus
-a linear piece.  By the Markov property p_m = mass(f_K) - <f_K, g_{m-K}>
-for every split K < m, so a prefix costs n - 1 pushforwards, split where
-the predicted pieces of the two chains stay smallest (``_split``).  When
+a linear piece.  By the Markov property p_m = p_K - <f_K, g_{m-K}> for
+every split K < m (g_j vanishes on [T, inf), so the cut f_K serves), so a
+prefix costs n - 1 pushforwards, split where the predicted pieces of the
+two chains stay smallest (``_split``).  When
 the reflected query (n, 1/theta, b, a) has closed forms, the prefix is read
 off them instead, through the positive-drift factorization
 sum_{k=0..n} p_k(theta; a, b) p_{n-k}(1/theta; b, a) = 1.  The oracle
@@ -30,7 +39,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Iterator
 
 from ar1lab.errors import DomainError, NoClosedFormError
@@ -173,14 +182,37 @@ def _closed_form(query: PersistenceQuery) -> Fraction:
     )
 
 
-def _oracle_chain(query: PersistenceQuery) -> Iterator[PiecewisePoly]:
-    """The survival sub-densities of Y_1, ..., Y_n, one pushforward apart;
-    the first is 1/(a+b) on [0, b]."""
-    f = PiecewisePoly.constant(0, query.b, 1 / (query.a + query.b))
+def _absorbing_level(query: PersistenceQuery) -> Fraction | None:
+    """T = a/(theta - 1) for drift theta > 1, None otherwise.  From Y >= T
+    the next state is theta*Y + X >= theta*T - a = T, so a path that reaches
+    T never leaves [T, inf) and survives forever."""
+    th = query.theta
+    return query.a / (th - 1) if th > 1 else None
+
+
+def _oracle_chain(query: PersistenceQuery) -> Iterator[tuple[PiecewisePoly, Fraction]]:
+    """(f_k, banked_k) for k = 1..n, with p_k = banked_k + mass(f_k).
+
+    f_k is the survival sub-density of Y_k, one pushforward from f_{k-1};
+    f_1 is 1/(a+b) on [0, b].  Above drift 1 each f_k is cut at the
+    absorbing level T = a/(theta - 1): f_k keeps its restriction to [0, T],
+    and its mass on [T, inf) joins the banked atom, the exact probability
+    of surviving to step k with Y_k >= T.  That is exact, since a path at or
+    above T stays there (``_absorbing_level``): the mass above T never
+    flows back below it, so the cut chain's f_k is the full chain's
+    restricted to [0, T], and the full chain's pieces, which double at
+    every step, are never built.  At drift <= 1 nothing is banked.
+    """
+    th, a, b = query.theta, query.a, query.b
+    level = _absorbing_level(query)
+    f, banked = PiecewisePoly.constant(0, b, 1 / (a + b)), Fraction(0)
     for k in range(query.n):
         if k:
-            f = piecewise_pushforward(f, query.theta, query.a, query.b)
-        yield f
+            f = piecewise_pushforward(f, th, a, b)
+        if level is not None:
+            f, above = f.cut(level)
+            banked += above
+        yield f, banked
 
 
 def oracle_masses(query: PersistenceQuery) -> list[Fraction]:
@@ -189,7 +221,7 @@ def oracle_masses(query: PersistenceQuery) -> list[Fraction]:
 
 
 def _oracle_masses(query: PersistenceQuery) -> list[Fraction]:
-    return [Fraction(1)] + [f.mass() for f in _oracle_chain(query)]
+    return [Fraction(1)] + [banked + f.mass() for f, banked in _oracle_chain(query)]
 
 
 def _backward_chain(query: PersistenceQuery) -> Iterator[PiecewisePoly]:
@@ -215,18 +247,28 @@ def _closed_forms(query: PersistenceQuery) -> list[Fraction]:
     return [persistence_closed_form(replace(query, n=k)) for k in range(query.n + 1)]
 
 
-def _piece_counts(query: PersistenceQuery) -> Iterator[int]:
-    """Piece counts of the oracle chain's densities f_1, f_2, ..., predicted
-    from breakpoints alone.  On the reflected query (n, 1/theta, b, a) they
-    are the piece counts of the backward chain's g_1, g_2, ...
+def _piece_counts(query: PersistenceQuery, level: Fraction | None) -> Iterator[int]:
+    """Piece counts of the densities f_1, f_2, ... of a chain at the query's
+    steps, each cut at ``level`` unless it is None, predicted from
+    breakpoints alone.  At ``_absorbing_level(query)`` they are the oracle
+    chain's; on the reflected query (n, 1/theta, b, a), uncut, they are the
+    backward chain's g_1, g_2, ...
 
     f_1 lives on {0, b}; a pushforward cuts [0, inf) at 0 and at the
     ``cell_ends`` of the input's breakpoints, the rule the kernel itself uses,
-    here on integer numerators over one denominator.
+    here on integer numerators over one denominator.  A cut drops the ends
+    above the level and ends the density at the level instead.
     """
     th, a, b = query.theta, query.a, query.b
     den, ends = b.denominator, {0, b.numerator}
     while True:
+        if level is not None:
+            e = lcm(den, level.denominator)
+            top = level.numerator * (e // level.denominator)
+            scaled = {n * (e // den) for n in ends}
+            den, ends = e, {n for n in scaled if n < top}
+            if len(ends) < len(scaled):
+                ends.add(top)
         yield len(ends) - 1
         den, ends = cell_ends(den, ends, th, a, b)
         ends.add(0)
@@ -244,7 +286,7 @@ def _split(query: PersistenceQuery, reflected: PersistenceQuery) -> int:
     theta - 1 does not decide on an asymmetric support: at (7/5; 3, 1) the
     forward side is the cheaper one, at (5/7; 1, 3) the backward one.
     """
-    forward, backward = _piece_counts(query), _piece_counts(reflected)
+    forward, backward = _piece_counts(query, _absorbing_level(query)), _piece_counts(reflected, None)
     next(forward)
     k, j = 1, 0
     ahead = [next(forward), next(backward)]  # pieces of f_{K+1} and g_{j+1}
@@ -270,11 +312,12 @@ def _window_masses(
     whole prefix p = [p_0..p_n] through the positive-drift factorization
     p_m = 1 - sum_{k<m} p_k q_{m-k}, with no f and an empty backward chain.
     Otherwise the chains meet in the middle: by the Markov property
-    p_m = <f_K, u_{m-K}> for every split K <= m, f_K the forward survival
-    density and u_j the survival function of ``_backward_chain``, so with
-    g_j = 1 - u_j
+    p_m = banked_K + <f_K, u_{m-K}> for every split K <= m, f_K and banked_K
+    from ``_oracle_chain`` and u_j the survival function of
+    ``_backward_chain`` (u_j = 1 on [T, inf), where the banked mass lies), so
+    with g_j = 1 - u_j
 
-        p_m = mass(f_m) for m <= K,   p_m = mass(f_K) - <f_K, g_{m-K}> for K < m <= n,
+        p_m = banked_m + mass(f_m) for m <= K,   p_m = p_K - <f_K, g_{m-K}> for K < m <= n,
 
     K from ``_split``.  p holds p_0..p_K, f is f_K, and backward yields
     g_1..g_{n-K} lazily, so each caller takes only the inner products it
@@ -291,15 +334,15 @@ def _window_masses(
             p.append(1 - sum(p[k] * q[m - k] for k in range(m)))
         return p, None, iter(())
     k = _split(query, reflected)
-    for f in _oracle_chain(replace(query, n=k)):
-        p.append(f.mass())
+    for f, banked in _oracle_chain(replace(query, n=k)):
+        p.append(banked + f.mass())
     return p, f, _backward_chain(replace(query, n=query.n - k))
 
 
 def persistence_exact(n: int, theta, a=1, b=1) -> Fraction:
     """Exact p_n: one closed form, or the last entry of the window prefix.
 
-    When the window's chains meet in the middle, p_n = mass(f_K) - <f_K, g_{n-K}>
+    When the window's chains meet in the middle, p_n = p_K - <f_K, g_{n-K}>
     takes one inner product, against the last density of the backward chain.
     """
     query = PersistenceQuery(n, theta, a, b)
@@ -314,12 +357,13 @@ def persistence_exact(n: int, theta, a=1, b=1) -> Fraction:
 def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
     """[p_0..p_n], closed forms where possible, two chains that meet otherwise.
 
-    In the window (where the drift is positive) the prefix is mass(f_m) up
-    to the split K and mass(f_K) - <f_K, g_{m-K}> above it: a forward chain
-    of survival densities to f_K and a backward chain of complementary
-    survival functions g_j = 1 - u_j to g_{n-K}, g_{j+1} = push(g_j)/theta + h
-    (see ``_window_masses``).  When the reflected query has closed forms,
-    the prefix is read off them through the positive-drift factorization.
+    In the window (where the drift is positive) the prefix is read off the
+    forward chain up to the split K and is p_K - <f_K, g_{m-K}> above it: a
+    forward chain of survival densities to f_K and a backward chain of
+    complementary survival functions g_j = 1 - u_j to g_{n-K},
+    g_{j+1} = push(g_j)/theta + h (see ``_window_masses``).  When the
+    reflected query has closed forms, the prefix is read off them through
+    the positive-drift factorization.
 
     Only horizon n is classified: a horizon outside the window has every
     shorter horizon outside it too.  For drift <= -1 the region is always

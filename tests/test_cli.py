@@ -300,6 +300,14 @@ def test_simulate_hands_exact_drift_and_support_to_the_exact_target(capsys, monk
     assert all(type(v) is Fraction for v in calls[0][1:])
 
 
+def test_simulate_above_drift_one_reaches_a_deep_exact_target(capsys):
+    # uncut, the window oracle's densities at 3/2 double their pieces at every step
+    argv = "simulate --law uniform --theta 3/2 --n 40 --trials 1000 --seed 1"
+    rc, out = run_cli(capsys, argv.split())
+    assert rc == 0
+    assert json.loads(out)["exact"] == float(persistence_exact(40, Fraction(3, 2)))
+
+
 @pytest.mark.parametrize(
     "argv, exact",
     [

@@ -124,6 +124,14 @@ def piecewise_polys(draw):
     return PiecewisePoly(bps, pieces)
 
 
+def full_chain_density(n, theta, a, b):
+    """f_n of the uncut oracle chain: 1/(a+b) on [0, b], pushed forward n - 1 times."""
+    f = PiecewisePoly.constant(0, b, 1 / F(a + b))
+    for _ in range(n - 1):
+        f = piecewise_pushforward(f, theta, a, b)
+    return f
+
+
 def assert_canonical(p):
     # the stored integer form: a positive denominator coprime to the numerators, no trailing zero
     assert p._den > 0 and gcd(p._den, *p._nums) == 1
@@ -670,9 +678,7 @@ class TestPiecewisePoly:
     @pytest.mark.parametrize("theta, pieces", [(F(3, 2), 192), (F(4, 5), 58)], ids=["3/2", "4/5"])
     def test_pushforward_composes_each_piece_once_per_side(self, monkeypatch, theta, pieces):
         # the padded cumulative table has pieces + 2 entries; each side walks it once
-        from ar1lab.persistence import PersistenceQuery, _oracle_chain
-
-        *_, f = _oracle_chain(PersistenceQuery(8, theta))
+        f = full_chain_density(8, theta, 1, 1)
         assert len(f.pieces) == pieces
         calls = []
         real = piecewise_module._compose
@@ -685,6 +691,28 @@ class TestPiecewisePoly:
         piecewise_pushforward(f, theta, 1, 1)
         assert calls
         assert len(calls) <= 2 * (pieces + 2)
+
+    @given(piecewise_polys(), st.fractions(min_value=-40, max_value=20, max_denominator=9))
+    @settings(max_examples=150, deadline=None)
+    @example(PiecewisePoly((0, 1, 3), (Polynomial((1,)), Polynomial((0, 1)))), F(1))  # on a breakpoint
+    @example(PiecewisePoly((0, 1, 3), (Polynomial((1,)), Polynomial((0, 1)))), F(3))  # at the top
+    def test_cut_is_the_restriction_below_and_the_mass_above(self, f, t):
+        kept, above = f.cut(t)
+        bps = f.breakpoints
+        assert above == f.mass() - ref_cumulative(f, t)
+        assert kept.mass() + above == f.mass()
+        points = [t, *bps, *((lo + hi) / 2 for lo, hi in zip(bps, bps[1:])), (bps[0] + t) / 2]
+        for x in points:
+            # a shared breakpoint takes the left piece, so at t itself kept is f unless t <= b_0
+            inside = bps[0] <= x <= t and bps[0] < t
+            assert evaluate(kept, x) == (evaluate(f, x) if inside else 0), x
+        if not kept.is_zero():
+            assert bps[0] <= kept.breakpoints[0] and kept.breakpoints[-1] <= t
+        # the kept density shares f's cumulative table; rebuilt from scratch it reads the same
+        rebuilt = PiecewisePoly(kept.breakpoints, kept.pieces)
+        assert rebuilt == kept and rebuilt.mass() == kept.mass()
+        table, fresh = kept._cumulative_table()[0], rebuilt._cumulative_table()[0]
+        assert [[F(c, d) for c in cum] for cum, d in table] == [[F(c, d) for c in cum] for cum, d in fresh]
 
     @pytest.mark.parametrize("theta", [F(-3), F(-1), F(-1, 2), F(1, 3), F(4, 5), F(2)])
     def test_pushforward_never_gains_mass(self, theta):

@@ -10,7 +10,7 @@ import pytest
 from ar1lab.errors import DomainError, NoClosedFormError
 from ar1lab import identities
 from ar1lab import persistence as pers
-from ar1lab.exact.piecewise import PiecewisePoly
+from ar1lab.exact.piecewise import PiecewisePoly, piecewise_pushforward
 from ar1lab.exact.polynomial import Polynomial
 from ar1lab.exact.rational import format_rational
 from ar1lab.families import scalar_families
@@ -27,9 +27,19 @@ from ar1lab.persistence import (
 )
 
 
+def _full_chain(query):
+    """The uncut survival sub-densities of Y_1..Y_n: 1/(a+b) on [0, b], then one
+    pushforward per step, with no mass banked at any drift."""
+    f = PiecewisePoly.constant(0, query.b, 1 / (query.a + query.b))
+    for k in range(query.n):
+        if k:
+            f = piecewise_pushforward(f, query.theta, query.a, query.b)
+        yield f
+
+
 def _last_density(query):
-    """The survival sub-density of Y_n, the last of the oracle chain (n >= 1)."""
-    *_, f = pers._oracle_chain(query)
+    """The uncut survival sub-density of Y_n, the last of ``_full_chain`` (n >= 1)."""
+    *_, f = _full_chain(query)
     return f
 
 
@@ -189,7 +199,7 @@ class TestOracle:
         assert oracle_masses(q) == [F(1, 3**n) for n in range(6)]
         assert _last_density(q) == PiecewisePoly.constant(0, 1, F(1, 3**5))
 
-    @pytest.mark.parametrize("theta", [F(4, 5), F(-3, 2)])
+    @pytest.mark.parametrize("theta", [F(4, 5), F(-3, 2), F(3, 2)])
     def test_density_mass_is_last_oracle_mass(self, theta):
         q = PersistenceQuery(6, theta)
         assert _last_density(q).mass() == oracle_masses(q)[-1]
@@ -235,6 +245,72 @@ class TestOracle:
     def test_prefix_uses_oracle_in_window(self):
         chain = persistence_prefix(4, F(4, 5))
         assert chain == oracle_masses(PersistenceQuery(4, F(4, 5)))
+
+
+class TestBankedAtom:
+    """Above drift 1 the oracle chain keeps each density below T = a/(theta - 1)
+    and banks the mass above it: a path at or above T stays there and survives."""
+
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    supports = st.fractions(min_value="1/3", max_value=3, max_denominator=3)
+
+    @given(
+        st.fractions(min_value=1, max_value=4, max_denominator=5).filter(lambda x: x > 1),
+        supports,
+        supports,
+        st.integers(min_value=1, max_value=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(F(4), F(1, 3), F(3), 7)  # b > T = 1/9: f_1 is cut too
+    @example(F(6, 5), F(1), F(3), 7)  # b < T = 5: nothing is banked before step 2
+    @example(F(2), F(1), F(1), 7)  # T = b: the cut lands on f_1's top
+    def test_the_banked_chain_is_the_full_chain_cut_at_the_level(self, theta, a, b, n):
+        query = PersistenceQuery(n, theta, a, b)
+        level = a / (theta - 1)
+        full = list(_full_chain(query))
+        assert oracle_masses(query) == [1] + [f.mass() for f in full]
+        banked_before = F(0)
+        for (kept, banked), f in zip(pers._oracle_chain(query), full):
+            assert (kept, banked) == f.cut(level)
+            assert kept.breakpoints[0] == 0 and kept.breakpoints[-1] <= level
+            assert banked >= banked_before
+            banked_before = banked
+
+    @pytest.mark.parametrize(
+        "n, theta, a, b",
+        [(9, F(1), 1, 1), (9, F(1), 2, 1), (8, F(4, 5), 1, 1), (8, F(1, 2), 1, 3), (6, F(-2), 1, 1), (6, F(0), 2, 1)],
+    )
+    def test_nothing_is_banked_at_or_below_drift_1(self, n, theta, a, b):
+        query = PersistenceQuery(n, theta, a, b)
+        assert pers._absorbing_level(query) is None
+        assert list(pers._oracle_chain(query)) == [(f, 0) for f in _full_chain(query)]
+
+    def test_a_deep_query_above_drift_1_tracks_few_pieces(self, monkeypatch):
+        # uncut, f_k would have about 2^k pieces at 3/2; cut at T = 2 it has k + 1
+        n = 60
+        densities, tops = [], []
+        real_chain, real_backward = pers._oracle_chain, pers._backward_chain
+
+        def forward(query):
+            for f, banked in real_chain(query):
+                densities.append(len(f.pieces))
+                tops.append(f.breakpoints[-1])
+                yield f, banked
+
+        def backward(query):
+            for g in real_backward(query):
+                densities.append(len(g.pieces))
+                yield g
+
+        monkeypatch.setattr(pers, "_oracle_chain", forward)
+        monkeypatch.setattr(pers, "_backward_chain", backward)
+        p = persistence_exact(n, F(3, 2))
+        assert len(densities) == n
+        assert max(densities) <= n + 1
+        assert max(tops) == 2
+        assert F(1, 3) < p < persistence_exact(30, F(3, 2))
 
 
 class TestSingleValue:
@@ -329,8 +405,8 @@ class TestReflectedRoute:
         [
             (F(6, 5), 1, 1, [(4, 5)]),
             (F(5, 4), 1, 1, [(4, 5)]),
-            (F(3, 2), 1, 1, [(4, 5)]),
-            (F(7, 4), 1, 1, [(3, 6)]),
+            (F(3, 2), 1, 1, [(6, 3)]),  # the cut forward chain grows one piece a step
+            (F(7, 4), 1, 1, [(6, 3)]),
             (F(3), 2, 1, []),  # reflected horizons are closed forms at 1/3 on [-1, 2]
             (F(3, 2), F(1, 3), 2, []),
             (F(5), 1, 4, []),
@@ -369,21 +445,56 @@ class TestReflectedRoute:
 
     @pytest.mark.parametrize(
         "theta, a, b, n",
-        [(F(3, 2), 1, 1, 10), (F(4, 5), 1, 1, 11), (F(7, 5), 3, 1, 9), (F(5, 7), 1, 3, 9), (F(3, 2), 3, 1, 8)],
+        [
+            (F(3, 2), 1, 1, 10),
+            (F(4, 5), 1, 1, 11),
+            (F(7, 5), 3, 1, 9),
+            (F(5, 7), 1, 3, 9),
+            (F(3, 2), 3, 1, 8),
+            (F(5, 4), 1, 1, 10),
+            (F(7, 4), 1, 1, 10),
+            (F(2), 1, 1, 10),
+            (F(3), 1, 1, 10),
+            (F(6, 5), 1, 3, 9),
+            (F(4), F(1, 3), 3, 6),  # b > T = 1/9: f_1 is cut too
+        ],
     )
     def test_predicted_piece_counts_match_the_chain(self, theta, a, b, n):
+        # above drift 1 the chain is cut at the absorbing level, and so is the prediction
         query = PersistenceQuery(n, theta, a, b)
-        predicted = pers._piece_counts(query)
-        assert [next(predicted) for _ in range(n)] == [len(f.pieces) for f in pers._oracle_chain(query)]
+        predicted = pers._piece_counts(query, pers._absorbing_level(query))
+        assert [next(predicted) for _ in range(n)] == [len(f.pieces) for f, _ in pers._oracle_chain(query)]
 
     @pytest.mark.parametrize(
         "theta, a, b, n",
         [(F(3, 2), 1, 1, 10), (F(4, 5), 1, 1, 9), (F(7, 5), 3, 1, 8), (F(5, 7), 1, 3, 8), (F(6, 5), 1, 3, 7)],
     )
     def test_backward_piece_counts_are_the_reflected_prediction(self, theta, a, b, n):
-        predicted = pers._piece_counts(PersistenceQuery(n, 1 / theta, b, a))
+        predicted = pers._piece_counts(PersistenceQuery(n, 1 / theta, b, a), None)
         chain = pers._backward_chain(PersistenceQuery(n, theta, a, b))
         assert [len(g.pieces) for g in chain] == [next(predicted) for _ in range(n)]
+
+    @pytest.mark.parametrize("theta, a, b", [(F(4, 5), 1, 1), (F(5, 7), 1, 3), (F(5, 6), 3, 1)])
+    def test_the_reflected_prediction_stays_uncut(self, monkeypatch, theta, a, b):
+        # below drift 1 the reflected drift is above 1, where a cut would predict fewer
+        # pieces than the backward chain has; the race must read the uncut counts
+        n = 9
+        reflected = PersistenceQuery(n, 1 / theta, b, a)
+        uncut = pers._piece_counts(reflected, None)
+        cut = pers._piece_counts(reflected, pers._absorbing_level(reflected))
+        uncut, cut = [next(uncut) for _ in range(n)], [next(cut) for _ in range(n)]
+        assert uncut != cut
+        levels = []
+        real = pers._piece_counts
+
+        def recorded(query, level):
+            levels.append((query, level))
+            return real(query, level)
+
+        monkeypatch.setattr(pers, "_piece_counts", recorded)
+        query = PersistenceQuery(n, theta, a, b)
+        pers._split(query, reflected)
+        assert levels == [(query, None), (reflected, None)]
 
     def test_backward_chain_starts_at_the_linear_piece(self):
         # g_1 = 1 - u_1 = P[theta*y + X < 0] = (a - theta*y)/(a + b) on [0, a/theta]
@@ -443,10 +554,11 @@ class TestReflectedRoute:
         qs = oracle_masses(PersistenceQuery(6, 1 / theta, 2, 1))
         assert [sum((-1) ** k * ps[k] * qs[n - k] for k in range(n + 1)) for n in range(7)] == [1] + [0] * 6
 
-    @pytest.mark.parametrize("n, theta, split", [(11, F(3, 2), 5), (12, F(4, 5), 7), (16, F(4, 5), 9), (20, F(3, 2), 8)])
+    @pytest.mark.parametrize("n, theta, split", [(11, F(3, 2), 7), (12, F(4, 5), 7), (16, F(4, 5), 9), (20, F(3, 2), 15)])
     def test_the_race_splits_where_the_predicted_pieces_are_fewest(self, monkeypatch, n, theta, split):
+        # at 3/2 the forward chain is cut at T = 2 and grows one piece a step
         query, reflected = PersistenceQuery(n, theta), PersistenceQuery(n, 1 / theta)
-        forward, backward = pers._piece_counts(query), pers._piece_counts(reflected)
+        forward, backward = pers._piece_counts(query, pers._absorbing_level(query)), pers._piece_counts(reflected, None)
         f = [next(forward) for _ in range(n)]  # f_1..f_n
         g = [next(backward) for _ in range(n)]  # g_1..g_n
         totals = {k: sum(f[1:k]) + sum(g[: n - k]) for k in range(1, n + 1)}
