@@ -12,15 +12,7 @@ class NonInvertibleError(DomainError):
 
 
 class NoClosedFormError(DomainError):
-    """No polynomial closed form exists for this drift; use the exact oracle.
-
-    Carries the approximate boundaries (lo, hi) of the drift window in which
-    only the oracle applies at this horizon.
-    """
-
-    def __init__(self, message: str, window: tuple[float, float]):
-        super().__init__(message)
-        self.window = window
+    """No polynomial closed form exists for this drift; use the exact oracle."""
 
 
 class InvariantError(AssertionError):

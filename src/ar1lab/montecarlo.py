@@ -198,8 +198,6 @@ def _alive(theta: float, x: np.ndarray) -> np.ndarray:
     At a huge drift a survivor's value may overflow to +-inf, which keeps its
     sign and so its fate, so the overflow is not reported.
     """
-    if not x.shape[1]:
-        return np.ones(len(x), dtype=bool)
     y = theta * 0.0 + x[:, 0]
     idx = np.flatnonzero(y >= 0.0)
     y = y[idx]

@@ -22,13 +22,9 @@ pushforward of g_j at (1/theta, b/theta, a/theta), divided by theta, plus
 a linear piece.  By the Markov property p_m = p_K - <f_K, g_{m-K}> for
 every split K < m (g_j vanishes on [T, inf), so the cut f_K serves), so a
 prefix costs n - 1 pushforwards, split where the predicted pieces of the
-two chains stay smallest (``_split``).  When
-the reflected query (n, 1/theta, b, a) has closed forms, the prefix is read
-off them instead, through the positive-drift factorization
-sum_{k=0..n} p_k(theta; a, b) p_{n-k}(1/theta; b, a) = 1.  The oracle
-itself (``oracle_masses``) and the duality residuals stay direct forward
-chains, so the checks that compare them with the prefix compare
-independent routes.
+two chains stay smallest (``_split``).  The oracle itself
+(``oracle_masses``) and the duality residuals stay direct forward chains,
+so the checks that compare them with the prefix compare independent routes.
 """
 
 from __future__ import annotations
@@ -103,29 +99,21 @@ def classify(query: PersistenceQuery) -> Region:
     return Region.WINDOW
 
 
-def fibonacci_root(i: int, ratio: Fraction = Fraction(1)) -> float:
-    """Positive solution of theta + ... + theta^i = ratio, as a float: the
-    boundary ``classify`` draws, found by bisecting ``geometric_sum`` over the
-    rationals to relative width 2^-64, so the float is within one ulp of it."""
+def fibonacci_root(i: int) -> float:
+    """Positive solution of theta + ... + theta^i = 1, as a float: the
+    boundary ``classify`` draws on a symmetric support, found by bisecting
+    ``geometric_sum`` over the rationals to relative width 2^-64, so the
+    float is within one ulp of it."""
     if i < 1:
         raise DomainError("need at least one summand")
-    lo, hi = Fraction(0), max(ratio, 1) + 1
+    lo, hi = Fraction(0), Fraction(2)
     while (hi - lo) * 2**64 > hi:
         mid = (lo + hi) / 2
-        if geometric_sum(mid, i) < ratio:
+        if geometric_sum(mid, i) < 1:
             lo = mid
         else:
             hi = mid
     return float((lo + hi) / 2)
-
-
-def window_bounds(query: PersistenceQuery) -> tuple[float, float]:
-    """Drift window (lo, hi) with no closed form at this horizon, to the float."""
-    if query.n < 2:
-        return (float("inf"), float("inf"))
-    lo = fibonacci_root(query.n - 1, query.a / query.b)
-    hi = 1.0 / fibonacci_root(query.n - 1) if query.symmetric else float("inf")
-    return (lo, hi)
 
 
 # Inside ``reuse_scope``: {(uncached step, query): its result}; None outside.
@@ -176,10 +164,7 @@ def _closed_form(query: PersistenceQuery) -> Fraction:
         return scale * scalar_families(1 / th).j_tilde(n + 1)
     if region is Region.INVERSE_POS:
         return scale * scalar_families(1 / th).j_hat(n + 1)
-    raise NoClosedFormError(
-        f"no closed form for n={n}, theta={th}; use oracle_masses",
-        window_bounds(query),
-    )
+    raise NoClosedFormError(f"no closed form for n={n}, theta={th}; use oracle_masses")
 
 
 def _absorbing_level(query: PersistenceQuery) -> Fraction | None:
@@ -274,7 +259,7 @@ def _piece_counts(query: PersistenceQuery, level: Fraction | None) -> Iterator[i
         ends.add(0)
 
 
-def _split(query: PersistenceQuery, reflected: PersistenceQuery) -> int:
+def _split(query: PersistenceQuery) -> int:
     """The split K of a window query: the forward chain runs to f_K, the
     backward chain to g_{n-K}.
 
@@ -286,6 +271,7 @@ def _split(query: PersistenceQuery, reflected: PersistenceQuery) -> int:
     theta - 1 does not decide on an asymmetric support: at (7/5; 3, 1) the
     forward side is the cheaper one, at (5/7; 1, 3) the backward one.
     """
+    reflected = PersistenceQuery(query.n, 1 / query.theta, query.b, query.a)
     forward, backward = _piece_counts(query, _absorbing_level(query)), _piece_counts(reflected, None)
     next(forward)
     k, j = 1, 0
@@ -302,20 +288,16 @@ def _split(query: PersistenceQuery, reflected: PersistenceQuery) -> int:
 
 def _window_masses(
     query: PersistenceQuery,
-) -> tuple[list[Fraction], PiecewisePoly | None, Iterator[PiecewisePoly]] | None:
+) -> tuple[list[Fraction], PiecewisePoly, Iterator[PiecewisePoly]] | None:
     """The window prefix as (p, f, backward) when horizon n lies in the
     window; None when closed forms apply.  The one place that chooses the
     route.
 
-    A window drift is always positive.  When the reflected query
-    (n, 1/theta, b, a) lies outside the window, its closed forms q give the
-    whole prefix p = [p_0..p_n] through the positive-drift factorization
-    p_m = 1 - sum_{k<m} p_k q_{m-k}, with no f and an empty backward chain.
-    Otherwise the chains meet in the middle: by the Markov property
-    p_m = banked_K + <f_K, u_{m-K}> for every split K <= m, f_K and banked_K
-    from ``_oracle_chain`` and u_j the survival function of
-    ``_backward_chain`` (u_j = 1 on [T, inf), where the banked mass lies), so
-    with g_j = 1 - u_j
+    A window drift is always positive, and the chains meet in the middle:
+    by the Markov property p_m = banked_K + <f_K, u_{m-K}> for every split
+    K <= m, f_K and banked_K from ``_oracle_chain`` and u_j the survival
+    function of ``_backward_chain`` (u_j = 1 on [T, inf), where the banked
+    mass lies), so with g_j = 1 - u_j
 
         p_m = banked_m + mass(f_m) for m <= K,   p_m = p_K - <f_K, g_{m-K}> for K < m <= n,
 
@@ -326,14 +308,8 @@ def _window_masses(
     """
     if classify(query) is not Region.WINDOW:
         return None
-    reflected = PersistenceQuery(query.n, 1 / query.theta, query.b, query.a)
     p = [Fraction(1)]
-    if classify(reflected) is not Region.WINDOW:
-        q = _closed_forms(reflected)
-        for m in range(1, query.n + 1):
-            p.append(1 - sum(p[k] * q[m - k] for k in range(m)))
-        return p, None, iter(())
-    k = _split(query, reflected)
+    k = _split(query)
     for f, banked in _oracle_chain(replace(query, n=k)):
         p.append(banked + f.mass())
     return p, f, _backward_chain(replace(query, n=query.n - k))
@@ -342,8 +318,8 @@ def _window_masses(
 def persistence_exact(n: int, theta, a=1, b=1) -> Fraction:
     """Exact p_n: one closed form, or the last entry of the window prefix.
 
-    When the window's chains meet in the middle, p_n = p_K - <f_K, g_{n-K}>
-    takes one inner product, against the last density of the backward chain.
+    In the window, p_n = p_K - <f_K, g_{n-K}> takes one inner product,
+    against the last density of the backward chain (none when K = n).
     """
     query = PersistenceQuery(n, theta, a, b)
     window = _window_masses(query)
@@ -361,9 +337,7 @@ def persistence_prefix(n: int, theta, a=1, b=1) -> list[Fraction]:
     forward chain up to the split K and is p_K - <f_K, g_{m-K}> above it: a
     forward chain of survival densities to f_K and a backward chain of
     complementary survival functions g_j = 1 - u_j to g_{n-K},
-    g_{j+1} = push(g_j)/theta + h (see ``_window_masses``).  When the
-    reflected query has closed forms, the prefix is read off them through
-    the positive-drift factorization.
+    g_{j+1} = push(g_j)/theta + h (see ``_window_masses``).
 
     Only horizon n is classified: a horizon outside the window has every
     shorter horizon outside it too.  For drift <= -1 the region is always

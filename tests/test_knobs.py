@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ar1lab"
-MAX_DEFAULTS = 9
+MAX_DEFAULTS = 8
 
 
 def _defaults(tree: ast.AST):

@@ -105,45 +105,18 @@ class TestDispatch:
             persistence_prefix(-1, F(0))
 
     def test_window_error_carries_bounds(self):
-        with pytest.raises(NoClosedFormError) as err:
+        with pytest.raises(NoClosedFormError, match="no closed form for n=3, theta=4/5; use oracle_masses"):
             persistence_closed_form(PersistenceQuery(3, F(4, 5)))
-        lo, hi = err.value.window
-        assert 0.5 < lo < 0.8 < 1.25 < hi < 2.0
 
-    @pytest.mark.parametrize(
-        "n,a,b",
-        [*((n, 1, 1) for n in range(3, 11)), (3, 2, 1), (6, 2, 1), (3, 1, 3), (6, 1, 3)],
-    )
-    def test_window_bounds_bracket_the_window_that_classify_reports(self, n, a, b):
-        query = PersistenceQuery(n, F(1), F(a), F(b))
-        lo, hi = pers.window_bounds(query)
-        assert (hi < float("inf")) is query.symmetric
-
-        def region(theta):
-            return classify(PersistenceQuery(n, theta, F(a), F(b)))
-
-        step = F(1, 10**9)
-        assert region(F(lo) * (1 - step)) is not Region.WINDOW
-        assert region(F(lo) * (1 + step)) is Region.WINDOW
-        if query.symmetric:
-            # the symmetric window is reflected through theta = 1
-            assert hi == pytest.approx(1 / lo, rel=1e-14)
-            assert region(F(hi) * (1 - step)) is Region.WINDOW
-            assert region(F(hi) * (1 + step)) is not Region.WINDOW
-        else:
-            assert region(F(10**6)) is Region.WINDOW
-
-    @pytest.mark.parametrize("ratio", [F(1), F(2), F(3), F(1, 3)])
-    def test_fibonacci_root_is_the_exact_boundary_to_one_ulp(self, ratio):
+    def test_fibonacci_root_is_the_exact_boundary_to_one_ulp(self):
         # the float's two neighbours lie on either side of the boundary that classify reads
         for i in range(1, 41):
-            root = pers.fibonacci_root(i, ratio)
+            root = pers.fibonacci_root(i)
             below, above = nextafter(root, 0), nextafter(root, inf)
-            assert geometric_sum(F(below), i) < ratio < geometric_sum(F(above), i), i
+            assert geometric_sum(F(below), i) < 1 < geometric_sum(F(above), i), i
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_short_horizons_have_no_window(self, n):
-        assert pers.window_bounds(PersistenceQuery(n, F(1))) == (float("inf"), float("inf"))
         for k in range(-80, 81):
             assert classify(PersistenceQuery(n, F(k, 20))) is not Region.WINDOW
 
@@ -370,9 +343,8 @@ class TestSingleValue:
 class TestReflectedRoute:
     """Window prefixes at drift theta > 0 meet in the middle: a forward chain
     at theta to f_K and a backward chain of g_j = 1 - u_j, whose steps are the
-    reflected query's (n, 1/theta, b, a), to g_{n-K}.  When the reflected
-    horizons are closed forms, the prefix is read off them through
-    sum_k p_k(theta; a, b) p_{n-k}(1/theta; b, a) = 1."""
+    reflected query's (n, 1/theta, b, a), to g_{n-K}.  That holds on every
+    support, also where the reflected horizons have closed forms."""
 
     @staticmethod
     def chain_drifts(monkeypatch):
@@ -392,8 +364,8 @@ class TestReflectedRoute:
         lengths = []
         real = pers._split
 
-        def recorded(query, reflected):
-            k = real(query, reflected)
+        def recorded(query):
+            k = real(query)
             lengths.append((k, query.n - k))
             return k
 
@@ -407,9 +379,9 @@ class TestReflectedRoute:
             (F(5, 4), 1, 1, [(4, 5)]),
             (F(3, 2), 1, 1, [(6, 3)]),  # the cut forward chain grows one piece a step
             (F(7, 4), 1, 1, [(6, 3)]),
-            (F(3), 2, 1, []),  # reflected horizons are closed forms at 1/3 on [-1, 2]
-            (F(3, 2), F(1, 3), 2, []),
-            (F(5), 1, 4, []),
+            (F(3), 2, 1, [(9, 0)]),  # the cut forward chain is the cheaper side throughout
+            (F(3, 2), F(1, 3), 2, [(9, 0)]),
+            (F(5), 1, 4, [(9, 0)]),
             (F(7, 5), 3, 1, [(5, 4)]),  # the backward chain at 5/7 on [-1, 3] is the dearer side
             (F(1), 2, 1, [(6, 3)]),  # classical Sparre Andersen: [-2, 1] against [-1, 2]
         ],
@@ -432,6 +404,9 @@ class TestReflectedRoute:
             (8, F(7, 5), 3, 1),
             (8, F(5, 7), F(1, 2), F(3, 2)),
             (9, F(1), 2, 1),
+            (9, F(3), 2, 1),  # the reflected horizons have closed forms on these three
+            (8, F(3, 2), F(1, 3), 2),
+            (9, F(5), 1, 4),
         ],
     )
     def test_every_split_gives_the_same_prefix(self, monkeypatch, n, theta, a, b):
@@ -439,7 +414,7 @@ class TestReflectedRoute:
         query = PersistenceQuery(n, theta, a, b)
         want = oracle_masses(query)
         for k in range(1, n + 1):
-            monkeypatch.setattr(pers, "_split", lambda query, reflected: k)
+            monkeypatch.setattr(pers, "_split", lambda query: k)
             assert persistence_prefix(n, theta, a, b) == want, k
             assert persistence_exact(n, theta, a, b) == want[-1], k
 
@@ -493,7 +468,7 @@ class TestReflectedRoute:
 
         monkeypatch.setattr(pers, "_piece_counts", recorded)
         query = PersistenceQuery(n, theta, a, b)
-        pers._split(query, reflected)
+        pers._split(query)
         assert levels == [(query, None), (reflected, None)]
 
     def test_backward_chain_starts_at_the_linear_piece(self):
@@ -528,14 +503,14 @@ class TestReflectedRoute:
         query = PersistenceQuery(9, F(7, 5), 3, 1)
         reflected = PersistenceQuery(9, F(5, 7), 1, 3)
         assert classify(reflected) is Region.WINDOW
-        assert pers._split(query, reflected) == 5
-        assert pers._split(reflected, query) == 4
+        assert pers._split(query) == 5
+        assert pers._split(reflected) == 4
 
     def test_ties_go_to_the_direct_side(self):
         # at drift 1 on [-1, 1] both chains predict 1, 2, 3, ... pieces, so every
         # comparison after the first is a tie; forward on ties gives K = 5, backward K = 4
         query = PersistenceQuery(9, F(1))
-        assert pers._split(query, query) == 5
+        assert pers._split(query) == 5
 
     @pytest.mark.parametrize(
         "theta, a, b",
@@ -562,7 +537,7 @@ class TestReflectedRoute:
         f = [next(forward) for _ in range(n)]  # f_1..f_n
         g = [next(backward) for _ in range(n)]  # g_1..g_n
         totals = {k: sum(f[1:k]) + sum(g[: n - k]) for k in range(1, n + 1)}
-        assert pers._split(query, reflected) == split == min(totals, key=totals.get)
+        assert pers._split(query) == split == min(totals, key=totals.get)
         lengths = self.splits(monkeypatch)
         persistence_prefix(n, theta)
         assert lengths == [(split, n - split)]

@@ -26,7 +26,7 @@ COMMANDS = [
     ["persist", "--nmax", "6", "--theta", "1/2", "--theta", "-2", "--theta", "-1/2"],  # symmetric
     ["persist", "--nmax", "6", "--theta", "1/4", "--a", "2", "--b", "1", "--format", "json"],  # asymmetric
     ["persist", "--nmax", "8", "--theta", "4/5"],  # window: the two chains meet
-    ["persist", "--nmax", "8", "--theta", "3/2", "--a", "1", "--b", "3"],  # window: the reflected closed forms
+    ["persist", "--nmax", "8", "--theta", "3/2", "--a", "1", "--b", "3"],  # window: the banked chain on an asymmetric support
     ["verify", "--nmax", "8"],
     ["simulate", "--law", "uniform", "--theta", "1/2", "--trials", "2000"],
     ["simulate", "--law", "biexponential", "--theta", "1/2", "--trials", "2000"],
@@ -77,8 +77,6 @@ KEEP = {
     "asymptotics.ell_with_tail": "the independent summation route to the limit, from exact terms and a"
     " geometric tail: test_c12 checks its partial sums, TestLimit checks it against ell_mp, and the"
     " benchmark's tracer wraps it",
-    "errors.NoClosedFormError.__init__": "library-only error path: persistence_closed_form inside the window",
-    "persistence.window_bounds": "library-only error path: the window that NoClosedFormError carries",
     "montecarlo.mc_identity_check": "test_c08 checks the drift-inversion factorizations for"
     " non-uniform laws through it",
     "montecarlo._binomial_sigma": "the standard error behind mc_identity_check",
