@@ -108,6 +108,34 @@ class TestDispatch:
         with pytest.raises(NoClosedFormError, match="no closed form for n=3, theta=4/5; use oracle_masses"):
             persistence_closed_form(PersistenceQuery(3, F(4, 5)))
 
+    @pytest.mark.parametrize(
+        "n,a,b",
+        [*((n, 1, 1) for n in range(3, 11)), (3, 2, 1), (6, 2, 1), (3, 1, 3), (6, 1, 3)],
+    )
+    def test_classify_opens_the_window_at_the_geometric_root(self, n, a, b):
+        # the window opens where theta + ... + theta^(n-1) passes a/b; on a
+        # symmetric support it closes at the reflected root, else it stays open
+        query = PersistenceQuery(n, F(1), F(a), F(b))
+        lo, hi = F(0), F(2)
+        while (hi - lo) * 2**64 > hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if geometric_sum(mid, n - 1) < query.a / query.b else (lo, mid)
+        edge = (lo + hi) / 2
+        if query.symmetric:
+            assert float(edge) == pers.fibonacci_root(n - 1)
+
+        def region(theta):
+            return classify(PersistenceQuery(n, theta, F(a), F(b)))
+
+        step = F(1, 10**9)
+        assert region(edge * (1 - step)) is not Region.WINDOW
+        assert region(edge * (1 + step)) is Region.WINDOW
+        if query.symmetric:
+            assert region(1 / edge * (1 - step)) is Region.WINDOW
+            assert region(1 / edge * (1 + step)) is not Region.WINDOW
+        else:
+            assert region(F(10**6)) is Region.WINDOW
+
     def test_fibonacci_root_is_the_exact_boundary_to_one_ulp(self):
         # the float's two neighbours lie on either side of the boundary that classify reads
         for i in range(1, 41):
