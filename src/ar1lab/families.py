@@ -13,7 +13,7 @@ routes that must agree coefficientwise:
 Also here: Euler zigzag numbers, dichromatic polynomials of complete graphs,
 the nested-integral volume polynomial, the exact one-sided derivative
 data of the persistence probability at drift -1, and the coefficients of
-the 1/th expansion of the large-drift limit, derived from the J~_n.
+the 1/th expansion of the large-drift limit, read off the J^_n.
 
 Each family recurrence is written once, generic over the ring, in the
 ``FamilyTables`` class that grows its tables on demand; its docstring names
@@ -233,17 +233,10 @@ ELL_EXPANSION_COEFFS: tuple[Fraction, ...] = (
 
 
 def ell_expansion_coefficients(kmax: int) -> list[Fraction]:
-    """Expansion coefficients a_k derived exactly from the J~ family.
-
-    a_k is the coefficient of th^k in sum_{j<=k+1} (-1)^j J~_{j+1}(th)/(2^j j!).
-    """
-    out = []
-    for k in range(kmax + 1):
-        a_k = Fraction(0)
-        for j in range(k + 2):
-            a_k += j_tilde(j + 1).coefficient(k) * Fraction((-1) ** j, 2**j * factorial(j))
-        out.append(a_k)
-    return out
+    """Expansion coefficients a_k read exactly off the J^ table: a_k is the
+    stable coefficient [th^k] J^_{k+2}(th)/(2^(k+1) (k+1)!) of p_n in the
+    inverse drift, the one ``verify``'s coefficient-stability check pins."""
+    return [Fraction(j_hat(k + 2).coefficient(k), 2 ** (k + 1) * factorial(k + 1)) for k in range(kmax + 1)]
 
 
 def route_disagreement(nmax: int) -> str | None:

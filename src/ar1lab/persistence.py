@@ -6,35 +6,38 @@ window bounded by generalized Fibonacci numbers; inside the window only the
 density-propagation oracle applies.  Both routes are exact rational
 arithmetic and agree wherever both are defined.
 
-Above drift 1 the oracle banks the mass that can never die.  A path that
-reaches T = a/(theta - 1) stays at or above it, since theta*y - a >= y
-there, so it survives forever.  Each forward density is cut at T after each
-step: its restriction to [0, T] goes on, and its mass on [T, inf) joins one
-exact banked atom, so p_k = banked_k + mass(f_k) with no approximation
-(``_oracle_chain``).  The full densities' pieces double at every step; the
-cut ones stay few.
+One level rule cuts both chains of the oracle (``_absorbing_level``): a
+pushforward at drift theta > 1 with innovations on [-c, ...] never takes a
+path below T = c/(theta - 1) once it reaches it.  The forward chain above
+drift 1 cuts each density at a/(theta - 1) after each step and banks its
+mass above, so p_k = banked_k + mass(f_k) exactly (``_oracle_chain``); the
+full densities' pieces double at every step, the cut ones stay few.
 
 Every window drift is positive, and a window prefix meets in the middle
 (``_window_masses``).  The forward chain f_1, ..., f_K holds the survival
 densities of Y_k; the backward chain g_1, ..., g_{n-K} holds
 g_j = 1 - u_j, u_j(y) = P_y[Y_1, ..., Y_j >= 0], each g_{j+1} the
 pushforward of g_j at (1/theta, b/theta, a/theta), divided by theta, plus
-a linear piece.  By the Markov property p_m = p_K - <f_K, g_{m-K}> for
-every split K < m (g_j vanishes on [T, inf), so the cut f_K serves), so a
-prefix costs n - 1 pushforwards, split where the predicted pieces of the
-two chains stay smallest (``_split``).  The oracle itself
-(``oracle_masses``) and the duality residuals stay direct forward chains,
-so the checks that compare them with the prefix compare independent routes.
+a linear piece, and below drift 1 cut by the same rule at b/(1 - theta),
+where every forward density ends.  By the Markov property
+p_m = p_K - <f_K, g_{m-K}> for every split K < m (g_j vanishes on
+[T, inf), so the cut f_K serves), so a prefix costs n - 1 pushforwards,
+split where the predicted pieces of the two chains stay smallest
+(``_split``).  The oracle itself (``oracle_masses``) and the duality
+residuals stay direct forward chains, so the checks that compare them with
+the prefix compare independent routes.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice, repeat
 from math import factorial, lcm
 from typing import Callable, Iterator
 
@@ -167,29 +170,28 @@ def _closed_form(query: PersistenceQuery) -> Fraction:
     raise NoClosedFormError(f"no closed form for n={n}, theta={th}; use oracle_masses")
 
 
-def _absorbing_level(query: PersistenceQuery) -> Fraction | None:
-    """T = a/(theta - 1) for drift theta > 1, None otherwise.  From Y >= T
-    the next state is theta*Y + X >= theta*T - a = T, so a path that reaches
-    T never leaves [T, inf) and survives forever."""
-    th = query.theta
-    return query.a / (th - 1) if th > 1 else None
+def _absorbing_level(theta: Fraction, a: Fraction) -> Fraction | None:
+    """T = a/(theta - 1) for a pushforward step at drift theta > 1 with
+    innovations on [-a, ...], None otherwise.  From Y >= T the next state is
+    theta*Y + X >= theta*T - a = T, so a path that reaches T never leaves
+    [T, inf).  The one level rule, of both chains and their prediction."""
+    return a / (theta - 1) if theta > 1 else None
 
 
 def _oracle_chain(query: PersistenceQuery) -> Iterator[tuple[PiecewisePoly, Fraction]]:
     """(f_k, banked_k) for k = 1..n, with p_k = banked_k + mass(f_k).
 
     f_k is the survival sub-density of Y_k, one pushforward from f_{k-1};
-    f_1 is 1/(a+b) on [0, b].  Above drift 1 each f_k is cut at the
-    absorbing level T = a/(theta - 1): f_k keeps its restriction to [0, T],
-    and its mass on [T, inf) joins the banked atom, the exact probability
-    of surviving to step k with Y_k >= T.  That is exact, since a path at or
-    above T stays there (``_absorbing_level``): the mass above T never
-    flows back below it, so the cut chain's f_k is the full chain's
-    restricted to [0, T], and the full chain's pieces, which double at
-    every step, are never built.  At drift <= 1 nothing is banked.
+    f_1 is 1/(a+b) on [0, b].  Above drift 1 each f_k is cut at
+    T = a/(theta - 1) (``_absorbing_level``): f_k keeps its restriction to
+    [0, T], and its mass on [T, inf) joins the banked atom, the exact
+    probability of surviving to step k with Y_k >= T.  Mass above T never
+    flows back below it, so the cut f_k is the full chain's restricted to
+    [0, T], and the full chain, whose pieces double at every step, is never
+    built.  At drift <= 1 nothing is banked.
     """
     th, a, b = query.theta, query.a, query.b
-    level = _absorbing_level(query)
+    level = _absorbing_level(th, a)
     f, banked = PiecewisePoly.constant(0, b, 1 / (a + b)), Fraction(0)
     for k in range(query.n):
         if k:
@@ -218,12 +220,21 @@ def _backward_chain(query: PersistenceQuery) -> Iterator[PiecewisePoly]:
     [0, a/theta], push being the pushforward at (1/theta, b/theta, a/theta).
     g_0 goes through the pushforward too, which returns at once on zero
     mass; from g_1 on, a/theta is a cell end of push(g_j), the image of 0.
+
+    Below drift 1 each g_j is cut at its step's absorbing level
+    b/(1 - theta) and the part above is dropped, unread: every forward
+    density lives below it, and there g_{j+1}(y) reads g_j only on
+    [theta*y - a, theta*y + b], below it too.  Cut after the sum, g_j keeps
+    the cumulative rows that the next pushforward reads.
     """
     th, a, b = query.theta, query.a, query.b
+    level = _absorbing_level(1 / th, b / th)
     h = PiecewisePoly((0, a / th), (Polynomial((a / (a + b), -th / (a + b))),))
     g = PiecewisePoly.zero()
     for _ in range(query.n):
         g = piecewise_pushforward(g, 1 / th, b / th, a / th).scaled(1 / th) + h
+        if level is not None:
+            g, _ = g.cut(level)
         yield g
 
 
@@ -232,19 +243,19 @@ def _closed_forms(query: PersistenceQuery) -> list[Fraction]:
     return [persistence_closed_form(replace(query, n=k)) for k in range(query.n + 1)]
 
 
-def _piece_counts(query: PersistenceQuery, level: Fraction | None) -> Iterator[int]:
-    """Piece counts of the densities f_1, f_2, ... of a chain at the query's
-    steps, each cut at ``level`` unless it is None, predicted from
-    breakpoints alone.  At ``_absorbing_level(query)`` they are the oracle
-    chain's; on the reflected query (n, 1/theta, b, a), uncut, they are the
-    backward chain's g_1, g_2, ...
+def _piece_counts(theta: Fraction, a: Fraction, b: Fraction) -> Iterator[int]:
+    """Piece counts of a chain of pushforwards at (theta, a, b), each density
+    cut at ``_absorbing_level(theta, a)``, predicted from breakpoints alone:
+    the oracle chain's f_1, f_2, ... at its query's steps, the backward
+    chain's g_1, g_2, ... at (1/theta, b/theta, a/theta).
 
-    f_1 lives on {0, b}; a pushforward cuts [0, inf) at 0 and at the
-    ``cell_ends`` of the input's breakpoints, the rule the kernel itself uses,
-    here on integer numerators over one denominator.  A cut drops the ends
-    above the level and ends the density at the level instead.
+    The first density lives on {0, b} (g_1 = h on [0, a/theta]); a
+    pushforward cuts [0, inf) at 0 and at the ``cell_ends`` of the input's
+    breakpoints, the rule the kernel itself uses, here on integer numerators
+    over one denominator.  A cut drops the ends above the level and ends the
+    density at the level instead.
     """
-    th, a, b = query.theta, query.a, query.b
+    level = _absorbing_level(theta, a)
     den, ends = b.denominator, {0, b.numerator}
     while True:
         if level is not None:
@@ -255,7 +266,7 @@ def _piece_counts(query: PersistenceQuery, level: Fraction | None) -> Iterator[i
             if len(ends) < len(scaled):
                 ends.add(top)
         yield len(ends) - 1
-        den, ends = cell_ends(den, ends, th, a, b)
+        den, ends = cell_ends(den, ends, theta, a, b)
         ends.add(0)
 
 
@@ -263,27 +274,20 @@ def _split(query: PersistenceQuery) -> int:
     """The split K of a window query: the forward chain runs to f_K, the
     backward chain to g_{n-K}.
 
-    The two predicted chains race from K = 1 (f_1 is given) and j = 0: the
-    side whose next density has fewer predicted pieces advances, ties going
-    forward, until K + j = n.  g_j's pieces are those of the reflected
-    query's f_j, so ``_piece_counts`` predicts both sides, and neither is
-    predicted more than one step past the chain that will run.  The sign of
-    theta - 1 does not decide on an asymmetric support: at (7/5; 3, 1) the
-    forward side is the cheaper one, at (5/7; 1, 3) the backward one.
+    The chains race from K = 1 (f_1 is given) and j = 0: of f_{K+1} and
+    g_{j+1}, the one with fewer pieces (``_piece_counts`` of the steps each
+    chain runs) is built, ties going forward, until K + j = n.  That is a
+    merge of the two count streams, tagged 0 and 1, over n - 1 items, and
+    neither side is predicted more than one step past the chain that runs.
+    The sign of theta - 1 does not decide on an asymmetric support: at
+    (7/5; 3, 1) the forward side is the cheaper one, at (5/7; 1, 3) the
+    backward one.
     """
-    reflected = PersistenceQuery(query.n, 1 / query.theta, query.b, query.a)
-    forward, backward = _piece_counts(query, _absorbing_level(query)), _piece_counts(reflected, None)
-    next(forward)
-    k, j = 1, 0
-    ahead = [next(forward), next(backward)]  # pieces of f_{K+1} and g_{j+1}
-    while k + j < query.n:
-        if ahead[0] <= ahead[1]:
-            k += 1
-            ahead[0] = next(forward)
-        else:
-            j += 1
-            ahead[1] = next(backward)
-    return k
+    th, a, b = query.theta, query.a, query.b
+    forward = zip(islice(_piece_counts(th, a, b), 1, None), repeat(0))
+    backward = zip(_piece_counts(1 / th, b / th, a / th), repeat(1))
+    race = islice(heapq.merge(forward, backward), query.n - 1)
+    return query.n - sum(side for _, side in race)
 
 
 def _window_masses(
@@ -297,7 +301,7 @@ def _window_masses(
     by the Markov property p_m = banked_K + <f_K, u_{m-K}> for every split
     K <= m, f_K and banked_K from ``_oracle_chain`` and u_j the survival
     function of ``_backward_chain`` (u_j = 1 on [T, inf), where the banked
-    mass lies), so with g_j = 1 - u_j
+    mass lies; below drift 1, g_j is kept only where f_K lives), so with g_j = 1 - u_j
 
         p_m = banked_m + mass(f_m) for m <= K,   p_m = p_K - <f_K, g_{m-K}> for K < m <= n,
 

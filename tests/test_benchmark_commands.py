@@ -65,11 +65,12 @@ def test_closed_mc_sampling_outputs_match_the_pinned_references(monkeypatch, cap
 
 
 # pieces, degree and coefficient bits of each pushforward of `persist --nmax 12 --theta 4/5`:
-# the forward steps to f_2..f_7, then the backward steps from g_0 = 0 (the zero density)
-# to g_4, whose outputs are g_1..g_5 before the division by theta and the linear piece
+# the forward steps to f_2..f_6, then the backward steps from g_0 = 0 (the zero density)
+# to g_5, whose outputs are g_1..g_6 before the division by theta, the linear piece and
+# the cut at b/(1 - theta) = 5
 TRACED_STEPS = [
-    (2, 1, 5), (4, 2, 13), (7, 3, 24), (12, 4, 45), (21, 5, 67), (35, 6, 96),
-    (1, -1, 0), (3, 2, 10), (6, 3, 19), (12, 4, 35), (23, 5, 56),
+    (2, 1, 5), (4, 2, 13), (7, 3, 24), (12, 4, 45), (21, 5, 67),
+    (1, -1, 0), (3, 2, 10), (6, 3, 19), (12, 4, 35), (23, 5, 56), (34, 6, 81),
 ]
 
 

@@ -37,6 +37,17 @@ def _full_chain(query):
         yield f
 
 
+def _full_backward_chain(query):
+    """The uncut g_1..g_n of the backward chain: g_0 = 0, then
+    g_{j+1} = push(g_j)/theta + h, push at (1/theta, b/theta, a/theta), at any drift."""
+    th, a, b = query.theta, query.a, query.b
+    h = PiecewisePoly((0, a / th), (Polynomial((a / (a + b), -th / (a + b))),))
+    g = PiecewisePoly.zero()
+    for _ in range(query.n):
+        g = piecewise_pushforward(g, 1 / th, b / th, a / th).scaled(1 / th) + h
+        yield g
+
+
 def _last_density(query):
     """The uncut survival sub-density of Y_n, the last of ``_full_chain`` (n >= 1)."""
     *_, f = _full_chain(query)
@@ -285,7 +296,7 @@ class TestBankedAtom:
     )
     def test_nothing_is_banked_at_or_below_drift_1(self, n, theta, a, b):
         query = PersistenceQuery(n, theta, a, b)
-        assert pers._absorbing_level(query) is None
+        assert pers._absorbing_level(query.theta, query.a) is None
         assert list(pers._oracle_chain(query)) == [(f, 0) for f in _full_chain(query)]
 
     def test_a_deep_query_above_drift_1_tracks_few_pieces(self, monkeypatch):
@@ -312,6 +323,57 @@ class TestBankedAtom:
         assert max(densities) <= n + 1
         assert max(tops) == 2
         assert F(1, 3) < p < persistence_exact(30, F(3, 2))
+
+
+class TestBackwardCut:
+    """Below drift 1 the backward chain's step runs at drift 1/theta > 1, and
+    the one level rule cuts each g_j at b/(1 - theta), where every forward
+    density ends; the part above it is dropped, since nothing reads it."""
+
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    supports = st.fractions(min_value="1/3", max_value=3, max_denominator=3)
+
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=5).filter(lambda x: 0 < x < 1),
+        supports,
+        supports,
+        st.integers(min_value=1, max_value=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(F(1, 2), F(3), F(1, 3), 7)  # h ends at a/theta = 6, far above the level 2/3
+    @example(F(4, 5), F(1), F(1), 7)
+    def test_the_cut_chain_is_the_full_chain_cut_at_the_level(self, theta, a, b, n):
+        query = PersistenceQuery(n, theta, a, b)
+        level = b / (1 - theta)
+        assert pers._absorbing_level(1 / theta, b / theta) == level
+        cut = list(pers._backward_chain(query))
+        assert cut == [g.cut(level)[0] for g in _full_backward_chain(query)]
+        assert all(g.breakpoints[-1] <= level for g in cut)
+
+    def test_a_deep_query_below_drift_1_tracks_few_pieces(self, monkeypatch):
+        # uncut, g_j would have about 2^j pieces at 2/3; cut at 3 it keeps at most j + 1
+        n = 40
+        pieces, calls = [], []
+        real_backward, real_push = pers._backward_chain, pers.piecewise_pushforward
+
+        def backward(query):
+            for g in real_backward(query):
+                pieces.append(len(g.pieces))
+                yield g
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real_push(*args)
+
+        monkeypatch.setattr(pers, "_backward_chain", backward)
+        monkeypatch.setattr(pers, "piecewise_pushforward", counted)
+        p = persistence_prefix(n, F(2, 3))
+        assert len(calls) == n - 1
+        assert len(pieces) == n - pers._split(PersistenceQuery(n, F(2, 3))) > 30
+        assert all(m <= j + 1 for j, m in enumerate(pieces, start=1))
+        assert all(x > y for x, y in zip(p, p[1:]))
 
 
 class TestSingleValue:
@@ -370,9 +432,9 @@ class TestSingleValue:
 
 class TestReflectedRoute:
     """Window prefixes at drift theta > 0 meet in the middle: a forward chain
-    at theta to f_K and a backward chain of g_j = 1 - u_j, whose steps are the
-    reflected query's (n, 1/theta, b, a), to g_{n-K}.  That holds on every
-    support, also where the reflected horizons have closed forms."""
+    at theta to f_K and a backward chain of g_j = 1 - u_j, whose steps are
+    pushforwards at (1/theta, b/theta, a/theta), to g_{n-K}.  That holds on
+    every support, also where the reflected horizons have closed forms."""
 
     @staticmethod
     def chain_drifts(monkeypatch):
@@ -465,39 +527,29 @@ class TestReflectedRoute:
     def test_predicted_piece_counts_match_the_chain(self, theta, a, b, n):
         # above drift 1 the chain is cut at the absorbing level, and so is the prediction
         query = PersistenceQuery(n, theta, a, b)
-        predicted = pers._piece_counts(query, pers._absorbing_level(query))
+        predicted = pers._piece_counts(query.theta, query.a, query.b)
         assert [next(predicted) for _ in range(n)] == [len(f.pieces) for f, _ in pers._oracle_chain(query)]
 
     @pytest.mark.parametrize(
         "theta, a, b, n",
-        [(F(3, 2), 1, 1, 10), (F(4, 5), 1, 1, 9), (F(7, 5), 3, 1, 8), (F(5, 7), 1, 3, 8), (F(6, 5), 1, 3, 7)],
+        [
+            (F(3, 2), 1, 1, 10),
+            (F(4, 5), 1, 1, 9),
+            (F(7, 5), 3, 1, 8),
+            (F(5, 7), 1, 3, 8),
+            (F(6, 5), 1, 3, 7),
+            (F(2, 3), 1, 1, 10),  # below drift 1 the backward chain is cut at b/(1 - theta)
+            (F(3, 5), 1, 1, 10),
+            (F(5, 8), 1, 1, 10),
+            (F(9, 10), 1, 1, 8),
+        ],
     )
-    def test_backward_piece_counts_are_the_reflected_prediction(self, theta, a, b, n):
-        predicted = pers._piece_counts(PersistenceQuery(n, 1 / theta, b, a), None)
+    def test_backward_piece_counts_are_the_prediction_at_its_steps(self, theta, a, b, n):
+        # the backward chain runs pushforwards at (1/theta, b/theta, a/theta), cut by the
+        # one level rule at those steps, so the forward chain's predictor serves it too
+        predicted = pers._piece_counts(1 / theta, F(b) / theta, F(a) / theta)
         chain = pers._backward_chain(PersistenceQuery(n, theta, a, b))
         assert [len(g.pieces) for g in chain] == [next(predicted) for _ in range(n)]
-
-    @pytest.mark.parametrize("theta, a, b", [(F(4, 5), 1, 1), (F(5, 7), 1, 3), (F(5, 6), 3, 1)])
-    def test_the_reflected_prediction_stays_uncut(self, monkeypatch, theta, a, b):
-        # below drift 1 the reflected drift is above 1, where a cut would predict fewer
-        # pieces than the backward chain has; the race must read the uncut counts
-        n = 9
-        reflected = PersistenceQuery(n, 1 / theta, b, a)
-        uncut = pers._piece_counts(reflected, None)
-        cut = pers._piece_counts(reflected, pers._absorbing_level(reflected))
-        uncut, cut = [next(uncut) for _ in range(n)], [next(cut) for _ in range(n)]
-        assert uncut != cut
-        levels = []
-        real = pers._piece_counts
-
-        def recorded(query, level):
-            levels.append((query, level))
-            return real(query, level)
-
-        monkeypatch.setattr(pers, "_piece_counts", recorded)
-        query = PersistenceQuery(n, theta, a, b)
-        pers._split(query)
-        assert levels == [(query, None), (reflected, None)]
 
     def test_backward_chain_starts_at_the_linear_piece(self):
         # g_1 = 1 - u_1 = P[theta*y + X < 0] = (a - theta*y)/(a + b) on [0, a/theta]
@@ -557,11 +609,12 @@ class TestReflectedRoute:
         qs = oracle_masses(PersistenceQuery(6, 1 / theta, 2, 1))
         assert [sum((-1) ** k * ps[k] * qs[n - k] for k in range(n + 1)) for n in range(7)] == [1] + [0] * 6
 
-    @pytest.mark.parametrize("n, theta, split", [(11, F(3, 2), 7), (12, F(4, 5), 7), (16, F(4, 5), 9), (20, F(3, 2), 15)])
+    @pytest.mark.parametrize("n, theta, split", [(11, F(3, 2), 7), (12, F(4, 5), 6), (16, F(4, 5), 8), (20, F(3, 2), 15)])
     def test_the_race_splits_where_the_predicted_pieces_are_fewest(self, monkeypatch, n, theta, split):
-        # at 3/2 the forward chain is cut at T = 2 and grows one piece a step
-        query, reflected = PersistenceQuery(n, theta), PersistenceQuery(n, 1 / theta)
-        forward, backward = pers._piece_counts(query, pers._absorbing_level(query)), pers._piece_counts(reflected, None)
+        # at 3/2 the forward chain is cut at T = 2 and grows one piece a step; at 4/5
+        # the backward chain is cut at 5
+        query = PersistenceQuery(n, theta)
+        forward, backward = pers._piece_counts(theta, F(1), F(1)), pers._piece_counts(1 / theta, 1 / theta, 1 / theta)
         f = [next(forward) for _ in range(n)]  # f_1..f_n
         g = [next(backward) for _ in range(n)]  # g_1..g_n
         totals = {k: sum(f[1:k]) + sum(g[: n - k]) for k in range(1, n + 1)}
